@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, GroupLabError, NilpotentElementError, ValidationError
+from .linalg import is_prime
 
 __all__ = [
     "AlgebraFactor",
@@ -116,12 +117,6 @@ class FiniteCommutativeAlgebra:
         return f"FiniteCommutativeAlgebra({self.name!r}, size={self.size})"
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(p**0.5) + 1))
-
-
 # Irreducible polynomials for the bundled prime-power fields, little-endian
 # coefficients of x^k = -(lower terms).
 _IRREDUCIBLE = {
@@ -176,7 +171,7 @@ def _poly_field_tables(p: int, k: int, poly: tuple[int, ...]) -> tuple[np.ndarra
 
 def gf(q: int) -> FiniteCommutativeAlgebra:
     """The finite field with q elements, for prime q or q in {4, 8, 9}."""
-    if _is_prime(q):
+    if is_prime(q):
         ids = np.arange(q, dtype=np.int64)
         add = (ids[:, None] + ids[None, :]) % q
         mul = (ids[:, None] * ids[None, :]) % q
@@ -284,7 +279,7 @@ def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -
         sub_mul = np.array([[local[ring.mul(a, b)] for b in member_ids] for a in member_ids],
                            dtype=np.int32)
         field = FiniteCommutativeAlgebra(
-            sub_add, sub_mul, char=ring.char if _is_prime(ring.char) else _additive_order(ring, e),
+            sub_add, sub_mul, char=ring.char if is_prime(ring.char) else _additive_order(ring, e),
             one_id=local[e], name=f"{ring.name}.e{e}",
         )
         if not field.is_field():

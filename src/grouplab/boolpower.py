@@ -279,13 +279,10 @@ def bp_quotient_iso(base: FiniteGroup, ring: FiniteBooleanRing, ideal: BooleanId
                           caps=caps.with_overrides(order=max(caps.order, base.order ** max(m, 1))))
     n = base.order
     mapping = np.zeros(q.order, dtype=np.int64)
-    rep_of = {}
-    for gid in range(mat.group.order):
-        cos = proj(gid)
-        if cos not in rep_of:
-            rep_of[cos] = gid
-    for cos, rep in rep_of.items():
-        values = mat.decode(rep).values()
+    # the first, hence minimal, id in each coset
+    cosets, reps = np.unique(proj.mapping, return_index=True)
+    for cos, rep in zip(cosets, reps):
+        values = mat.decode(int(rep)).values()
         out = 0
         for i in kept:
             out = out * n + values[i]

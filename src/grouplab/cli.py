@@ -21,7 +21,7 @@ from .boolean import BooleanIdeal, build_boolean_ring
 from .boolpower import bp_quotient_iso, verify_ideal_correspondence
 from .config import DEFAULT_CAPS, Caps
 from .corpus import Corpus, bundled_corpus, bundled_towers, load_corpus
-from .errors import GroupLabError, ValidationError
+from .errors import GroupLabError, ValidationError, parsing
 from .groups import FiniteGroup, GroupHom, Subgroup
 from .measure import (
     commuting_pairs,
@@ -172,11 +172,12 @@ def _cmd_rho(args, corpus: Corpus, caps: Caps):
 
 def _cmd_boolean_power(args, corpus: Corpus, caps: Caps):
     if args.spec:
-        payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        if "field" in payload:
-            return _filtered_power_rows(payload, caps)
-        args.base = payload["base_group"]
-        args.atoms = int(payload["atoms"])
+        with parsing(args.spec):
+            payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            if "field" in payload:
+                return _filtered_power_rows(payload, caps)
+            args.base = payload["base_group"]
+            args.atoms = int(payload["atoms"])
     if not args.base or args.atoms is None:
         raise ValidationError("boolean-power needs --base/--atoms or --spec")
     base = corpus[args.base]
@@ -238,17 +239,19 @@ def _filtered_power_rows(payload: dict, caps: Caps):
 
 
 def _tower_from_file(path: str, corpus: Corpus, caps: Caps) -> InverseSystem:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "group" in payload:
-        g = corpus[payload["group"]]
-        chain = [Subgroup(g, ids) for ids in payload["chain"]]
-        return coset_action_system(g, chain, caps=caps).system
-    levels = [corpus[name] for name in payload["levels"]]
-    projections = [
-        GroupHom(levels[i + 1], levels[i], mapping)
-        for i, mapping in enumerate(payload["projections"])
-    ]
-    return InverseSystem(levels, projections, caps=caps)
+    with parsing(path):
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if "group" in payload:
+            g = corpus[payload["group"]]
+            chain = [Subgroup(g, ids) for ids in payload["chain"]]
+        else:
+            levels = [corpus[name] for name in payload["levels"]]
+            projections = [
+                GroupHom(levels[i + 1], levels[i], mapping)
+                for i, mapping in enumerate(payload["projections"])
+            ]
+            return InverseSystem(levels, projections, caps=caps)
+    return coset_action_system(g, chain, caps=caps).system
 
 
 def _cmd_inverse_system(args, corpus: Corpus, caps: Caps):
@@ -299,12 +302,14 @@ def _bundled_actions(corpus: Corpus, caps: Caps) -> dict[str, tuple[GModuleActio
 
 
 def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAction, tuple[int, ...]]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    g = corpus[payload["group"]]
-    matrices = {int(k): v for k, v in payload["matrices"].items()}
-    action = action_from_matrices(g, int(payload["p"]), int(payload["dim"]), matrices, caps=caps)
-    if "v" in payload:
-        return action, tuple(int(x) for x in payload["v"])
+    with parsing(path):
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        g = corpus[payload["group"]]
+        matrices = {int(k): v for k, v in payload["matrices"].items()}
+        action = action_from_matrices(g, int(payload["p"]), int(payload["dim"]), matrices,
+                                      caps=caps)
+        if "v" in payload:
+            return action, tuple(int(x) for x in payload["v"])
     for vec in action.vectors():
         if orbit_span_check(action, vec).spans:
             return action, vec
@@ -355,8 +360,9 @@ def _cmd_ring_from_module(args, corpus: Corpus, caps: Caps):
 def _cmd_verify_inequalities(args, corpus: Corpus, caps: Caps):
     beta = None
     if args.beta_table:
-        raw = json.loads(Path(args.beta_table).read_text(encoding="utf-8"))
-        beta = {int(k): int(v) for k, v in raw.items()}
+        with parsing(args.beta_table):
+            raw = json.loads(Path(args.beta_table).read_text(encoding="utf-8"))
+            beta = {int(k): int(v) for k, v in raw.items()}
     members, select_errors = _select_groups(corpus, args.group)
     report = verify_inequalities(members, beta_table=beta, caps=caps)
     items = []
@@ -467,7 +473,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         corpus = load_corpus(args.corpus, caps=caps) if args.corpus else bundled_corpus(caps=caps)
         items, errors, columns = _HANDLERS[args.subcommand](args, corpus, caps)
-    except (GroupLabError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (GroupLabError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     payload = {

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import ValidationError
+from .errors import ValidationError, parsing
 from .groups import FiniteGroup, Subgroup, build_group, subgroup_closure
 from .towers import InverseSystem, coset_action_system, direct_power_system
 
@@ -187,14 +187,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 def load_group_file(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
     path = Path(path)
-    try:
+    with parsing(path):
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path.name}: invalid JSON ({exc})") from exc
-    name = payload.get("name")
-    if not isinstance(name, str) or not name:
-        raise ValidationError(f"{path.name}: missing group name")
-    try:
+        name = payload.get("name")
+        if not isinstance(name, str) or not name:
+            raise ValidationError("missing group name")
         if "table" in payload:
             g = build_group(table=payload["table"], name=name, caps=caps)
             if "order" in payload and int(payload["order"]) != g.order:
@@ -204,8 +201,6 @@ def load_group_file(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> FiniteGro
                             degree=int(payload["degree"]), name=name, caps=caps)
         else:
             raise ValidationError("need either a table or generators")
-    except ValidationError as exc:
-        raise ValidationError(f"{path.name}: {exc}") from exc
     return g
 
 
@@ -223,13 +218,15 @@ def load_corpus(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> Corpus:
             return Corpus({})
         entries = [{"file": f.name} for f in files]
     else:
-        entries = json.loads(index_path.read_text(encoding="utf-8"))
+        with parsing(index_path):
+            entries = json.loads(index_path.read_text(encoding="utf-8"))
     for entry in entries:
-        fname = entry["file"]
+        with parsing(index_path):
+            fname, order = entry["file"], int(entry.get("order", 0))
         if fname == "index.json":
             continue
         g = load_group_file(root / fname, caps=caps)
-        if "order" in entry and int(entry["order"]) != g.order:
+        if "order" in entry and order != g.order:
             raise ValidationError(f"{fname}: index order {entry['order']} != actual {g.order}")
         if "name" in entry and entry["name"] != g.name:
             raise ValidationError(f"{fname}: index name {entry['name']!r} != {g.name!r}")
@@ -239,14 +236,6 @@ def load_corpus(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> Corpus:
     if not groups:
         warnings.warn(f"corpus directory {root} is empty", stacklevel=2)
     return Corpus(groups)
-
-
-def _power_chain_subgroups(g: FiniteGroup, generator_powers: list[int]) -> list[Subgroup]:
-    chain = [g.whole_subgroup()]
-    for x in generator_powers:
-        chain.append(subgroup_closure(g, [x]))
-    chain.append(g.trivial_subgroup())
-    return chain
 
 
 def bundled_towers(corpus: Corpus | None = None, *, caps: Caps = DEFAULT_CAPS

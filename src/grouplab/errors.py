@@ -1,5 +1,9 @@
 """Exception types shared across the toolkit."""
 
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
+
 
 class GroupLabError(Exception):
     """Base class for all toolkit errors."""
@@ -35,3 +39,17 @@ class NilpotentElementError(GroupLabError):
         if detail:
             message += f" ({detail})"
         super().__init__(message)
+
+
+@contextmanager
+def parsing(path: str | Path) -> Iterator[None]:
+    """Report a malformed field of the file at `path` as a ValidationError naming the file.
+
+    Wrap the code that turns the file's JSON into objects: a wrong type,
+    value or shape there raises one of the built-in errors caught here,
+    which would otherwise end the run in a traceback or an unnamed key.
+    """
+    try:
+        yield
+    except (ValidationError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValidationError(f"{Path(path).name}: {exc}") from exc

@@ -2,7 +2,7 @@
 
 Element 0 is always the identity.  Every canonical order used anywhere in
 the package is id-lexicographic, so repeated runs produce identical output
-regardless of platform or worker count.
+regardless of platform.
 """
 
 from __future__ import annotations
@@ -281,15 +281,23 @@ class Subgroup:
     def as_group(self, *, name: str | None = None) -> tuple[FiniteGroup, "GroupHom"]:
         """Reindexed copy of this subgroup plus the embedding hom into the parent."""
         arr = np.array(self.ids, dtype=np.int32)
-        local = np.full(self.group.order, -1, dtype=np.int32)
-        local[arr] = np.arange(len(arr), dtype=np.int32)
-        table = local[self.group.table[np.ix_(arr, arr)]]
+        table = _local_ids(self, self.group.table[np.ix_(arr, arr)])
         grp = FiniteGroup(table, name=name or f"{self.group.name}-sub{len(arr)}", validate="basic")
         embed = GroupHom(grp, self.group, arr, validate=False)
         return grp, embed
 
     def __repr__(self) -> str:
         return f"Subgroup(order={len(self.ids)} of {self.group.name})"
+
+
+def _local_ids(sub: Subgroup, ids) -> np.ndarray:
+    """Ids of elements of `sub` in `sub.as_group()`: their positions in the sorted `sub.ids`.
+
+    Elements outside `sub` get -1.
+    """
+    local = np.full(sub.group.order, -1, dtype=np.int32)
+    local[np.array(sub.ids, dtype=np.int32)] = np.arange(len(sub), dtype=np.int32)
+    return local[np.asarray(ids)]
 
 
 class GroupHom:
@@ -397,27 +405,30 @@ def _perm_closure(
     return perms, index, parents, genidx
 
 
-def _table_from_perm_closure(
-    perms: list[np.ndarray],
-    index: dict[bytes, int],
-    parents: list[int],
-    genidx: list[int],
-    gen_arrays: list[np.ndarray],
-) -> tuple[np.ndarray, list[int]]:
-    """Cayley table for a permutation closure, built column by column."""
+def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
+                      caps: Caps) -> tuple[FiniteGroup, dict[bytes, int]]:
+    """The group generated by permutations, and its index: permutation bytes -> element id.
+
+    The Cayley table is built column by column from one column per generator.
+    """
+    perms, index, parents, genidx = _perm_closure(gen_arrays, degree, caps.order)
     n = len(perms)
     table = np.empty((n, n), dtype=np.int32)
     table[:, 0] = np.arange(n, dtype=np.int32)
-    gen_element_ids = [index[g.tobytes()] for g in gen_arrays]
-    gen_cols: list[np.ndarray] = []
-    for g in gen_arrays:
-        col = np.fromiter((index[(perms[i][g]).tobytes()] for i in range(n)), dtype=np.int32, count=n)
-        gen_cols.append(col)
+    gen_cols = [np.fromiter((index[perm[g].tobytes()] for perm in perms), dtype=np.int32, count=n)
+                for g in gen_arrays]
     for j in range(1, n):
-        p, gi = parents[j], genidx[j]
         # column for j = parent * gen: i*j = (i*parent)*gen
-        table[:, j] = gen_cols[gi][table[:, p]]
-    return table, gen_element_ids
+        table[:, j] = gen_cols[genidx[j]][table[:, parents[j]]]
+    presentation = PermGenerators(
+        degree=degree,
+        perms=tuple(tuple(int(v) for v in g) for g in gen_arrays),
+        element_ids=tuple(index[g.tobytes()] for g in gen_arrays),
+    )
+    words = (np.array(parents, dtype=np.int32), np.array(genidx, dtype=np.int32))
+    grp = FiniteGroup(table, name=name, perm_generators=presentation, words=words,
+                      validate="basic", caps=caps)
+    return grp, index
 
 
 def build_group(
@@ -447,17 +458,7 @@ def build_group(
         if arr.shape != (degree,) or not np.array_equal(np.sort(arr), np.arange(degree)):
             raise ValidationError(f"not a permutation of {degree} points: {list(images)!r}")
         gen_arrays.append(arr)
-    perms, index, parents, genidx = _perm_closure(gen_arrays, degree, caps.order)
-    tbl, gen_ids = _table_from_perm_closure(perms, index, parents, genidx, gen_arrays)
-    presentation = PermGenerators(
-        degree=degree,
-        perms=tuple(tuple(int(v) for v in g) for g in gen_arrays),
-        element_ids=tuple(gen_ids),
-    )
-    words = (np.array(parents, dtype=np.int32), np.array(genidx, dtype=np.int32))
-    return FiniteGroup(
-        tbl, name=name, perm_generators=presentation, words=words, validate="basic", caps=caps
-    )
+    return _group_from_perms(gen_arrays, degree, name=name, caps=caps)[0]
 
 
 def cyclic_group(n: int, *, name: str | None = None, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
@@ -486,12 +487,13 @@ def direct_power(p: FiniteGroup, m: int, *, name: str | None = None,
         raise ValidationError("power must be nonnegative")
     if p.order ** m > caps.order:
         raise CapExceeded("order", caps.order, p.order ** m)
-    if m == 0:
-        return FiniteGroup([[0]], name=name or f"{p.name}^0", validate="basic", caps=caps)
+    name = name or f"{p.name}^{m}"
+    if m <= 1:
+        return FiniteGroup(p.table if m else [[0]], name=name, validate="basic", caps=caps)
     grp = p
-    for _ in range(m - 1):
-        grp = direct_product(grp, p, caps=caps)
-    return FiniteGroup(grp.table, name=name or f"{p.name}^{m}", validate="basic", caps=caps)
+    for k in range(2, m + 1):
+        grp = direct_product(grp, p, name=name if k == m else None, caps=caps)
+    return grp
 
 
 # -- structural queries ------------------------------------------------------
@@ -503,19 +505,22 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(g, np.flatnonzero(mask).tolist(), validate=False)
 
 
+def _class_of(g: FiniteGroup, x: int) -> np.ndarray:
+    """The conjugacy class {h^-1 x h} of x, sorted."""
+    t, inv = g.table, g.inverse
+    return np.unique(t[t[inv, x], np.arange(g.order)])
+
+
 def conjugacy_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Orbits of conjugation, ordered by minimal representative."""
     if g._classes is not None:
         return g._classes
-    n = g.order
-    t, inv = g.table, g.inverse
-    all_ids = np.arange(n, dtype=np.int32)
-    seen = np.zeros(n, dtype=bool)
+    seen = np.zeros(g.order, dtype=bool)
     classes: list[tuple[int, ...]] = []
-    for x in range(n):
+    for x in range(g.order):
         if seen[x]:
             continue
-        orbit = np.unique(t[t[inv, x], all_ids])
+        orbit = _class_of(g, x)
         seen[orbit] = True
         classes.append(tuple(int(v) for v in orbit))
     g._classes = tuple(classes)
@@ -589,14 +594,18 @@ def is_soluble(g: FiniteGroup) -> bool:
     return len(series(g, "derived").terms[-1]) == 1
 
 
+def _coset_reps(g: FiniteGroup, ids: Sequence[int]) -> np.ndarray:
+    """For every element x, the minimal id in its left coset x*H of H = `ids`."""
+    return g.table[:, np.array(ids, dtype=np.int32)].min(axis=1)
+
+
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Quotient by a normal subgroup; coset ids follow minimal representatives."""
     if n.group is not g:
         raise ValidationError("subgroup belongs to a different group")
     if not n.is_normal():
         raise ValidationError("subgroup is not normal")
-    arr = np.array(n.ids, dtype=np.int32)
-    rep = g.table[:, arr].min(axis=1)
+    rep = _coset_reps(g, n.ids)
     reps = np.unique(rep)
     idx_of = np.full(g.order, -1, dtype=np.int32)
     idx_of[reps] = np.arange(reps.size, dtype=np.int32)
@@ -619,7 +628,4 @@ def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
 
 def normal_closure(g: FiniteGroup, x: int) -> Subgroup:
     """Smallest normal subgroup containing x."""
-    t, inv = g.table, g.inverse
-    all_ids = np.arange(g.order, dtype=np.int32)
-    cls = np.unique(t[t[inv, x], all_ids])
-    return subgroup_closure(g, cls.tolist())
+    return subgroup_closure(g, _class_of(g, x).tolist())

@@ -1,7 +1,8 @@
 """Dense linear algebra over prime fields, on numpy integer matrices.
 
 Matrices are 2-d int arrays with entries reduced mod p.  Row vectors act on
-the right throughout the package: v @ M.
+the right throughout the package: v @ M.  Also the integer helpers on
+primes that the group and ring modules share.
 """
 
 from __future__ import annotations
@@ -9,6 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+
+
+def split_prime_power(n: int, p: int) -> tuple[int, int]:
+    """(a, m) with n = p**a * m and m not divisible by p."""
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    return a, n
 
 
 def rref_gfp(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

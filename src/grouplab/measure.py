@@ -19,6 +19,7 @@ from .errors import CapExceeded, GroupLabError, ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _local_ids,
     center,
     commutator_subgroup,
     commuting_pair_count,
@@ -26,7 +27,7 @@ from .groups import (
     core,
     quotient,
 )
-from .linalg import rank_gfp
+from .linalg import rank_gfp, split_prime_power
 from .structure import enumerate_normal_subgroups, enumerate_subgroups, prufer_rank
 
 __all__ = [
@@ -151,8 +152,7 @@ def group_rank_bound(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
     for h in enumerate_subgroups(g, caps=caps):
         h_core = core(g, h)
         h_grp, _ = h.as_group()
-        local = {x: i for i, x in enumerate(h.ids)}
-        core_local = Subgroup(h_grp, [local[x] for x in h_core.ids], validate=False)
+        core_local = Subgroup(h_grp, _local_ids(h, h_core.ids), validate=False)
         q, _ = quotient(h_grp, core_local)
         best = max(best, prufer_rank(q, caps=caps))
     return best
@@ -260,10 +260,7 @@ def rho_wedge(g: FiniteGroup, *, name: str | None = None,
     if order == 1:
         raise ValidationError("need a nontrivial prime-power order")
     p = min(q for q in range(2, order + 1) if order % q == 0)
-    m = order
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    if split_prime_power(order, p)[1] != 1:
         raise ValidationError(f"order {order} is not a power of a single prime")
 
     whole = g.whole_subgroup()
@@ -280,19 +277,14 @@ def rho_wedge(g: FiniteGroup, *, name: str | None = None,
     u_basis, _ = _elementary_abelian_coordinates(q, p)
     u_dim = len(u_basis)
     _, w_coords = _elementary_abelian_coordinates(w_grp, p)
-    w_local = {x: i for i, x in enumerate(w.ids)}
     w_dim = len(next(iter(w_coords.values()))) if w_grp.order > 1 else 0
 
-    # canonical lifts: minimal-id coset representatives, recovered from proj
-    lift = {}
-    for x in range(order):
-        c = proj(x)
-        if c not in lift:
-            lift[c] = x
+    # canonical lifts: the first, hence minimal, id in each coset
+    _, lift = np.unique(proj.mapping, return_index=True)
     rows = []
     for i, j in itertools.combinations(range(u_dim), 2):
         c = g.commutator(lift[u_basis[i]], lift[u_basis[j]])
-        rows.append(w_coords[w_local[c]] if w_dim else ())
+        rows.append(w_coords[int(_local_ids(w, c))] if w_dim else ())
     wedge_dim = u_dim * (u_dim - 1) // 2
     if wedge_dim and w_dim:
         mat = np.array(rows, dtype=np.int64)
@@ -397,11 +389,7 @@ def verify_inequalities(corpus: Corpus, *, beta_table: Mapping[int, int] | None 
     for order in sorted(by_order):
         members = by_order[order]
         p = members[0][2].prime
-        a = 0
-        m = order
-        while m % p == 0:
-            m //= p
-            a += 1
+        a, _ = split_prime_power(order, p)
         ks = [rep.k for _, _, rep in members if rep.k is not None]
         if not ks:
             continue  # every member carries the infinity marker

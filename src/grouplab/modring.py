@@ -18,7 +18,7 @@ from .algebras import FiniteCommutativeAlgebra
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, GroupLabError, ValidationError
 from .groups import FiniteGroup
-from .linalg import inv_gfp, nullspace_gfp
+from .linalg import inv_gfp, is_prime, nullspace_gfp
 
 __all__ = [
     "FaithfulnessReport",
@@ -70,7 +70,7 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
     Missing elements are filled in multiplicatively; the homomorphism law is
     then checked on the full table.
     """
-    if prime < 2 or any(prime % q == 0 for q in range(2, int(prime**0.5) + 1)):
+    if not is_prime(prime):
         raise ValidationError(f"{prime} is not prime")
     if prime**dim > caps.materialized_order:
         raise CapExceeded("materialized_order", caps.materialized_order, prime**dim)
@@ -216,21 +216,16 @@ class ModuleRing:
         self.p = action.prime
         self.dim = action.dim
         self.size = action.prime ** action.dim
+        self._radix = action.prime ** np.arange(action.dim, dtype=np.int64)
         self.zero = 0
         self.one = self.from_vector(v)
 
-    def coords(self, eid: int) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in range(self.dim):
-            out[i] = eid % self.p
-            eid //= self.p
-        return out
+    def coords(self, eid: int | np.ndarray) -> np.ndarray:
+        """Coordinates of an id, or of every id of an array along a new last axis."""
+        return np.asarray(eid, dtype=np.int64)[..., None] // self._radix % self.p
 
     def element_id(self, coords: Sequence[int]) -> int:
-        out = 0
-        for c in reversed(list(coords)):
-            out = out * self.p + int(c) % self.p
-        return out
+        return int((np.asarray(coords, dtype=np.int64) % self.p) @ self._radix)
 
     def to_vector(self, eid: int) -> tuple[int, ...]:
         vec = (self.coords(eid) @ self._basis) % self.p
@@ -244,9 +239,11 @@ class ModuleRing:
         return self.element_id((self.coords(a) + self.coords(b)) % self.p)
 
     def mul(self, a: int, b: int) -> int:
-        ca, cb = self.coords(a), self.coords(b)
-        out = np.einsum("i,j,ijk->k", ca, cb, self._structure) % self.p
-        return self.element_id(out)
+        return self.element_id(self._products(self.coords(a), self.coords(b)))
+
+    def _products(self, ca: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Coordinates of a * b for the coordinates `ca` of a and each row of `coords`."""
+        return (coords @ np.tensordot(ca, self._structure, 1)) % self.p
 
     def is_commutative(self) -> bool:
         s = self._structure
@@ -257,14 +254,12 @@ class ModuleRing:
             raise ValidationError("ring is not commutative")
         if self.size > caps.materialized_order:
             raise CapExceeded("materialized_order", caps.materialized_order, self.size)
-        add = np.zeros((self.size, self.size), dtype=np.int32)
-        mul = np.zeros((self.size, self.size), dtype=np.int32)
+        coords = self.coords(np.arange(self.size))
+        add = np.empty((self.size, self.size), dtype=np.int32)
+        mul = np.empty((self.size, self.size), dtype=np.int32)
         for a in range(self.size):
-            for b in range(a, self.size):
-                s = self.add(a, b)
-                m = self.mul(a, b)
-                add[a, b] = add[b, a] = s
-                mul[a, b] = mul[b, a] = m
+            add[a] = ((coords[a] + coords) % self.p) @ self._radix
+            mul[a] = self._products(coords[a], coords) @ self._radix
         return FiniteCommutativeAlgebra(add, mul, char=self.p, one_id=self.one,
                                         name=name or "module-ring")
 
@@ -284,10 +279,11 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     The annihilator is always a right ideal; the left check is exhaustive
     over a kernel basis.  On failure the first offending (kernel element,
     multiplier) pair becomes the witness.  On success the product is
-    verified against the translate-sum formula on every pair of elements
-    (or a deterministic stride of pairs for large spaces).
+    verified against the translate formula v^h * v^k = v^(hk) on every pair
+    of translates, which is exact: the product is bilinear and the
+    translates span.
     """
-    p, d = action.prime, action.dim
+    p = action.prime
     vt = tuple(int(x) % p for x in v)
     span = orbit_span_check(action, vt)
     if not span.spans:
@@ -326,42 +322,33 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
             if ((out @ translate_rows) % p).any():
                 raise GroupLabError("annihilator is not a right ideal; action tables broken")
 
+    ring = _translate_ring(action, vt, span)
+    decomp = translate_decomposition(action, vt, vt, caps=caps)
+    _verify_translate_products(ring, translate_rows)
+    return RingConstruction(well_defined=True, ring=ring, witness=None,
+                            translate_bound=decomp.bound)
+
+
+def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) -> ModuleRing:
+    """The product v^h * v^k = v^(hk) on the translate basis; well defined or not."""
+    p, d = action.prime, action.dim
     basis = np.array(span.basis_vectors, dtype=np.int64)
     basis_inv = inv_gfp(basis, p)
     structure = np.zeros((d, d, d), dtype=np.int64)
     for i, hi in enumerate(span.basis_elements):
         for j, hj in enumerate(span.basis_elements):
-            prod_vec = np.asarray(action.translate(vt, action.group.mul(hi, hj)), dtype=np.int64)
+            prod_vec = np.asarray(action.translate(v, action.group.mul(hi, hj)), dtype=np.int64)
             structure[i, j] = (prod_vec @ basis_inv) % p
-    ring = ModuleRing(action, vt, span.basis_elements, basis, structure)
-
-    decomp = translate_decomposition(action, vt, vt, caps=caps)
-    _verify_against_translate_formula(ring, action, vt, caps=caps)
-    return RingConstruction(well_defined=True, ring=ring, witness=None,
-                            translate_bound=decomp.bound)
+    return ModuleRing(action, v, span.basis_elements, basis, structure)
 
 
-def _verify_against_translate_formula(ring: ModuleRing, action: GModuleAction,
-                                      v: tuple[int, ...], *, caps: Caps) -> None:
-    """Cross-check ring products against sums over translate decompositions."""
-    p = action.prime
-    size = ring.size
-    stride = 1 if size <= 64 else max(1, size // 32)
-    sample = list(range(0, size, stride))
-    decomps = {}
-    for eid in sample:
-        vec = ring.to_vector(eid)
-        decomps[eid] = translate_decomposition(action, v, vec, caps=caps).elements
-    for a in sample:
-        for b in sample:
-            total = np.zeros(action.dim, dtype=np.int64)
-            for hi in decomps[a]:
-                for hj in decomps[b]:
-                    total = (total + np.asarray(
-                        action.translate(v, action.group.mul(hi, hj)), dtype=np.int64)) % p
-            expected = ring.from_vector(tuple(int(x) for x in total))
-            if ring.mul(a, b) != expected:
-                raise GroupLabError("ring product disagrees with the translate-sum formula")
+def _verify_translate_products(ring: ModuleRing, translate_rows: np.ndarray) -> None:
+    """Check v^h * v^k = v^(hk) for all translates, one row of products per h."""
+    coords = (translate_rows @ ring._basis_inv) % ring.p
+    table = ring.action.group.table
+    for h in range(len(coords)):
+        if not np.array_equal(ring._products(coords[h], coords), coords[table[h]]):
+            raise GroupLabError("ring product disagrees with the translate-sum formula")
 
 
 def nilpotent_free_check(ring: ModuleRing | FiniteCommutativeAlgebra,
@@ -378,19 +365,13 @@ def nilpotent_free_check(ring: ModuleRing | FiniteCommutativeAlgebra,
     size = ring.size
     if size > caps.materialized_order:
         raise CapExceeded("materialized_order", caps.materialized_order, size)
-    p, d = ring.p, ring.dim
+    p = ring.p
     ids = np.arange(size, dtype=np.int64)
-    coords = np.zeros((size, d), dtype=np.int64)
-    rem = ids.copy()
-    for i in range(d):
-        coords[:, i] = rem % p
-        rem //= p
-    radix = p ** np.arange(d, dtype=np.int64)
-    cur = coords
+    cur = ring.coords(ids)
     steps = max(1, int(size).bit_length())
     for _ in range(steps):
         cur = np.einsum("ni,nj,ijk->nk", cur, cur, ring._structure) % p
-    flat = cur @ radix
+    flat = cur @ ring._radix
     hits = np.flatnonzero((flat == 0) & (ids != 0))
     if hits.size:
         return False, int(hits[0])

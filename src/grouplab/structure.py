@@ -17,12 +17,14 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _class_of,
     _closure_mask,
     _greedy_generators,
     conjugacy_classes,
     is_nilpotent,
     subgroup_closure,
 )
+from .linalg import is_prime, split_prime_power
 
 __all__ = [
     "AutomorphismReport",
@@ -137,14 +139,11 @@ def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadRepo
     m conjugates of x or x^-1.  The empty product covers the identity."""
     if g.order > caps.spread_order:
         raise CapExceeded("spread_order", caps.spread_order, g.order)
-    t, inv = g.table, g.inverse
-    all_ids = np.arange(g.order, dtype=np.int32)
+    t = g.table
     witnesses = []
     overall = 0
     for x in range(g.order):
-        cls_x = np.unique(t[t[inv, x], all_ids])
-        cls_xinv = np.unique(t[t[inv, int(inv[x])], all_ids])
-        gens = np.unique(np.concatenate([cls_x, cls_xinv]))
+        gens = np.union1d(_class_of(g, x), _class_of(g, int(g.inverse[x])))
         depth = np.full(g.order, -1, dtype=np.int32)
         depth[0] = 0
         frontier = np.array([0], dtype=np.int32)
@@ -200,19 +199,13 @@ def prufer_rank(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
     return best
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def sylow_subgroup(g: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     """A maximal p-subgroup, grown one element at a time (hence Sylow).
 
     For nilpotent groups the Sylow subgroup is unique; that uniqueness is
     asserted by a normality check.
     """
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     gens: tuple[int, ...] = ()
     current = g.trivial_subgroup()
@@ -221,10 +214,10 @@ def sylow_subgroup(g: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) -> Subg
         for x in range(1, g.order):
             if x in current:
                 continue
-            if not _is_p_power(g.element_order(x), p):
+            if split_prime_power(g.element_order(x), p)[1] != 1:
                 continue
             candidate = subgroup_closure(g, gens + (x,))
-            if _is_p_power(len(candidate), p):
+            if split_prime_power(len(candidate), p)[1] == 1:
                 gens = gens + (x,)
                 current = candidate
                 extended = True

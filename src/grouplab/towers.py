@@ -17,11 +17,11 @@ from .errors import CapExceeded, ValidationError
 from .groups import (
     FiniteGroup,
     GroupHom,
-    PermGenerators,
     Subgroup,
+    _coset_reps,
     _greedy_generators,
-    _perm_closure,
-    _table_from_perm_closure,
+    _group_from_perms,
+    _local_ids,
     commutator_subgroup,
     commuting_pair_count,
     direct_power,
@@ -104,9 +104,8 @@ class CosetSpace:
     @classmethod
     def build(cls, subgroup: Subgroup) -> "CosetSpace":
         g = subgroup.group
-        arr = np.array(subgroup.ids, dtype=np.int32)
-        rep = g.table[:, arr].min(axis=1)
-        return cls(group=g, subgroup=subgroup, reps=tuple(int(r) for r in np.unique(rep)))
+        reps = np.unique(_coset_reps(g, subgroup.ids))
+        return cls(group=g, subgroup=subgroup, reps=tuple(int(r) for r in reps))
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -142,66 +141,35 @@ def coset_action_system(g: FiniteGroup, chain: Sequence[Subgroup],
     if total_points > caps.order:
         raise CapExceeded("order", caps.order, total_points)
 
-    # rep lookup per space: element id -> canonical coset representative
-    rep_arrays = []
-    for sub in chain:
-        arr = np.array(sub.ids, dtype=np.int32)
-        rep_arrays.append(g.table[:, arr].min(axis=1))
+    # blocks[i][x, j]: the point that x moves coset j of space i to, numbered
+    # consecutively across the spaces
+    blocks = []
+    offset = 0
+    for sub, space in zip(chain, spaces):
+        reps = np.array(space.reps, dtype=np.int32)
+        point_of = np.empty(g.order, dtype=np.int32)
+        point_of[reps] = offset + np.arange(len(reps), dtype=np.int32)
+        blocks.append(point_of[_coset_reps(g, sub.ids)[g.table[:, reps]]])
+        offset += len(reps)
 
     gens = _greedy_generators(g.table)
     levels: list[FiniteGroup] = []
     projections: list[GroupHom] = []
     to_level: list[GroupHom] = []
-    prev_perm_index: dict[bytes, int] | None = None
-    prev_degree = 0
-
     for n in range(1, len(chain) + 1):
-        offsets = []
-        off = 0
-        for s in spaces[:n]:
-            offsets.append(off)
-            off += len(s)
-        degree = off
-        point_index = []
-        for i in range(n):
-            lookup = {r: offsets[i] + j for j, r in enumerate(spaces[i].reps)}
-            point_index.append(lookup)
-
-        def perm_of(x: int) -> np.ndarray:
-            images = np.empty(degree, dtype=np.int32)
-            for i in range(n):
-                for j, r in enumerate(spaces[i].reps):
-                    moved = int(rep_arrays[i][g.table[x, r]])
-                    images[offsets[i] + j] = point_index[i][moved]
-            return images
-
-        gen_perms = [perm_of(x) for x in gens]
-        perms, index, parents, genidx = _perm_closure(gen_perms, degree, caps.order)
-        table, gen_ids = _table_from_perm_closure(perms, index, parents, genidx, gen_perms)
-        presentation = PermGenerators(
-            degree=degree,
-            perms=tuple(tuple(int(v) for v in p) for p in gen_perms),
-            element_ids=tuple(gen_ids),
-        )
-        words = (np.array(parents, dtype=np.int32), np.array(genidx, dtype=np.int32))
-        level = FiniteGroup(table, name=f"{g.name}|X{n}", perm_generators=presentation,
-                            words=words, validate="basic", caps=caps)
+        acting = np.hstack(blocks[:n])  # row x: the permutation of x on the first n spaces
+        level, index = _group_from_perms([acting[x] for x in gens], acting.shape[1],
+                                         name=f"{g.name}|X{n}", caps=caps)
         levels.append(level)
-
-        # the acting group onto this level
-        acting_map = np.empty(g.order, dtype=np.int32)
-        for x in range(g.order):
-            acting_map[x] = index[perm_of(x).tobytes()]
+        acting_map = np.fromiter((index[row.tobytes()] for row in acting), dtype=np.int32,
+                                 count=g.order)
         to_level.append(GroupHom(g, level, acting_map, validate=False))
-
-        if prev_perm_index is not None:
+        if n > 1:
+            # g maps onto every level, and restricting to the first n-1 spaces
+            # turns its level-n permutations into its level-(n-1) ones
             proj_map = np.empty(level.order, dtype=np.int32)
-            for eid, perm in enumerate(perms):
-                proj_map[eid] = prev_perm_index[perm[:prev_degree].tobytes()]
+            proj_map[acting_map] = to_level[-2].mapping
             projections.append(GroupHom(level, levels[-2], proj_map, validate=False))
-
-        prev_perm_index = index
-        prev_degree = degree
 
     system = InverseSystem(levels, projections, caps=caps)
     return CosetActionSystem(system=system, spaces=tuple(spaces), to_level=tuple(to_level))
@@ -248,30 +216,23 @@ def quotient_trace(system: InverseSystem, n1: Subgroup, n2: Subgroup,
         raise ValidationError("n1 must be normal in the top level")
 
     q_levels: list[FiniteGroup] = []
-    coset_maps: list[np.ndarray] = []  # level element id (in image of n2) -> quotient id
-    local_maps: list[np.ndarray] = []  # level id -> local id within image of n2
+    coset_maps: list[np.ndarray] = []  # local id within the image of n2 -> quotient id
+    images: list[Subgroup] = []        # the image of n2 at each level
     for i in range(len(system.levels)):
         hom = system.maps_to(i)
         a_i = hom.map_subgroup(n2)
         b_i = hom.map_subgroup(n1)
-        a_grp, a_embed = a_i.as_group()
-        local = np.full(system.levels[i].order, -1, dtype=np.int32)
-        local[np.array(a_i.ids, dtype=np.int32)] = np.arange(len(a_i), dtype=np.int32)
-        b_local = Subgroup(a_grp, [int(local[x]) for x in b_i.ids])
-        q, proj = quotient(a_grp, b_local)
+        a_grp, _ = a_i.as_group()
+        q, proj = quotient(a_grp, Subgroup(a_grp, _local_ids(a_i, b_i.ids)))
         q_levels.append(q)
         coset_maps.append(proj.mapping)
-        local_maps.append(local)
+        images.append(a_i)
 
     q_projections = []
     for i in range(len(system.levels) - 1):
-        upper_a_ids = np.flatnonzero(local_maps[i + 1] >= 0)
         mapping = np.empty(q_levels[i + 1].order, dtype=np.int32)
-        proj = system.projections[i]
-        for x in upper_a_ids:
-            qx = coset_maps[i + 1][local_maps[i + 1][x]]
-            y = proj(int(x))
-            mapping[qx] = coset_maps[i][local_maps[i][y]]
+        below = system.projections[i].mapping[np.array(images[i + 1].ids, dtype=np.int32)]
+        mapping[coset_maps[i + 1]] = coset_maps[i][_local_ids(images[i], below)]
         q_projections.append(GroupHom(q_levels[i + 1], q_levels[i], mapping, validate=True))
     return QuotientTrace(levels=tuple(q_levels), projections=tuple(q_projections))
 

@@ -83,3 +83,37 @@ def spread_depth_bruteforce(g: FiniteGroup, x: int) -> tuple[int, dict[int, int]
                     new.append(z)
         frontier = new
     return max(depth.values()), depth
+
+
+def translate_formula_agrees(ring, action, v: tuple[int, ...]) -> bool:
+    """Every ring product equals the translate-sum formula, over all pairs.
+
+    Writes each element as a minimal sum of translates v^h and multiplies
+    the sums term by term with v^h * v^k = v^(hk).
+    """
+    from grouplab.modring import translate_decomposition
+
+    p = action.prime
+    decomps = {eid: translate_decomposition(action, v, ring.to_vector(eid)).elements
+               for eid in range(ring.size)}
+    for a in range(ring.size):
+        for b in range(ring.size):
+            total = [0] * action.dim
+            for hi in decomps[a]:
+                for hj in decomps[b]:
+                    term = action.translate(v, action.group.mul(hi, hj))
+                    total = [(x + y) % p for x, y in zip(total, term)]
+            if ring.mul(a, b) != ring.from_vector(total):
+                return False
+    return True
+
+
+def ring_tables_pairwise(ring) -> tuple[list[list[int]], list[list[int]]]:
+    """Addition and multiplication tables of a commutative ring, one pair at a time."""
+    add = [[0] * ring.size for _ in range(ring.size)]
+    mul = [[0] * ring.size for _ in range(ring.size)]
+    for a in range(ring.size):
+        for b in range(a, ring.size):
+            add[a][b] = add[b][a] = ring.add(a, b)
+            mul[a][b] = mul[b][a] = ring.mul(a, b)
+    return add, mul

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from grouplab.cli import main
-from grouplab.corpus import bundled_corpus, load_corpus, load_group_file, save_corpus
+from grouplab.corpus import Corpus, bundled_corpus, load_corpus, load_group_file, save_corpus
 from grouplab.errors import ValidationError
 from grouplab.groups import commuting_pair_count, is_nilpotent
 
@@ -265,3 +265,27 @@ def test_cli_filtered_power_rejects_non_subfield(tmp_path):
     }))
     code = main(["boolean-power", "--spec", str(spec), "--out", str(tmp_path / "x")])
     assert code == 1
+
+
+@pytest.mark.parametrize("subcommand, flag, fname, payload", [
+    ("inverse-system", "--tower-file", "tower.json", {"group": "Z8", "chain": [[0, "x"]]}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z2", "p": "three", "dim": 2, "matrices": {"1": [[0, 1], [1, 0]]}}),
+    ("boolean-power", "--spec", "bp.json", {"base_group": "S3", "atoms": "two"}),
+    ("analyze-group", "--corpus", "index.json",
+     [{"name": "S3", "order": "six", "file": "S3.json"}]),
+    ("analyze-group", "--corpus", "S3.json", [0, 1]),
+    ("inverse-system", "--tower-file", "tower.json", {"group": "Z8"}),
+])
+def test_cli_malformed_file_is_one_error_line(tmp_path, capsys, corpus,
+                                              subcommand, flag, fname, payload):
+    if flag == "--corpus":
+        save_corpus(Corpus({"S3": corpus["S3"]}), tmp_path)
+        target = tmp_path
+    else:
+        target = tmp_path / fname
+    (tmp_path / fname).write_text(json.dumps(payload))
+    code = main([subcommand, flag, str(target), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {fname}: ")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from grouplab.errors import CapExceeded, ValidationError
@@ -267,7 +268,11 @@ def test_normal_closure_minimality(corpus):
 def test_direct_product_and_power(corpus):
     z2 = corpus["Z2"]
     g = direct_power(z2, 3)
-    assert g.order == 8
+    assert g.order == 8 and g.name == "Z2^3"
+    once = direct_power(z2, 1)
+    assert once is not z2 and once.name == "Z2^1"
+    assert np.array_equal(once.table, z2.table)
+    assert direct_power(z2, 0).order == 1
     assert g.is_abelian and all(g.element_order(x) <= 2 for x in g.elements())
     p = direct_product(corpus["S3"], z2)
     assert p.order == 12

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from grouplab.algebras import mr_decompose
-from grouplab.errors import ValidationError
+from grouplab.cli import _bundled_actions
+from grouplab.config import DEFAULT_CAPS
+from grouplab.errors import GroupLabError, ValidationError
 from grouplab.modring import (
+    _translate_ring,
+    _verify_translate_products,
     action_from_matrices,
     faithfulness_report,
     nilpotent_free_check,
@@ -13,6 +17,7 @@ from grouplab.modring import (
     sum_zero_action,
     translate_decomposition,
 )
+from oracles import ring_tables_pairwise, translate_formula_agrees
 
 SWAP = {1: [[0, 1], [1, 0]]}
 
@@ -213,3 +218,32 @@ def test_permutation_module_action_is_hom(corpus):
     lhs = (action.matrices[g.mul(a, b)]) % 3
     rhs = (action.matrices[a] @ action.matrices[b]) % 3
     assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("name", ["swap-gf3", "regular-gf2", "s3-std-gf5"])
+def test_translate_product_check_matches_pairwise_oracle(corpus, name):
+    # the ring the translate basis would carry, built even where it is ill defined
+    action, v = _bundled_actions(corpus, DEFAULT_CAPS)[name]
+    ring = _translate_ring(action, v, orbit_span_check(action, v))
+    rows = np.array([action.translate(v, h) for h in range(action.group.order)])
+    try:
+        _verify_translate_products(ring, rows)
+        exact = True
+    except GroupLabError:
+        exact = False
+    assert exact == translate_formula_agrees(ring, action, v)
+    assert exact == ring_construct(action, v).well_defined
+
+
+@pytest.mark.parametrize("name", ["swap-gf3", "regular-gf2", "z4-regular-gf3"])
+def test_to_algebra_matches_pairwise_oracle(corpus, name):
+    if name == "z4-regular-gf3":  # 81 elements
+        shift = [[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)]
+        action, v = action_from_matrices(corpus["Z4"], 3, 4, {1: shift}), (1, 0, 0, 0)
+    else:
+        action, v = _bundled_actions(corpus, DEFAULT_CAPS)[name]
+    ring = ring_construct(action, v).ring
+    add, mul = ring_tables_pairwise(ring)
+    alg = ring.to_algebra()
+    assert alg.add_table.tolist() == add
+    assert alg.mul_table.tolist() == mul
