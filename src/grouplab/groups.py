@@ -43,16 +43,14 @@ __all__ = [
 
 def _closure_mask(table: np.ndarray, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
     """Boolean mask of the closure of `start` under right multiplication by `gens`."""
-    n = table.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[list(start)] = True
-    frontier = np.unique(np.fromiter(start, dtype=np.int32))
-    garr = np.unique(np.fromiter(gens, dtype=np.int32)) if len(gens) else np.empty(0, np.int32)
+    seen = np.zeros(table.shape[0], dtype=bool)
+    frontier = np.asarray(start, dtype=np.intp)
+    seen[frontier] = True
+    garr = np.asarray(gens, dtype=np.intp)
     while frontier.size and garr.size:
-        prods = np.unique(table[np.ix_(frontier, garr)])
-        new = prods[~seen[prods]]
-        seen[new] = True
-        frontier = new
+        prods = table[frontier[:, None], garr]
+        frontier = np.unique(prods[~seen[prods]])
+        seen[frontier] = True
     return seen
 
 
@@ -271,12 +269,8 @@ class Subgroup:
         return Subgroup(self.group, conj.tolist(), validate=False)
 
     def is_normal(self) -> bool:
-        # Normal iff a union of conjugacy classes.
-        for cls in conjugacy_classes(self.group):
-            hits = sum(1 for c in cls if c in self._members)
-            if hits not in (0, len(cls)):
-                return False
-        return True
+        # Normal iff a union of conjugacy classes, that is, its own core.
+        return len(core(self.group, self)) == len(self)
 
     def as_group(self, *, name: str | None = None) -> tuple[FiniteGroup, "GroupHom"]:
         """Reindexed copy of this subgroup plus the embedding hom into the parent."""
@@ -450,8 +444,8 @@ def build_group(
         return FiniteGroup(table, name=name, validate="full", caps=caps)
     if degree is None:
         raise ValidationError("generator input requires degree=")
-    if degree < 1 or degree > caps.order:
-        raise ValidationError(f"degree must be in 1..{caps.order}")
+    if degree < 1:
+        raise ValidationError("degree must be at least 1")
     gen_arrays = []
     for images in generators or ():
         arr = np.asarray(list(images), dtype=np.int32)
@@ -499,9 +493,14 @@ def direct_power(p: FiniteGroup, m: int, *, name: str | None = None,
 # -- structural queries ------------------------------------------------------
 
 
-def subgroup_closure(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Subgroup generated by the given element ids."""
-    mask = _closure_mask(g.table, list(gens))
+def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
+                     start: Subgroup | None = None) -> Subgroup:
+    """Subgroup generated by the given element ids, or start*<gens> grown from `start`.
+
+    start*<gens> is the subgroup <start, gens> when `gens` contains generators
+    of `start` or normalises it.
+    """
+    mask = _closure_mask(g.table, list(gens), (0,) if start is None else start.ids)
     return Subgroup(g, np.flatnonzero(mask).tolist(), validate=False)
 
 
@@ -626,6 +625,20 @@ def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
     return Subgroup(g, ids, validate=False)
 
 
+def _class_closure(g: FiniteGroup, cls: Iterable[int]) -> tuple[Subgroup, tuple[int, ...]]:
+    """<cls> and the class elements that generate it, taken greedily by ascending id.
+
+    Each step grows the subgroup so far under one more element outside it.
+    """
+    sub = g.trivial_subgroup()
+    gens: tuple[int, ...] = ()
+    for c in cls:
+        if c not in sub:
+            gens += (int(c),)
+            sub = subgroup_closure(g, gens, start=sub)
+    return sub, gens
+
+
 def normal_closure(g: FiniteGroup, x: int) -> Subgroup:
-    """Smallest normal subgroup containing x."""
-    return subgroup_closure(g, _class_of(g, x).tolist())
+    """Smallest normal subgroup containing x: the subgroup generated by its class."""
+    return _class_closure(g, _class_of(g, x).tolist())[0]

@@ -17,8 +17,10 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _class_closure,
     _class_of,
     _closure_mask,
+    _coset_reps,
     _greedy_generators,
     conjugacy_classes,
     is_nilpotent,
@@ -45,80 +47,71 @@ def _canonical(subs: dict[tuple[int, ...], Subgroup]) -> list[Subgroup]:
     return [subs[key] for key in sorted(subs, key=lambda ids: (len(ids), ids))]
 
 
+def _record(found: dict[tuple[int, ...], Subgroup], sub: Subgroup, cap: str, limit: int) -> bool:
+    """Add `sub` to `found` unless it is there already; True when it is new."""
+    if sub.ids in found:
+        return False
+    if len(found) >= limit:
+        raise CapExceeded(cap, limit, len(found) + 1)
+    found[sub.ids] = sub
+    return True
+
+
 def enumerate_subgroups(
     g: FiniteGroup, *, max_count: int | None = None, caps: Caps = DEFAULT_CAPS
 ) -> list[Subgroup]:
-    """All subgroups, by cyclic extension: grow known subgroups one generator at a time."""
+    """All subgroups, by cyclic extension (Neubüser): grow each found H by one x outside it.
+
+    Every subgroup is reached from the trivial one by adding generators one at
+    a time.  As <H, x> = <H, xh> for h in H, x ranges only over the minimal
+    representatives of the left cosets xH other than H; each closure grows from H.
+    """
     if g.order > caps.subgroup_order:
         raise CapExceeded("subgroup_order", caps.subgroup_order, g.order)
     limit = max_count if max_count is not None else caps.subgroup_count
     found: dict[tuple[int, ...], Subgroup] = {}
-    gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def add(gen_ids: tuple[int, ...]) -> tuple[int, ...] | None:
-        sub = subgroup_closure(g, gen_ids)
-        if sub.ids in found:
-            return None
-        if len(found) >= limit:
-            raise CapExceeded("subgroup_count", limit, len(found) + 1)
-        found[sub.ids] = sub
-        gens_of[sub.ids] = gen_ids
-        return sub.ids
-
-    add(())
-    for x in range(1, g.order):
-        add((x,))
-    frontier = list(found)
-    while frontier:
-        new_frontier = []
-        for key in frontier:
-            base_gens = gens_of[key]
-            members = found[key]._members
-            for x in range(1, g.order):
-                if x in members:
-                    continue
-                added = add(base_gens + (x,))
-                if added is not None:
-                    new_frontier.append(added)
-        frontier = new_frontier
+    worklist = [(g.trivial_subgroup(), ())]
+    _record(found, worklist[0][0], "subgroup_count", limit)
+    for h, h_gens in worklist:
+        for x in np.unique(_coset_reps(g, h.ids))[1:].tolist():
+            sub = subgroup_closure(g, h_gens + (x,), start=h)
+            if _record(found, sub, "subgroup_count", limit):
+                worklist.append((sub, h_gens + (x,)))
     return _canonical(found)
 
 
 def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:
-    """All normal subgroups, as the join-closure of conjugacy-class closures."""
+    """All normal subgroups, as joins of principal normal subgroups from a worklist.
+
+    The principals <x^G> are the class closures.  Every normal N is the join of
+    the principals inside it, so joining each newly found N with each principal
+    P not inside N reaches them all.  The join N*P grows from N under P's generators.
+    """
     if g.order > caps.order:
         raise CapExceeded("order", caps.order, g.order)
     limit = caps.normal_subgroup_count
     found: dict[tuple[int, ...], Subgroup] = {}
-
-    def add(sub: Subgroup) -> bool:
-        if sub.ids in found:
-            return False
-        if len(found) >= limit:
-            raise CapExceeded("normal_subgroup_count", limit, len(found) + 1)
-        found[sub.ids] = sub
-        return True
-
-    add(g.trivial_subgroup())
-    for cls in conjugacy_classes(g):
-        add(subgroup_closure(g, cls))
-    changed = True
-    while changed:
-        changed = False
-        current = list(found.values())
-        for a, b in itertools.combinations(current, 2):
-            if a.contains_subgroup(b) or b.contains_subgroup(a):
-                continue
-            join = subgroup_closure(g, a.ids + b.ids)
-            if add(join):
-                changed = True
+    _record(found, g.trivial_subgroup(), "normal_subgroup_count", limit)
+    closures = (_class_closure(g, cls) for cls in conjugacy_classes(g)[1:])
+    principals = {p.ids: (p, p_gens) for p, p_gens in closures}
+    worklist = [p for p, _ in principals.values()
+                if _record(found, p, "normal_subgroup_count", limit)]
+    for n in worklist:
+        for p, p_gens in principals.values():
+            if not n.contains_subgroup(p):
+                join = subgroup_closure(g, p_gens, start=n)
+                if _record(found, join, "normal_subgroup_count", limit):
+                    worklist.append(join)
     return _canonical(found)
 
 
 def is_simple_nonabelian(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> bool:
+    """Nonabelian, and no nontrivial class generates a proper subgroup (stops at the first)."""
     if g.is_abelian or g.order == 1:
         return False
-    return len(enumerate_normal_subgroups(g, caps=caps)) == 2
+    if g.order > caps.order:
+        raise CapExceeded("order", caps.order, g.order)
+    return all(len(_class_closure(g, cls)[0]) == g.order for cls in conjugacy_classes(g)[1:])
 
 
 @dataclass(frozen=True)
@@ -140,26 +133,28 @@ def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadRepo
     if g.order > caps.spread_order:
         raise CapExceeded("spread_order", caps.spread_order, g.order)
     t = g.table
+    searched: dict[bytes, tuple[int, int]] = {}  # generators -> (depth, worst)
     witnesses = []
-    overall = 0
     for x in range(g.order):
+        # The same generators for every x in the class pair {C, C^-1}: one search per pair.
         gens = np.union1d(_class_of(g, x), _class_of(g, int(g.inverse[x])))
-        depth = np.full(g.order, -1, dtype=np.int32)
-        depth[0] = 0
-        frontier = np.array([0], dtype=np.int32)
-        d = 0
-        while frontier.size:
-            prods = np.unique(t[np.ix_(frontier, gens)])
-            new = prods[depth[prods] < 0]
-            d += 1
-            depth[new] = d
-            frontier = new
-        reached = depth >= 0
-        m_x = int(depth[reached].max())
-        worst = int(np.flatnonzero(reached & (depth == m_x))[0])
+        if gens.tobytes() not in searched:
+            depth = np.full(g.order, -1, dtype=np.int32)
+            depth[0] = 0
+            frontier = np.array([0], dtype=np.int32)
+            d = 0
+            while frontier.size:
+                prods = np.unique(t[np.ix_(frontier, gens)])
+                new = prods[depth[prods] < 0]
+                d += 1
+                depth[new] = d
+                frontier = new
+            reached = depth >= 0
+            m_x = int(depth[reached].max())
+            searched[gens.tobytes()] = (m_x, int(np.flatnonzero(reached & (depth == m_x))[0]))
+        m_x, worst = searched[gens.tobytes()]
         witnesses.append(SpreadWitness(element=x, depth=m_x, worst=worst))
-        overall = max(overall, m_x)
-    return SpreadReport(m=overall, witnesses=tuple(witnesses))
+    return SpreadReport(m=max(w.depth for w in witnesses), witnesses=tuple(witnesses))
 
 
 def minimal_generator_count(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
@@ -209,21 +204,13 @@ def sylow_subgroup(g: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) -> Subg
         raise ValidationError(f"{p} is not prime")
     gens: tuple[int, ...] = ()
     current = g.trivial_subgroup()
-    while True:
-        extended = False
-        for x in range(1, g.order):
-            if x in current:
-                continue
-            if split_prime_power(g.element_order(x), p)[1] != 1:
-                continue
-            candidate = subgroup_closure(g, gens + (x,))
-            if split_prime_power(len(candidate), p)[1] == 1:
-                gens = gens + (x,)
-                current = candidate
-                extended = True
-                break
-        if not extended:
-            break
+    # One pass suffices: an x refused once stays refused as `current` grows.
+    for x in range(1, g.order):
+        if x in current or split_prime_power(g.element_order(x), p)[1] != 1:
+            continue
+        candidate = subgroup_closure(g, gens + (x,), start=current)
+        if split_prime_power(len(candidate), p)[1] == 1:
+            gens, current = gens + (x,), candidate
     if is_nilpotent(g) and not current.is_normal():
         raise GroupLabError("nilpotent group produced a non-normal Sylow subgroup")
     return current

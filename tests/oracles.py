@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import itertools
 
-from grouplab.groups import FiniteGroup
+import numpy as np
+
+from grouplab.config import DEFAULT_CAPS, Caps
+from grouplab.errors import CapExceeded
+from grouplab.groups import FiniteGroup, Subgroup, _class_of, conjugacy_classes, subgroup_closure
+from grouplab.structure import SpreadReport, SpreadWitness
 
 
 def double_loop_commuting_count(g: FiniteGroup) -> int:
@@ -117,3 +122,126 @@ def ring_tables_pairwise(ring) -> tuple[list[list[int]], list[list[int]]]:
             add[a][b] = add[b][a] = ring.add(a, b)
             mul[a][b] = mul[b][a] = ring.mul(a, b)
     return add, mul
+
+
+def _canonical(subs: dict[tuple[int, ...], Subgroup]) -> list[Subgroup]:
+    return [subs[key] for key in sorted(subs, key=lambda ids: (len(ids), ids))]
+
+
+def enumerate_subgroups_all_x(
+    g: FiniteGroup, *, max_count: int | None = None, caps: Caps = DEFAULT_CAPS
+) -> list[Subgroup]:
+    """All subgroups, by cyclic extension: grow known subgroups one generator at a time."""
+    if g.order > caps.subgroup_order:
+        raise CapExceeded("subgroup_order", caps.subgroup_order, g.order)
+    limit = max_count if max_count is not None else caps.subgroup_count
+    found: dict[tuple[int, ...], Subgroup] = {}
+    gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def add(gen_ids: tuple[int, ...]) -> tuple[int, ...] | None:
+        sub = subgroup_closure(g, gen_ids)
+        if sub.ids in found:
+            return None
+        if len(found) >= limit:
+            raise CapExceeded("subgroup_count", limit, len(found) + 1)
+        found[sub.ids] = sub
+        gens_of[sub.ids] = gen_ids
+        return sub.ids
+
+    add(())
+    for x in range(1, g.order):
+        add((x,))
+    frontier = list(found)
+    while frontier:
+        new_frontier = []
+        for key in frontier:
+            base_gens = gens_of[key]
+            members = found[key]._members
+            for x in range(1, g.order):
+                if x in members:
+                    continue
+                added = add(base_gens + (x,))
+                if added is not None:
+                    new_frontier.append(added)
+        frontier = new_frontier
+    return _canonical(found)
+
+
+def enumerate_normal_subgroups_pairwise(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:
+    """All normal subgroups, as the join-closure of conjugacy-class closures."""
+    if g.order > caps.order:
+        raise CapExceeded("order", caps.order, g.order)
+    limit = caps.normal_subgroup_count
+    found: dict[tuple[int, ...], Subgroup] = {}
+
+    def add(sub: Subgroup) -> bool:
+        if sub.ids in found:
+            return False
+        if len(found) >= limit:
+            raise CapExceeded("normal_subgroup_count", limit, len(found) + 1)
+        found[sub.ids] = sub
+        return True
+
+    add(g.trivial_subgroup())
+    for cls in conjugacy_classes(g):
+        add(subgroup_closure(g, cls))
+    changed = True
+    while changed:
+        changed = False
+        current = list(found.values())
+        for a, b in itertools.combinations(current, 2):
+            if a.contains_subgroup(b) or b.contains_subgroup(a):
+                continue
+            join = subgroup_closure(g, a.ids + b.ids)
+            if add(join):
+                changed = True
+    return _canonical(found)
+
+
+def conjugate_spread_per_element(g: FiniteGroup) -> SpreadReport:
+    """Conjugate spread with one breadth-first search per element."""
+    t = g.table
+    witnesses = []
+    overall = 0
+    for x in range(g.order):
+        gens = np.union1d(_class_of(g, x), _class_of(g, int(g.inverse[x])))
+        depth = np.full(g.order, -1, dtype=np.int32)
+        depth[0] = 0
+        frontier = np.array([0], dtype=np.int32)
+        d = 0
+        while frontier.size:
+            prods = np.unique(t[np.ix_(frontier, gens)])
+            new = prods[depth[prods] < 0]
+            d += 1
+            depth[new] = d
+            frontier = new
+        reached = depth >= 0
+        m_x = int(depth[reached].max())
+        worst = int(np.flatnonzero(reached & (depth == m_x))[0])
+        witnesses.append(SpreadWitness(element=x, depth=m_x, worst=worst))
+        overall = max(overall, m_x)
+    return SpreadReport(m=overall, witnesses=tuple(witnesses))
+
+
+def sylow_subgroup_restarting(g: FiniteGroup, p: int) -> Subgroup:
+    """A maximal p-subgroup, rescanning all elements after each one added."""
+    from grouplab.linalg import split_prime_power
+
+    gens: tuple[int, ...] = ()
+    current = g.trivial_subgroup()
+    while True:
+        extended = False
+        for x in range(1, g.order):
+            if x in current:
+                continue
+            if split_prime_power(g.element_order(x), p)[1] != 1:
+                continue
+            candidate = subgroup_closure(g, gens + (x,))
+            if split_prime_power(len(candidate), p)[1] == 1:
+                gens = gens + (x,)
+                current = candidate
+                extended = True
+                break
+        if not extended:
+            break
+    return current

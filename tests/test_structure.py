@@ -2,7 +2,14 @@ import pytest
 
 from grouplab.config import Caps
 from grouplab.errors import CapExceeded, ValidationError
-from grouplab.groups import normal_closure
+from grouplab.groups import (
+    _class_closure,
+    conjugacy_classes,
+    direct_power,
+    direct_product,
+    normal_closure,
+    subgroup_closure,
+)
 from grouplab.structure import (
     automorphism_group,
     conjugate_spread,
@@ -14,7 +21,48 @@ from grouplab.structure import (
     sylow_subgroup,
 )
 
-from oracles import all_subgroups_bruteforce, spread_depth_bruteforce
+from oracles import (
+    all_subgroups_bruteforce,
+    conjugate_spread_per_element,
+    enumerate_normal_subgroups_pairwise,
+    enumerate_subgroups_all_x,
+    spread_depth_bruteforce,
+    sylow_subgroup_restarting,
+)
+
+
+def test_enumerators_match_exhaustive_oracles(corpus):
+    rich = [("Z2^4", direct_power(corpus["Z2"], 4)),
+            ("D4xZ2", direct_product(corpus["D4"], corpus["Z2"]))]
+    for name, g in list(corpus) + rich:
+        assert [s.ids for s in enumerate_subgroups(g)] == \
+            [s.ids for s in enumerate_subgroups_all_x(g)], name
+        assert [s.ids for s in enumerate_normal_subgroups(g)] == \
+            [s.ids for s in enumerate_normal_subgroups_pairwise(g)], name
+
+
+def test_greedy_class_closure_matches_plain_closure(corpus):
+    for name, g in corpus:
+        for cls in conjugacy_classes(g):
+            sub, gens = _class_closure(g, cls)
+            assert sub == subgroup_closure(g, cls), (name, cls)
+            assert set(gens) <= set(cls) and subgroup_closure(g, gens) == sub
+
+
+@pytest.mark.parametrize("cap", ["normal_subgroup_count", "subgroup_count"])
+def test_lattice_caps_fire_at_the_lattice_size(corpus, cap):
+    g = direct_power(corpus["Z2"], 4)
+    count = 67  # subspaces of GF(2)^4: 1 + 15 + 35 + 15 + 1
+
+    def enumerate_(limit):
+        if cap == "subgroup_count":
+            return enumerate_subgroups(g, max_count=limit)
+        return enumerate_normal_subgroups(g, caps=Caps(normal_subgroup_count=limit))
+
+    assert len(enumerate_(count)) == count
+    with pytest.raises(CapExceeded) as info:
+        enumerate_(count - 1)
+    assert (info.value.cap_name, info.value.limit, info.value.actual) == (cap, count - 1, count)
 
 
 def test_subgroup_counts(corpus):
@@ -66,6 +114,17 @@ def test_is_simple_nonabelian(corpus):
     assert is_simple_nonabelian(corpus["A5"])
     assert not is_simple_nonabelian(corpus["S3"])
     assert not is_simple_nonabelian(corpus["Z7"])
+
+
+def test_is_simple_nonabelian_matches_lattice(corpus):
+    for name, g in list(corpus) + [("A5^2", direct_power(corpus["A5"], 2))]:
+        two_normals = len(enumerate_normal_subgroups(g)) == 2
+        assert is_simple_nonabelian(g) == (not g.is_abelian and two_normals), name
+
+
+def test_spread_matches_per_element_oracle(corpus):
+    for name, g in corpus:
+        assert conjugate_spread(g) == conjugate_spread_per_element(g), name
 
 
 def test_spread_exponent_two_abelian(corpus):
@@ -138,6 +197,12 @@ def test_sylow(corpus):
     assert len(sylow_subgroup(s4, 3)) == 3
     with pytest.raises(ValidationError):
         sylow_subgroup(s3, 4)
+
+
+def test_sylow_matches_rescanning_oracle(corpus):
+    for name, g in corpus:
+        for p in (2, 3, 5):
+            assert sylow_subgroup(g, p) == sylow_subgroup_restarting(g, p), (name, p)
 
 
 def test_automorphisms_z2(corpus):
