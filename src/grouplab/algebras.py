@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, GroupLabError, NilpotentElementError, ValidationError
+from .errors import GroupLabError, NilpotentElementError, ValidationError
 from .linalg import is_prime
 
 __all__ = [
@@ -249,8 +249,7 @@ def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -
     Raises NilpotentElementError with a witness if the ring has one.
     """
     n = ring.size
-    if n > caps.materialized_order:
-        raise CapExceeded("materialized_order", caps.materialized_order, n)
+    caps.check("materialized_order", n)
     witness = find_nilpotent(n, ring.mul_table)
     if witness is not None:
         raise NilpotentElementError(witness, f"ring {ring.name}")

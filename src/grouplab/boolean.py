@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "AugmentedBooleanAlgebra",
@@ -75,8 +75,7 @@ class FiniteBooleanRing:
 def build_boolean_ring(n_atoms: int, *, caps: Caps = DEFAULT_CAPS) -> FiniteBooleanRing:
     if n_atoms < 1:
         raise ValidationError("atom count must be positive")
-    if n_atoms > caps.boolean_atoms:
-        raise CapExceeded("boolean_atoms", caps.boolean_atoms, n_atoms)
+    caps.check("boolean_atoms", n_atoms)
     return FiniteBooleanRing(n_atoms)
 
 
@@ -194,11 +193,11 @@ def refine_chain(start_atoms: int, steps: int, *, limit_annotation: str = "with-
         raise ValidationError("start_atoms must be positive")
     if limit_annotation not in ("with-identity", "without-identity"):
         raise ValidationError("limit annotation must name one of the two atomless limits")
-    if steps < 0 or steps > caps.refine_steps:
-        raise CapExceeded("refine_steps", caps.refine_steps, steps)
+    if steps < 0:
+        raise ValidationError("steps must be nonnegative")
+    caps.check("refine_steps", steps)
     final_atoms = start_atoms << steps
-    if final_atoms > caps.boolean_atoms:
-        raise CapExceeded("boolean_atoms", caps.boolean_atoms, final_atoms)
+    caps.check("boolean_atoms", final_atoms)
     rings = [FiniteBooleanRing(start_atoms << k) for k in range(steps + 1)]
     embeddings = []
     for k in range(steps):

@@ -17,7 +17,7 @@ import numpy as np
 from .algebras import FiniteCommutativeAlgebra
 from .boolean import AugmentedBooleanAlgebra, BooleanIdeal, FiniteBooleanRing
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, GroupLabError, ValidationError
+from .errors import GroupLabError, ValidationError
 from .groups import FiniteGroup, GroupHom, Subgroup, direct_power, quotient
 from .structure import enumerate_normal_subgroups, is_simple_nonabelian
 
@@ -174,8 +174,7 @@ class MaterializedBooleanPower:
 def materialize_bp_group(base: FiniteGroup, ring: FiniteBooleanRing,
                          *, caps: Caps = DEFAULT_CAPS) -> MaterializedBooleanPower:
     size = base.order ** ring.atom_count
-    if size > caps.materialized_order:
-        raise CapExceeded("materialized_order", caps.materialized_order, size)
+    caps.check("materialized_order", size)
     grp = direct_power(base, ring.atom_count,
                        name=f"{base.name}^B{ring.atom_count}",
                        caps=caps.with_overrides(order=max(caps.order, size)))
@@ -381,8 +380,7 @@ def filtered_power(spec: FilteredPowerSpec, *, caps: Caps = DEFAULT_CAPS) -> Fin
     size = 1
     for vals in allowed:
         size *= len(vals)
-    if size > caps.materialized_order:
-        raise CapExceeded("materialized_order", caps.materialized_order, size)
+    caps.check("materialized_order", size)
     radices = [len(vals) for vals in allowed]
     # decompose ids into per-atom value indices, most significant first
     coords = np.zeros((size, ring.atom_count), dtype=np.int32)

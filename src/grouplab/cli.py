@@ -309,7 +309,10 @@ def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAct
         action = action_from_matrices(g, int(payload["p"]), int(payload["dim"]), matrices,
                                       caps=caps)
         if "v" in payload:
-            return action, tuple(int(x) for x in payload["v"])
+            v = tuple(int(x) for x in payload["v"])
+            if len(v) != action.dim:
+                raise ValidationError(f"v has {len(v)} coordinates, dim is {action.dim}")
+            return action, v
     for vec in action.vectors():
         if orbit_span_check(action, vec).spans:
             return action, vec

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import CapExceeded
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -26,6 +28,11 @@ class Caps:
 
     def with_overrides(self, **kwargs: int) -> "Caps":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
+
+    def check(self, cap: str, actual: int, detail: str = "") -> None:
+        """Raise CapExceeded when `actual` exceeds the limit named `cap`."""
+        if actual > getattr(self, cap):
+            raise CapExceeded(cap, getattr(self, cap), actual, detail)
 
 
 DEFAULT_CAPS = Caps()

@@ -54,14 +54,14 @@ def _closure_mask(table: np.ndarray, gens: Sequence[int], start: Sequence[int] =
     return seen
 
 
-def _greedy_generators(table: np.ndarray) -> list[int]:
-    """Small generating set, chosen by ascending element id."""
-    n = table.shape[0]
+def _greedy_generators(table: np.ndarray, ids: Sequence[int] | None = None) -> list[int]:
+    """Small generating set of the subgroup `ids` (default: all of G), chosen by ascending id."""
+    ids = np.arange(table.shape[0]) if ids is None else np.asarray(ids, dtype=np.intp)
     gens: list[int] = []
     covered = _closure_mask(table, gens)
-    while not covered.all():
-        gens.append(int(np.flatnonzero(~covered)[0]))
-        covered = _closure_mask(table, gens)
+    while not covered[ids].all():
+        gens.append(int(ids[np.argmin(covered[ids])]))
+        covered = _closure_mask(table, gens, np.flatnonzero(covered))
     return gens
 
 
@@ -100,14 +100,16 @@ class FiniteGroup:
         validate: str = "full",
         caps: Caps = DEFAULT_CAPS,
     ) -> None:
-        arr = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raw = np.asarray(table)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValidationError("multiplication table must be square")
-        n = arr.shape[0]
+        n = raw.shape[0]
         if n == 0:
             raise ValidationError("a group has at least one element")
-        if n > caps.order:
-            raise CapExceeded("order", caps.order, n)
+        if raw.dtype.kind not in "iu":
+            raise ValidationError(f"multiplication table entries must be integers, not {raw.dtype}")
+        arr = np.ascontiguousarray(raw, dtype=np.int32)
+        caps.check("order", n)
         if validate not in ("full", "basic"):
             raise ValueError(f"unknown validation level {validate!r}")
         if arr.min() < 0 or arr.max() >= n:
@@ -183,7 +185,9 @@ class FiniteGroup:
         return Subgroup(self, ids, validate=validate)
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,), validate=False)
+        sub = Subgroup(self, (0,), validate=False)
+        sub._gens = ()
+        return sub
 
     def whole_subgroup(self) -> "Subgroup":
         return Subgroup(self, range(self.order), validate=False)
@@ -210,7 +214,7 @@ class FiniteGroup:
 class Subgroup:
     """A sorted set of element ids closed under the parent's operations."""
 
-    __slots__ = ("group", "ids", "_members")
+    __slots__ = ("group", "ids", "_members", "_gens")
 
     def __init__(self, group: FiniteGroup, ids: Iterable[int], *, validate: bool = True):
         sorted_ids = tuple(sorted({int(x) for x in ids}))
@@ -219,6 +223,7 @@ class Subgroup:
         self.group = group
         self.ids = sorted_ids
         self._members = frozenset(sorted_ids)
+        self._gens: tuple[int, ...] | None = None
         if validate:
             self._validate()
 
@@ -235,6 +240,13 @@ class Subgroup:
             raise ValidationError("subgroup not closed under multiplication")
         if g.order % len(self.ids) != 0:
             raise GroupLabError("Lagrange violation, table is inconsistent")
+
+    @property
+    def gens(self) -> tuple[int, ...]:
+        """The generators `subgroup_closure` closed it from, else greedy ones by ascending id."""
+        if self._gens is None:
+            self._gens = tuple(_greedy_generators(self.group.table, self.ids))
+        return self._gens
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -448,10 +460,11 @@ def build_group(
         raise ValidationError("degree must be at least 1")
     gen_arrays = []
     for images in generators or ():
-        arr = np.asarray(list(images), dtype=np.int32)
-        if arr.shape != (degree,) or not np.array_equal(np.sort(arr), np.arange(degree)):
+        arr = np.asarray(list(images))
+        if (arr.shape != (degree,) or arr.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(arr), np.arange(degree))):
             raise ValidationError(f"not a permutation of {degree} points: {list(images)!r}")
-        gen_arrays.append(arr)
+        gen_arrays.append(arr.astype(np.int32))
     return _group_from_perms(gen_arrays, degree, name=name, caps=caps)[0]
 
 
@@ -467,8 +480,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *, name: str | None = None,
                    caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
     """Direct product with ids encoded as x*|b| + y (first factor most significant)."""
     na, nb = a.order, b.order
-    if na * nb > caps.order:
-        raise CapExceeded("order", caps.order, na * nb)
+    caps.check("order", na * nb)
     t = a.table[:, None, :, None].astype(np.int32) * nb + b.table[None, :, None, :]
     table = t.reshape(na * nb, na * nb)
     return FiniteGroup(table, name=name or f"{a.name}x{b.name}", validate="basic", caps=caps)
@@ -479,8 +491,7 @@ def direct_power(p: FiniteGroup, m: int, *, name: str | None = None,
     """Direct power P^m; coordinate 0 is the most significant digit of the id."""
     if m < 0:
         raise ValidationError("power must be nonnegative")
-    if p.order ** m > caps.order:
-        raise CapExceeded("order", caps.order, p.order ** m)
+    caps.check("order", p.order ** m)
     name = name or f"{p.name}^{m}"
     if m <= 1:
         return FiniteGroup(p.table if m else [[0]], name=name, validate="basic", caps=caps)
@@ -498,10 +509,15 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
     """Subgroup generated by the given element ids, or start*<gens> grown from `start`.
 
     start*<gens> is the subgroup <start, gens> when `gens` contains generators
-    of `start` or normalises it.
+    of `start` or normalises it.  The result's `gens` are `start.gens` followed
+    by the given ids not already in `start`.
     """
-    mask = _closure_mask(g.table, list(gens), (0,) if start is None else start.ids)
-    return Subgroup(g, np.flatnonzero(mask).tolist(), validate=False)
+    start = start if start is not None else g.trivial_subgroup()
+    gens = list(gens)
+    mask = _closure_mask(g.table, gens, start.ids)
+    sub = Subgroup(g, np.flatnonzero(mask).tolist(), validate=False)
+    sub._gens = start.gens + tuple(x for x in gens if x not in start)
+    return sub
 
 
 def _class_of(g: FiniteGroup, x: int) -> np.ndarray:
@@ -548,18 +564,13 @@ def center(g: FiniteGroup) -> Subgroup:
 
 
 def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators [x, y], x in a, y in b."""
+    """Subgroup generated by all commutators [x, y], x in a, y in b: the normal closure in <a, b>
+    of the commutators of their generators (Holt, Eick, O'Brien, Handbook of CGT, 2005)."""
     if a.group is not b.group:
         raise ValidationError("subgroups live in different groups")
     g = a.group
-    t, inv = g.table, g.inverse
-    barr = np.array(b.ids, dtype=np.int32)
-    gens: set[int] = set()
-    for x in a.ids:
-        # [x, y] = x^-1 y^-1 x y, vectorized over y
-        c = t[t[t[inv[x], inv[barr]], x], barr]
-        gens.update(int(v) for v in np.unique(c))
-    return subgroup_closure(g, gens)
+    seeds = [g.commutator(x, y) for x in a.gens for y in b.gens]
+    return _normal_closure(g, seeds, a.gens + b.gens)
 
 
 def series(g: FiniteGroup, kind: str) -> Series:
@@ -625,20 +636,20 @@ def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
     return Subgroup(g, ids, validate=False)
 
 
-def _class_closure(g: FiniteGroup, cls: Iterable[int]) -> tuple[Subgroup, tuple[int, ...]]:
-    """<cls> and the class elements that generate it, taken greedily by ascending id.
+def _normal_closure(g: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[int]) -> Subgroup:
+    """Smallest subgroup containing `seeds` that every conjugator normalises.
 
-    Each step grows the subgroup so far under one more element outside it.
+    Each seed, and each conjugate c^s of a new generator c, not yet inside becomes a generator.
     """
     sub = g.trivial_subgroup()
-    gens: tuple[int, ...] = ()
-    for c in cls:
+    pending = list(seeds)
+    for c in pending:
         if c not in sub:
-            gens += (int(c),)
-            sub = subgroup_closure(g, gens, start=sub)
-    return sub, gens
+            sub = subgroup_closure(g, sub.gens + (c,), start=sub)
+            pending.extend(g.conjugate(c, s) for s in conjugators)
+    return sub
 
 
 def normal_closure(g: FiniteGroup, x: int) -> Subgroup:
-    """Smallest normal subgroup containing x: the subgroup generated by its class."""
-    return _class_closure(g, _class_of(g, x).tolist())[0]
+    """Smallest normal subgroup containing x: the closure of <x> under conjugation by G."""
+    return _normal_closure(g, (x,), _greedy_generators(g.table))

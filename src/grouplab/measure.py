@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, GroupLabError, ValidationError
+from .errors import GroupLabError, ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -65,8 +65,7 @@ class CommutingStats:
 def commuting_pairs(g: FiniteGroup, *, name: str | None = None,
                     caps: Caps = DEFAULT_CAPS) -> CommutingStats:
     """Exact commuting-pair count, cross-checked against the class count."""
-    if g.order > caps.order:
-        raise CapExceeded("order", caps.order, g.order)
+    caps.check("order", g.order)
     count = commuting_pair_count(g)
     return CommutingStats(
         name=name or g.name,
@@ -254,8 +253,7 @@ def rho_wedge(g: FiniteGroup, *, name: str | None = None,
     well defined because the commutator subgroup is central and both layers
     have exponent p.
     """
-    if g.order > caps.order:
-        raise CapExceeded("order", caps.order, g.order)
+    caps.check("order", g.order)
     order = g.order
     if order == 1:
         raise ValidationError("need a nontrivial prime-power order")

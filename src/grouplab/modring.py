@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebras import FiniteCommutativeAlgebra
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, GroupLabError, ValidationError
+from .errors import GroupLabError, ValidationError
 from .groups import FiniteGroup
 from .linalg import inv_gfp, is_prime, nullspace_gfp
 
@@ -72,12 +72,13 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
     """
     if not is_prime(prime):
         raise ValidationError(f"{prime} is not prime")
-    if prime**dim > caps.materialized_order:
-        raise CapExceeded("materialized_order", caps.materialized_order, prime**dim)
+    caps.check("materialized_order", prime**dim)
     n = group.order
     mats: list[np.ndarray | None] = [None] * n
     mats[0] = np.eye(dim, dtype=np.int64)
     for eid, rows in matrices.items():
+        if not 0 <= int(eid) < n:
+            raise ValidationError(f"matrix for element {eid}: {group.name} has ids 0..{n - 1}")
         m = np.asarray(rows, dtype=np.int64) % prime
         if m.shape != (dim, dim):
             raise ValidationError(f"matrix for element {eid} has wrong shape")
@@ -147,8 +148,7 @@ def translate_decomposition(action: GModuleAction, v: Sequence[int], w: Sequence
     bound: the largest minimal length over all of the space.
     """
     p, d = action.prime, action.dim
-    if p**d > caps.materialized_order:
-        raise CapExceeded("materialized_order", caps.materialized_order, p**d)
+    caps.check("materialized_order", p**d)
     span = orbit_span_check(action, v)
     if not span.spans:
         raise ValidationError("translates of v do not span the space")
@@ -252,8 +252,7 @@ class ModuleRing:
     def to_algebra(self, *, name: str | None = None, caps: Caps = DEFAULT_CAPS) -> FiniteCommutativeAlgebra:
         if not self.is_commutative():
             raise ValidationError("ring is not commutative")
-        if self.size > caps.materialized_order:
-            raise CapExceeded("materialized_order", caps.materialized_order, self.size)
+        caps.check("materialized_order", self.size)
         coords = self.coords(np.arange(self.size))
         add = np.empty((self.size, self.size), dtype=np.int32)
         mul = np.empty((self.size, self.size), dtype=np.int32)
@@ -356,15 +355,13 @@ def nilpotent_free_check(ring: ModuleRing | FiniteCommutativeAlgebra,
     """Exhaustive nilpotence scan via repeated squaring; returns (ok, witness id)."""
     if isinstance(ring, FiniteCommutativeAlgebra):
         size = ring.size
-        if size > caps.materialized_order:
-            raise CapExceeded("materialized_order", caps.materialized_order, size)
+        caps.check("materialized_order", size)
         from .algebras import find_nilpotent
 
         witness = find_nilpotent(size, ring.mul_table)
         return witness is None, witness
     size = ring.size
-    if size > caps.materialized_order:
-        raise CapExceeded("materialized_order", caps.materialized_order, size)
+    caps.check("materialized_order", size)
     p = ring.p
     ids = np.arange(size, dtype=np.int64)
     cur = ring.coords(ids)
@@ -448,8 +445,7 @@ class FaithfulnessReport:
 def faithfulness_report(action: GModuleAction, *, caps: Caps = DEFAULT_CAPS) -> FaithfulnessReport:
     """Kernel of the action and per-vector stabilizer indices."""
     p, d = action.prime, action.dim
-    if p**d > caps.materialized_order:
-        raise CapExceeded("materialized_order", caps.materialized_order, p**d)
+    caps.check("materialized_order", p**d)
     n = action.group.order
     eye = np.eye(d, dtype=np.int64)
     kernel = tuple(h for h in range(n) if np.array_equal(action.matrices[h] % p, eye))

@@ -17,11 +17,11 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _class_closure,
     _class_of,
     _closure_mask,
     _coset_reps,
     _greedy_generators,
+    _normal_closure,
     conjugacy_classes,
     is_nilpotent,
     subgroup_closure,
@@ -66,52 +66,50 @@ def enumerate_subgroups(
     a time.  As <H, x> = <H, xh> for h in H, x ranges only over the minimal
     representatives of the left cosets xH other than H; each closure grows from H.
     """
-    if g.order > caps.subgroup_order:
-        raise CapExceeded("subgroup_order", caps.subgroup_order, g.order)
+    caps.check("subgroup_order", g.order)
     limit = max_count if max_count is not None else caps.subgroup_count
     found: dict[tuple[int, ...], Subgroup] = {}
-    worklist = [(g.trivial_subgroup(), ())]
-    _record(found, worklist[0][0], "subgroup_count", limit)
-    for h, h_gens in worklist:
+    worklist = [g.trivial_subgroup()]
+    _record(found, worklist[0], "subgroup_count", limit)
+    for h in worklist:
         for x in np.unique(_coset_reps(g, h.ids))[1:].tolist():
-            sub = subgroup_closure(g, h_gens + (x,), start=h)
+            sub = subgroup_closure(g, h.gens + (x,), start=h)
             if _record(found, sub, "subgroup_count", limit):
-                worklist.append((sub, h_gens + (x,)))
+                worklist.append(sub)
     return _canonical(found)
 
 
 def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:
     """All normal subgroups, as joins of principal normal subgroups from a worklist.
 
-    The principals <x^G> are the class closures.  Every normal N is the join of
-    the principals inside it, so joining each newly found N with each principal
-    P not inside N reaches them all.  The join N*P grows from N under P's generators.
+    The principals are the normal closures <x^G>, one per class.  Every normal N
+    is the join of the principals inside it, so joining each newly found N with
+    each principal P not inside N reaches them all.  N*P grows from N under P.gens.
     """
-    if g.order > caps.order:
-        raise CapExceeded("order", caps.order, g.order)
+    caps.check("order", g.order)
     limit = caps.normal_subgroup_count
     found: dict[tuple[int, ...], Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", limit)
-    closures = (_class_closure(g, cls) for cls in conjugacy_classes(g)[1:])
-    principals = {p.ids: (p, p_gens) for p, p_gens in closures}
-    worklist = [p for p, _ in principals.values()
-                if _record(found, p, "normal_subgroup_count", limit)]
+    gens = _greedy_generators(g.table)
+    closures = (_normal_closure(g, cls[:1], gens) for cls in conjugacy_classes(g)[1:])
+    principals = {p.ids: p for p in closures}
+    worklist = [p for p in principals.values() if _record(found, p, "normal_subgroup_count", limit)]
     for n in worklist:
-        for p, p_gens in principals.values():
+        for p in principals.values():
             if not n.contains_subgroup(p):
-                join = subgroup_closure(g, p_gens, start=n)
+                join = subgroup_closure(g, p.gens, start=n)
                 if _record(found, join, "normal_subgroup_count", limit):
                     worklist.append(join)
     return _canonical(found)
 
 
 def is_simple_nonabelian(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Nonabelian, and no nontrivial class generates a proper subgroup (stops at the first)."""
+    """Nonabelian, and no nontrivial element has a proper normal closure (stops at the first)."""
     if g.is_abelian or g.order == 1:
         return False
-    if g.order > caps.order:
-        raise CapExceeded("order", caps.order, g.order)
-    return all(len(_class_closure(g, cls)[0]) == g.order for cls in conjugacy_classes(g)[1:])
+    caps.check("order", g.order)
+    gens = _greedy_generators(g.table)
+    return all(len(_normal_closure(g, cls[:1], gens)) == g.order for cls in conjugacy_classes(g)[1:])
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,7 @@ class SpreadReport:
 def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadReport:
     """Least m such that every element of every <x>^G is a product of at most
     m conjugates of x or x^-1.  The empty product covers the identity."""
-    if g.order > caps.spread_order:
-        raise CapExceeded("spread_order", caps.spread_order, g.order)
+    caps.check("spread_order", g.order)
     t = g.table
     searched: dict[bytes, tuple[int, int]] = {}  # generators -> (depth, worst)
     witnesses = []
@@ -167,8 +164,7 @@ def minimal_generator_count(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int
     n = g.order
     if n == 1:
         return 0
-    if n > caps.subgroup_order:
-        raise CapExceeded("subgroup_order", caps.subgroup_order, n)
+    caps.check("subgroup_order", n)
     reps = [cls[0] for cls in conjugacy_classes(g) if cls[0] != 0]
     rest = list(range(1, n))
     k = 1
@@ -202,15 +198,14 @@ def sylow_subgroup(g: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) -> Subg
     """
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    gens: tuple[int, ...] = ()
     current = g.trivial_subgroup()
     # One pass suffices: an x refused once stays refused as `current` grows.
     for x in range(1, g.order):
         if x in current or split_prime_power(g.element_order(x), p)[1] != 1:
             continue
-        candidate = subgroup_closure(g, gens + (x,), start=current)
+        candidate = subgroup_closure(g, current.gens + (x,), start=current)
         if split_prime_power(len(candidate), p)[1] == 1:
-            gens, current = gens + (x,), candidate
+            current = candidate
     if is_nilpotent(g) and not current.is_normal():
         raise GroupLabError("nilpotent group produced a non-normal Sylow subgroup")
     return current
@@ -232,8 +227,7 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
     every automorphism.
     """
     n = g.order
-    if n > caps.automorphism_order:
-        raise CapExceeded("automorphism_order", caps.automorphism_order, n)
+    caps.check("automorphism_order", n)
     gens = _greedy_generators(g.table)
     orders = [g.element_order(x) for x in range(n)]
 
@@ -276,8 +270,7 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
         if level == len(gens):
             mapping = np.arange(n, dtype=np.int32) if not gens else build_partial(images, len(gens) - 1)
             if mapping is not None:
-                if len(autos) >= caps.automorphism_count:
-                    raise CapExceeded("automorphism_count", caps.automorphism_count, len(autos) + 1)
+                caps.check("automorphism_count", len(autos) + 1)
                 autos.append(mapping)
             return
         want = orders[gens[level]]

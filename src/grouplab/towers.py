@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, ValidationError
+from .errors import ValidationError
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -54,8 +54,7 @@ class InverseSystem:
         projections = list(projections)
         if not levels:
             raise ValidationError("a tower has at least one level")
-        if len(levels) > caps.tower_length:
-            raise CapExceeded("tower_length", caps.tower_length, len(levels))
+        caps.check("tower_length", len(levels))
         if len(projections) != len(levels) - 1:
             raise ValidationError("need exactly one projection per adjacent pair")
         if validate:
@@ -133,13 +132,11 @@ def coset_action_system(g: FiniteGroup, chain: Sequence[Subgroup],
     for a, b in zip(chain, chain[1:]):
         if not a.contains_subgroup(b):
             raise ValidationError("chain must be descending")
-    if len(chain) > caps.tower_length:
-        raise CapExceeded("tower_length", caps.tower_length, len(chain))
+    caps.check("tower_length", len(chain))
 
     spaces = [CosetSpace.build(sub) for sub in chain]
     total_points = sum(len(s) for s in spaces)
-    if total_points > caps.order:
-        raise CapExceeded("order", caps.order, total_points)
+    caps.check("order", total_points)
 
     # blocks[i][x, j]: the point that x moves coset j of space i to, numbered
     # consecutively across the spaces
@@ -269,8 +266,7 @@ def cp_sequence(system: InverseSystem, *, caps: Caps = DEFAULT_CAPS) -> tuple[Fr
     """Exact commuting-pair fraction at each level."""
     out = []
     for level in system.levels:
-        if level.order > caps.order:
-            raise CapExceeded("order", caps.order, level.order)
+        caps.check("order", level.order)
         out.append(Fraction(commuting_pair_count(level), level.order**2))
     return tuple(out)
 
@@ -279,8 +275,7 @@ def direct_power_system(p: FiniteGroup, depth: int, *, caps: Caps = DEFAULT_CAPS
     """Tower P <- P^2 <- ... <- P^depth with coordinate-forgetting projections."""
     if depth < 1:
         raise ValidationError("depth must be at least 1")
-    if p.order**depth > caps.materialized_order:
-        raise CapExceeded("materialized_order", caps.materialized_order, p.order**depth)
+    caps.check("materialized_order", p.order**depth)
     big = caps.with_overrides(order=max(caps.order, caps.materialized_order))
     levels = [direct_power(p, k, caps=big) for k in range(1, depth + 1)]
     projections = []

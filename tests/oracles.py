@@ -7,11 +7,12 @@ nested loops and exhaustive enumeration only.
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 import numpy as np
 
 from grouplab.config import DEFAULT_CAPS, Caps
-from grouplab.errors import CapExceeded
+from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import FiniteGroup, Subgroup, _class_of, conjugacy_classes, subgroup_closure
 from grouplab.structure import SpreadReport, SpreadWitness
 
@@ -245,3 +246,32 @@ def sylow_subgroup_restarting(g: FiniteGroup, p: int) -> Subgroup:
         if not extended:
             break
     return current
+
+
+def commutator_subgroup_all_pairs(a: Subgroup, b: Subgroup) -> Subgroup:
+    """Subgroup generated by all commutators [x, y], x in a, y in b."""
+    if a.group is not b.group:
+        raise ValidationError("subgroups live in different groups")
+    g = a.group
+    t, inv = g.table, g.inverse
+    barr = np.array(b.ids, dtype=np.int32)
+    gens: set[int] = set()
+    for x in a.ids:
+        # [x, y] = x^-1 y^-1 x y, vectorized over y
+        c = t[t[t[inv[x], inv[barr]], x], barr]
+        gens.update(int(v) for v in np.unique(c))
+    return subgroup_closure(g, gens)
+
+
+def class_closure(g: FiniteGroup, cls: Iterable[int]) -> tuple[Subgroup, tuple[int, ...]]:
+    """<cls> and the class elements that generate it, taken greedily by ascending id.
+
+    Each step grows the subgroup so far under one more element outside it.
+    """
+    sub = g.trivial_subgroup()
+    gens: tuple[int, ...] = ()
+    for c in cls:
+        if c not in sub:
+            gens += (int(c),)
+            sub = subgroup_closure(g, gens, start=sub)
+    return sub, gens

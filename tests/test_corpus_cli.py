@@ -283,6 +283,12 @@ def test_cli_filtered_power_rejects_non_subfield(tmp_path):
      [{"name": "S3", "order": "six", "file": "S3.json"}]),
     ("analyze-group", "--corpus", "S3.json", [0, 1]),
     ("inverse-system", "--tower-file", "tower.json", {"group": "Z8"}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z4", "p": 5, "dim": 1, "matrices": {"9": [[2]]}}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z4", "p": 5, "dim": 1, "matrices": {"-3": [[2]]}}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z4", "p": 5, "dim": 1, "matrices": {"1": [[2]]}, "v": [1, 0]}),
 ])
 def test_cli_malformed_file_is_one_error_line(tmp_path, capsys, corpus,
                                               subcommand, flag, fname, payload):
@@ -296,3 +302,16 @@ def test_cli_malformed_file_is_one_error_line(tmp_path, capsys, corpus,
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {fname}: ")
+
+
+@pytest.mark.parametrize("payload", [
+    {"name": "Z2", "table": [[0, 1], [1, 0.4]]},
+    {"name": "Z2", "table": [[False, True], [True, False]]},
+    {"name": "Z3", "degree": 3, "generators": [[0, 1, 2.5]]},
+])
+def test_cli_non_integer_group_file_is_one_error_line(tmp_path, capsys, payload):
+    (tmp_path / "bad.json").write_text(json.dumps(payload))
+    code = main(["analyze-group", "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad.json: ")

@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
 from grouplab.config import Caps
 from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import (
-    _class_closure,
+    _greedy_generators,
+    _normal_closure,
+    commutator_subgroup,
     conjugacy_classes,
     direct_power,
     direct_product,
@@ -23,6 +27,8 @@ from grouplab.structure import (
 
 from oracles import (
     all_subgroups_bruteforce,
+    class_closure,
+    commutator_subgroup_all_pairs,
     conjugate_spread_per_element,
     enumerate_normal_subgroups_pairwise,
     enumerate_subgroups_all_x,
@@ -43,10 +49,36 @@ def test_enumerators_match_exhaustive_oracles(corpus):
 
 def test_greedy_class_closure_matches_plain_closure(corpus):
     for name, g in corpus:
+        gens = _greedy_generators(g.table)
         for cls in conjugacy_classes(g):
-            sub, gens = _class_closure(g, cls)
-            assert sub == subgroup_closure(g, cls), (name, cls)
-            assert set(gens) <= set(cls) and subgroup_closure(g, gens) == sub
+            sub = _normal_closure(g, cls[:1], gens)
+            assert sub == subgroup_closure(g, cls) == class_closure(g, cls)[0], (name, cls)
+            assert set(sub.gens) <= set(cls) and subgroup_closure(g, sub.gens) == sub
+
+
+def test_commutator_subgroup_matches_all_pairs_oracle(corpus):
+    pairs = 0
+    for name, g in corpus:
+        assert g.order <= 60, name
+        for a, b in itertools.product(enumerate_subgroups(g), repeat=2):
+            assert commutator_subgroup(a, b) == commutator_subgroup_all_pairs(a, b), (name, a, b)
+            pairs += 1
+    assert pairs == 5323
+    a5_squared = direct_power(corpus["A5"], 2)
+    for a, b in itertools.product(enumerate_normal_subgroups(a5_squared), repeat=2):
+        assert commutator_subgroup(a, b) == commutator_subgroup_all_pairs(a, b), (a, b)
+
+
+def test_subgroups_are_generated_by_their_gens(corpus):
+    for name, g in corpus:
+        subs = enumerate_subgroups(g)
+        normals = enumerate_normal_subgroups(g)
+        whole = g.whole_subgroup()
+        found = subs + normals + [sylow_subgroup(g, p) for p in (2, 3, 5)]
+        found += [commutator_subgroup(a, whole) for a in subs]
+        found += [commutator_subgroup(a, b) for a, b in itertools.product(normals, repeat=2)]
+        for sub in found:
+            assert subgroup_closure(g, sub.gens) == sub, (name, sub)
 
 
 @pytest.mark.parametrize("cap", ["normal_subgroup_count", "subgroup_count"])
