@@ -226,9 +226,10 @@ class IdealCorrespondenceReport:
 
 
 def verify_ideal_correspondence(base: FiniteGroup, ring: FiniteBooleanRing,
-                                *, caps: Caps = DEFAULT_CAPS) -> IdealCorrespondenceReport:
+                                *, materialized: MaterializedBooleanPower | None = None,
+                                caps: Caps = DEFAULT_CAPS) -> IdealCorrespondenceReport:
     """Compare all normal subgroups of the materialized power with the ideal family."""
-    mat = materialize_bp_group(base, ring, caps=caps)
+    mat = materialized or materialize_bp_group(base, ring, caps=caps)
     ideal_sets = set()
     for span in range(1 << ring.atom_count):
         ideal = BooleanIdeal(ring, span)
@@ -266,10 +267,11 @@ class BPQuotientIso:
 
 
 def bp_quotient_iso(base: FiniteGroup, ring: FiniteBooleanRing, ideal: BooleanIdeal,
-                    *, caps: Caps = DEFAULT_CAPS) -> BPQuotientIso:
+                    *, materialized: MaterializedBooleanPower | None = None,
+                    caps: Caps = DEFAULT_CAPS) -> BPQuotientIso:
     """Quotient of the materialized power by an ideal subgroup, with the
     constructive isomorphism onto P^m obtained by dropping the ideal's atoms."""
-    mat = materialize_bp_group(base, ring, caps=caps)
+    mat = materialized or materialize_bp_group(base, ring, caps=caps)
     sub = ideal_normal_subgroup(base, ring, ideal, materialized=mat, caps=caps)
     q, proj = quotient(mat.group, sub)
     kept = [i for i in range(ring.atom_count) if not ideal.span >> i & 1]

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import __version__
 from .boolean import BooleanIdeal, build_boolean_ring
-from .boolpower import bp_quotient_iso, verify_ideal_correspondence
+from .boolpower import bp_quotient_iso, materialize_bp_group, verify_ideal_correspondence
 from .config import DEFAULT_CAPS, Caps
 from .corpus import Corpus, bundled_corpus, bundled_towers, load_corpus
 from .errors import GroupLabError, ValidationError, parsing
@@ -184,14 +184,15 @@ def _cmd_boolean_power(args, corpus: Corpus, caps: Caps):
     ring = build_boolean_ring(args.atoms, caps=caps)
     items, errors = [], []
     try:
-        report = verify_ideal_correspondence(base, ring, caps=caps)
+        mat = materialize_bp_group(base, ring, caps=caps)
+        report = verify_ideal_correspondence(base, ring, materialized=mat, caps=caps)
     except GroupLabError as exc:
         return [], [{"item": args.base, "error": str(exc)}], BP_COLUMNS_V1
     for span in range(1 << args.atoms):
         ideal = BooleanIdeal(ring, span)
         label = ",".join(str(i) for i in ring.atom_indices(span))
         try:
-            iso = bp_quotient_iso(base, ring, ideal, caps=caps)
+            iso = bp_quotient_iso(base, ring, ideal, materialized=mat, caps=caps)
             items.append({
                 "base": args.base,
                 "atoms": args.atoms,

@@ -65,13 +65,42 @@ def _greedy_generators(table: np.ndarray, ids: Sequence[int] | None = None) -> l
     return gens
 
 
+_CHECK_BLOCK = 1 << 16  # cells of one block of rows in the table checks
+
+
+def _is_latin(table: np.ndarray) -> bool:
+    """Whether every row and every column of a square table with entries in 0..n-1 is a permutation.
+
+    The rows of the table, then those of its transpose, are marked one bounded
+    block at a time, so the scratch stays near `_CHECK_BLOCK` cells at any order.
+    """
+    n = table.shape[0]
+    rows = min(n, max(1, _CHECK_BLOCK // n))  # a small table needs no more scratch than itself
+    offsets = np.arange(rows, dtype=np.intp)[:, None] * n
+    seen = np.empty(rows * n, dtype=bool)
+    for t in (table, table.T):
+        for r in range(0, n, rows):
+            block = t[r:r + rows]
+            mark = seen[:block.size]
+            mark[:] = False
+            mark[block + offsets[:block.shape[0]]] = True
+            if not mark.all():
+                return False
+    return True
+
+
 def _light_associativity(table: np.ndarray) -> None:
     # Light's test: associativity on a generating set proves it everywhere.
+    # Rows x are compared one bounded block at a time.
+    n = table.shape[0]
+    rows = max(1, _CHECK_BLOCK // n)
     for g in _greedy_generators(table):
-        lhs = table[table[:, g], :]      # (x g) y
-        rhs = table[:, table[g, :]]      # x (g y)
-        if not np.array_equal(lhs, rhs):
-            raise ValidationError("multiplication table is not associative")
+        for r in range(0, n, rows):
+            block = table[r:r + rows]
+            lhs = table[block[:, g]]      # (x g) y
+            rhs = block[:, table[g]]      # x (g y)
+            if not np.array_equal(lhs, rhs):
+                raise ValidationError("multiplication table is not associative")
 
 
 @dataclass(frozen=True)
@@ -108,19 +137,20 @@ class FiniteGroup:
             raise ValidationError("a group has at least one element")
         if raw.dtype.kind not in "iu":
             raise ValidationError(f"multiplication table entries must be integers, not {raw.dtype}")
-        arr = np.ascontiguousarray(raw, dtype=np.int32)
         caps.check("order", n)
         if validate not in ("full", "basic"):
             raise ValueError(f"unknown validation level {validate!r}")
-        if arr.min() < 0 or arr.max() >= n:
+        # before the int32 cast, which would wrap an entry such as 2**32 into range
+        if raw.min() < 0 or raw.max() >= n:
             raise ValidationError("table entry out of range")
+        arr = np.ascontiguousarray(raw, dtype=np.int32)
         ids = np.arange(n, dtype=np.int32)
         if not (np.array_equal(arr[0], ids) and np.array_equal(arr[:, 0], ids)):
             raise ValidationError("element 0 must act as the identity")
-        if not (np.array_equal(np.sort(arr, axis=1), np.broadcast_to(ids, arr.shape))
-                and np.array_equal(np.sort(arr, axis=0), np.broadcast_to(ids[:, None], arr.shape))):
+        if not _is_latin(arr):
             raise ValidationError("table rows/columns are not permutations")
-        inverse = np.argmax(arr == 0, axis=1).astype(np.int32)
+        # every row is a permutation of 0..n-1, so its minimum 0 sits at the inverse
+        inverse = arr.argmin(axis=1).astype(np.int32)
         if not np.all(arr[inverse, ids] == 0):
             raise ValidationError("an element lacks a two-sided inverse")
         if validate == "full":
@@ -133,6 +163,7 @@ class FiniteGroup:
         self.perm_generators = perm_generators
         self._words = words
         self._classes: tuple[tuple[int, ...], ...] | None = None
+        self._pairs: int | None = None
         self._abelian: bool | None = None
 
     # -- basic queries ----------------------------------------------------
@@ -185,9 +216,7 @@ class FiniteGroup:
         return Subgroup(self, ids, validate=validate)
 
     def trivial_subgroup(self) -> "Subgroup":
-        sub = Subgroup(self, (0,), validate=False)
-        sub._gens = ()
-        return sub
+        return Subgroup._from_sorted(self, (0,), ())
 
     def whole_subgroup(self) -> "Subgroup":
         return Subgroup(self, range(self.order), validate=False)
@@ -226,6 +255,17 @@ class Subgroup:
         self._gens: tuple[int, ...] | None = None
         if validate:
             self._validate()
+
+    @classmethod
+    def _from_sorted(cls, group: FiniteGroup, ids: tuple[int, ...],
+                     gens: tuple[int, ...] | None) -> "Subgroup":
+        """A subgroup from ids already sorted, unique and closed, taken as they are."""
+        sub = cls.__new__(cls)
+        sub.group = group
+        sub.ids = ids
+        sub._members = frozenset(ids)
+        sub._gens = gens
+        return sub
 
     def _validate(self) -> None:
         g = self.group
@@ -319,11 +359,12 @@ class GroupHom:
         *,
         validate: bool = True,
     ):
-        arr = np.ascontiguousarray(np.asarray(mapping, dtype=np.int32))
-        if arr.shape != (source.order,):
+        raw = np.asarray(mapping)
+        if raw.shape != (source.order,):
             raise ValidationError("homomorphism mapping has wrong length")
-        if arr.min() < 0 or arr.max() >= target.order:
+        if raw.min() < 0 or raw.max() >= target.order:
             raise ValidationError("homomorphism image out of range")
+        arr = np.ascontiguousarray(raw, dtype=np.int32)
         if validate:
             if arr[0] != 0:
                 raise ValidationError("homomorphism must fix the identity")
@@ -415,17 +456,18 @@ def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
                       caps: Caps) -> tuple[FiniteGroup, dict[bytes, int]]:
     """The group generated by permutations, and its index: permutation bytes -> element id.
 
-    The Cayley table is built column by column from one column per generator.
+    The Cayley table is built row by row, by left multiplication: element
+    i = parent*gen gives i*j = parent*(gen*j), so row i is the parent's row
+    read through the left-multiplication column of the generator.
     """
     perms, index, parents, genidx = _perm_closure(gen_arrays, degree, caps.order)
     n = len(perms)
     table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n, dtype=np.int32)
-    gen_cols = [np.fromiter((index[perm[g].tobytes()] for perm in perms), dtype=np.int32, count=n)
-                for g in gen_arrays]
-    for j in range(1, n):
-        # column for j = parent * gen: i*j = (i*parent)*gen
-        table[:, j] = gen_cols[genidx[j]][table[:, parents[j]]]
+    table[0] = np.arange(n, dtype=np.int32)
+    left = [np.fromiter((index[g[perm].tobytes()] for perm in perms), dtype=np.intp, count=n)
+            for g in gen_arrays]
+    for i in range(1, n):
+        np.take(table[parents[i]], left[genidx[i]], out=table[i])
     presentation = PermGenerators(
         degree=degree,
         perms=tuple(tuple(int(v) for v in g) for g in gen_arrays),
@@ -515,9 +557,8 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
     start = start if start is not None else g.trivial_subgroup()
     gens = list(gens)
     mask = _closure_mask(g.table, gens, start.ids)
-    sub = Subgroup(g, np.flatnonzero(mask).tolist(), validate=False)
-    sub._gens = start.gens + tuple(x for x in gens if x not in start)
-    return sub
+    return Subgroup._from_sorted(g, tuple(np.flatnonzero(mask).tolist()),
+                                 start.gens + tuple(x for x in gens if x not in start))
 
 
 def _class_of(g: FiniteGroup, x: int) -> np.ndarray:
@@ -543,12 +584,13 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def commuting_pair_count(g: FiniteGroup) -> int:
-    """Exact |{(x, y) : xy = yx}| with a class-counting cross-check."""
-    count = int((g.table == g.table.T).sum())
-    expected = g.order * len(conjugacy_classes(g))
-    if count != expected:
-        raise GroupLabError("commuting-pair count disagrees with class count")
-    return count
+    """Exact |{(x, y) : xy = yx}| with a class-counting cross-check, computed once per group."""
+    if g._pairs is None:
+        count = int((g.table == g.table.T).sum())
+        if count != g.order * len(conjugacy_classes(g)):
+            raise GroupLabError("commuting-pair count disagrees with class count")
+        g._pairs = count
+    return g._pairs
 
 
 def centralizer(g: FiniteGroup, ids: Iterable[int]) -> Subgroup:

@@ -13,7 +13,14 @@ import numpy as np
 
 from grouplab.config import DEFAULT_CAPS, Caps
 from grouplab.errors import CapExceeded, ValidationError
-from grouplab.groups import FiniteGroup, Subgroup, _class_of, conjugacy_classes, subgroup_closure
+from grouplab.groups import (
+    FiniteGroup,
+    Subgroup,
+    _class_of,
+    _perm_closure,
+    conjugacy_classes,
+    subgroup_closure,
+)
 from grouplab.structure import SpreadReport, SpreadWitness
 
 
@@ -275,3 +282,29 @@ def class_closure(g: FiniteGroup, cls: Iterable[int]) -> tuple[Subgroup, tuple[i
             gens += (int(c),)
             sub = subgroup_closure(g, gens, start=sub)
     return sub, gens
+
+
+def table_by_columns(gen_arrays: list[np.ndarray], degree: int,
+                     cap: int = DEFAULT_CAPS.order) -> np.ndarray:
+    """Cayley table of the group the permutations generate, filled column by column.
+
+    Element j = parent*gen gives i*j = (i*parent)*gen, so column j is the
+    parent's column read through the right-multiplication column of the generator.
+    """
+    perms, index, parents, genidx = _perm_closure(gen_arrays, degree, cap)
+    n = len(perms)
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n, dtype=np.int32)
+    gen_cols = [np.fromiter((index[perm[g].tobytes()] for perm in perms), dtype=np.int32, count=n)
+                for g in gen_arrays]
+    for j in range(1, n):
+        # column for j = parent * gen: i*j = (i*parent)*gen
+        table[:, j] = gen_cols[genidx[j]][table[:, parents[j]]]
+    return table
+
+
+def rows_and_columns_are_permutations(arr: np.ndarray) -> bool:
+    """Latin-square predicate by sorting the whole table along each axis."""
+    ids = np.arange(arr.shape[0], dtype=np.int32)
+    return bool(np.array_equal(np.sort(arr, axis=1), np.broadcast_to(ids, arr.shape))
+                and np.array_equal(np.sort(arr, axis=0), np.broadcast_to(ids[:, None], arr.shape)))

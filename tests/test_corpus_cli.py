@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from grouplab import boolpower, cli
 from grouplab.cli import main
 from grouplab.corpus import Corpus, bundled_corpus, load_corpus, load_group_file, save_corpus
 from grouplab.errors import ValidationError
@@ -235,6 +237,23 @@ def test_cli_boolean_power_exit_and_fields(tmp_path):
     assert all(r["iso_verified"] for r in payload["items"])
 
 
+def test_cli_boolean_power_materializes_the_power_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return materialize(*args, **kwargs)
+
+    materialize = boolpower.materialize_bp_group
+    monkeypatch.setattr(cli, "materialize_bp_group", counted)
+    monkeypatch.setattr(boolpower, "materialize_bp_group", counted)
+    code = main(["boolean-power", "--base", "S3", "--atoms", "2", "--out", str(tmp_path / "out")])
+    assert code == 0 and len(calls) == 1
+    # the same bytes as when every call materialised its own power
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == (
+        "8cf7b9e359e3839a74e6f756dffc2b6f625de96d7676ed28d9df0430348af978")
+
+
 def test_cli_boolean_power_spec_file(tmp_path):
     spec = tmp_path / "bp.json"
     spec.write_text(json.dumps({"base_group": "S3", "atoms": 2}))
@@ -308,6 +327,7 @@ def test_cli_malformed_file_is_one_error_line(tmp_path, capsys, corpus,
     {"name": "Z2", "table": [[0, 1], [1, 0.4]]},
     {"name": "Z2", "table": [[False, True], [True, False]]},
     {"name": "Z3", "degree": 3, "generators": [[0, 1, 2.5]]},
+    {"name": "Z2", "table": [[0, 1], [1, 4294967296]]},  # 2**32 wraps to 0 in int32
 ])
 def test_cli_non_integer_group_file_is_one_error_line(tmp_path, capsys, payload):
     (tmp_path / "bad.json").write_text(json.dumps(payload))

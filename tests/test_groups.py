@@ -22,7 +22,14 @@ from grouplab.groups import (
     subgroup_closure,
 )
 
-from oracles import double_loop_commuting_count, naive_is_associative
+from grouplab import groups
+from grouplab.corpus import bundled_towers
+from oracles import (
+    double_loop_commuting_count,
+    naive_is_associative,
+    rows_and_columns_are_permutations,
+    table_by_columns,
+)
 
 
 def test_trivial_group_from_table():
@@ -46,9 +53,11 @@ def test_table_validation_rejects_bad_rows():
         build_group(table=[[0, 1], [0, 1]])
     with pytest.raises(ValidationError):
         build_group(table=[[1, 0], [0, 1]])  # 0 not the identity
+    with pytest.raises(ValidationError, match="out of range"):
+        build_group(table=[[0, 1], [1, 2**32]])  # 2**32 would wrap to 0 in int32
 
 
-def test_table_validation_rejects_nonassociative_latin_square():
+def test_table_validation_rejects_nonassociative_latin_square(monkeypatch):
     # a Latin square with identity that fails associativity (order-5 loop)
     table = [
         [0, 1, 2, 3, 4],
@@ -60,14 +69,22 @@ def test_table_validation_rejects_nonassociative_latin_square():
     assert not naive_is_associative(table)
     with pytest.raises(ValidationError):
         build_group(table=table)
+    # checked a row block at a time, the defect sits in some block
+    for block_rows in (1, 2):
+        monkeypatch.setattr(groups, "_CHECK_BLOCK", block_rows * len(table))
+        with pytest.raises(ValidationError, match="not associative"):
+            build_group(table=table)
 
 
-def test_light_test_agrees_with_naive_associativity(corpus):
+def test_light_test_agrees_with_naive_associativity(corpus, monkeypatch):
     for name in ("S3", "Q8", "Z6", "D4"):
         g = corpus[name]
         assert naive_is_associative(g.table.tolist())
         # rebuilding from the table runs the generator-based check
         build_group(table=g.table.tolist(), name=name)
+        monkeypatch.setattr(groups, "_CHECK_BLOCK", 3 * g.order)
+        build_group(table=g.table.tolist(), name=name)
+        monkeypatch.undo()
 
 
 def test_generator_validation():
@@ -301,6 +318,10 @@ def test_hom_validation(corpus):
     assert hom.is_surjective()
     with pytest.raises(ValidationError):
         GroupHom(z4, z2, [0, 1, 1, 0])
+    # 2**32 + 1 would wrap to the valid image 1 in a cast to int32
+    for bad in ([0, 1, 0, 2**32 + 1], np.array([0, 1, 0, 2**32 + 1])):
+        with pytest.raises(ValidationError, match="out of range"):
+            GroupHom(z4, z2, bad)
 
 
 def test_permutation_of_roundtrip(corpus):
@@ -312,3 +333,60 @@ def test_permutation_of_roundtrip(corpus):
         for b in s3.elements():
             composed = tuple(perms[a][perms[b][i]] for i in range(3))
             assert composed == perms[s3.mul(a, b)]
+
+
+def _perm_groups(corpus):
+    """Every bundled group and tower level built from permutations, plus S5, S6 and D4xQ8."""
+    yield from (g for _, g in corpus.items())
+    for system in bundled_towers(corpus).values():
+        yield from (g for g in system.levels if g.perm_generators is not None)
+    q8 = [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]
+    d4xq8 = [[1, 2, 3, 0] + list(range(4, 12)), [3, 2, 1, 0] + list(range(4, 12))]
+    d4xq8 += [list(range(4)) + [4 + v for v in p] for p in q8]
+    for degree, gens in ((5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
+                         (6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]),
+                         (12, d4xq8)):
+        yield build_group(generators=gens, degree=degree)
+
+
+def test_row_built_tables_match_column_built_oracle(corpus):
+    orders = []
+    for g in _perm_groups(corpus):
+        pg = g.perm_generators
+        gens = [np.array(p, dtype=np.int32) for p in pg.perms]
+        assert np.array_equal(g.table, table_by_columns(gens, pg.degree)), g.name
+        orders.append(g.order)
+    assert {120, 720, 64} <= set(orders)
+
+
+def _latin_mutants(table: np.ndarray):
+    """Copies with one defect: two entries swapped within a column (rows repeat a value)
+    or within a row (columns repeat one), in the first and in the last rows or columns."""
+    n = table.shape[0]
+    for a, b in ((1, 2), (n - 2, n - 1)):
+        for c in (1, n - 1):
+            col = table.copy()
+            col[[a, b], c] = col[[b, a], c]
+            row = table.copy()
+            row[c, [a, b]] = row[c, [b, a]]
+            yield col
+            yield row
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 16, None])
+def test_blockwise_latin_check_matches_whole_table_sort(corpus, monkeypatch, block_rows):
+    tables = [corpus[name].table for name in ("S3", "Q8", "S4", "A5")]
+    # S6, order 720, spans several blocks at the default size, the last one ragged
+    tables.append(build_group(generators=[[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], degree=6).table)
+    ragged_multiblock = 0
+    for table in tables:
+        n = table.shape[0]
+        if block_rows is not None:
+            monkeypatch.setattr(groups, "_CHECK_BLOCK", block_rows * n)
+        rows = max(1, groups._CHECK_BLOCK // n)
+        ragged_multiblock += n > rows and n % rows != 0
+        assert groups._is_latin(table) and rows_and_columns_are_permutations(table)
+        for mutant in _latin_mutants(table):
+            assert not rows_and_columns_are_permutations(mutant)
+            assert not groups._is_latin(mutant)
+    assert ragged_multiblock or block_rows == 1  # one-row blocks are never ragged
