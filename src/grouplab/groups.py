@@ -162,7 +162,7 @@ class FiniteGroup:
         self.inverse = inverse
         self.perm_generators = perm_generators
         self._words = words
-        self._classes: tuple[tuple[int, ...], ...] | None = None
+        self._labels: np.ndarray | None = None
         self._pairs: int | None = None
         self._abelian: bool | None = None
 
@@ -561,33 +561,41 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
                                  start.gens + tuple(x for x in gens if x not in start))
 
 
-def _class_of(g: FiniteGroup, x: int) -> np.ndarray:
-    """The conjugacy class {h^-1 x h} of x, sorted."""
-    t, inv = g.table, g.inverse
-    return np.unique(t[t[inv, x], np.arange(g.order)])
+def _class_labels(g: FiniteGroup) -> np.ndarray:
+    """The conjugacy class number of every element, as a read-only int32 array made once per group.
+
+    Classes are numbered by their smallest member, so class 0 is the identity's.
+    """
+    if g._labels is None:
+        t, ids = g.table, np.arange(g.order)
+        labels = np.full(g.order, -1, dtype=np.int32)
+        k = 0
+        for x in range(g.order):
+            if labels[x] < 0:
+                labels[t[t[g.inverse, x], ids]] = k  # the orbit {h^-1 x h : h in G}
+                k += 1
+        labels.setflags(write=False)
+        g._labels = labels
+    return g._labels
+
+
+def _class_reps(g: FiniteGroup) -> list[int]:
+    """The smallest member of every conjugacy class, ascending (class k's is the k-th)."""
+    return np.unique(_class_labels(g), return_index=True)[1].tolist()
 
 
 def conjugacy_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Orbits of conjugation, ordered by minimal representative."""
-    if g._classes is not None:
-        return g._classes
-    seen = np.zeros(g.order, dtype=bool)
-    classes: list[tuple[int, ...]] = []
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        orbit = _class_of(g, x)
-        seen[orbit] = True
-        classes.append(tuple(int(v) for v in orbit))
-    g._classes = tuple(classes)
-    return g._classes
+    labels = _class_labels(g)
+    members = np.argsort(labels, kind="stable")  # ascending ids within each class
+    return tuple(tuple(c.tolist()) for c in np.split(members, np.cumsum(np.bincount(labels))[:-1]))
 
 
 def commuting_pair_count(g: FiniteGroup) -> int:
     """Exact |{(x, y) : xy = yx}| with a class-counting cross-check, computed once per group."""
     if g._pairs is None:
         count = int((g.table == g.table.T).sum())
-        if count != g.order * len(conjugacy_classes(g)):
+        if count != g.order * len(_class_reps(g)):
             raise GroupLabError("commuting-pair count disagrees with class count")
         g._pairs = count
     return g._pairs
@@ -602,7 +610,10 @@ def centralizer(g: FiniteGroup, ids: Iterable[int]) -> Subgroup:
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    return centralizer(g, g.elements())
+    """The elements in one-element conjugacy classes."""
+    labels = _class_labels(g)
+    central = np.bincount(labels)[labels] == 1
+    return Subgroup._from_sorted(g, tuple(np.flatnonzero(central).tolist()), None)
 
 
 def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -671,11 +682,11 @@ def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
     """Largest normal subgroup of g inside h (the intersection of all conjugates)."""
     if h.group is not g:
         raise ValidationError("subgroup belongs to a different group")
-    ids: list[int] = []
-    for cls in conjugacy_classes(g):
-        if all(c in h for c in cls):
-            ids.extend(cls)
-    return Subgroup(g, ids, validate=False)
+    # the classes all of whose members lie in h
+    labels = _class_labels(g)
+    sizes = np.bincount(labels)
+    inside = np.bincount(labels[np.array(h.ids)], minlength=sizes.size) == sizes
+    return Subgroup._from_sorted(g, tuple(np.flatnonzero(inside[labels]).tolist()), None)
 
 
 def _normal_closure(g: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[int]) -> Subgroup:

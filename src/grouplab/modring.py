@@ -17,7 +17,7 @@ import numpy as np
 from .algebras import FiniteCommutativeAlgebra
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _greedy_generators
 from .linalg import inv_gfp, is_prime, nullspace_gfp
 
 __all__ = [
@@ -67,40 +67,44 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
                          *, caps: Caps = DEFAULT_CAPS) -> GModuleAction:
     """Build and validate an action from matrices on (at least) a generating set.
 
-    Missing elements are filled in multiplicatively; the homomorphism law is
-    then checked on the full table.
+    Missing elements are filled by a breadth-first search from the identity,
+    f(xs) = f(x)f(s) over generators s among the supplied ids.  The law is then
+    checked on every (element, generator) pair, which implies it on the full
+    table: the s satisfying it for every x are closed under products.
     """
     if not is_prime(prime):
         raise ValidationError(f"{prime} is not prime")
     caps.check("materialized_order", prime**dim)
-    n = group.order
-    mats: list[np.ndarray | None] = [None] * n
-    mats[0] = np.eye(dim, dtype=np.int64)
+    n, table = group.order, group.table
+    stack = np.zeros((n, dim, dim), dtype=np.int64)
+    stack[0] = np.eye(dim, dtype=np.int64)
+    known = np.arange(n) == 0
     for eid, rows in matrices.items():
         if not 0 <= int(eid) < n:
             raise ValidationError(f"matrix for element {eid}: {group.name} has ids 0..{n - 1}")
         m = np.asarray(rows, dtype=np.int64) % prime
         if m.shape != (dim, dim):
             raise ValidationError(f"matrix for element {eid} has wrong shape")
-        mats[int(eid)] = m
-    changed = True
-    while changed:
-        changed = False
-        known = [i for i in range(n) if mats[i] is not None]
-        for a in known:
-            for b in known:
-                ab = group.mul(a, b)
-                if mats[ab] is None:
-                    mats[ab] = (mats[a] @ mats[b]) % prime
-                    changed = True
-    if any(m is None for m in mats):
+        stack[int(eid)] = m
+        known[int(eid)] = True
+    gens = np.array(_greedy_generators(table, np.flatnonzero(known)), dtype=np.intp)
+    seen, frontier = np.arange(n) == 0, np.zeros(1, dtype=np.intp)
+    while frontier.size and gens.size:
+        # each new y = x*s; supplied elements are expanded too, and keep their matrices
+        ys, first = np.unique(table[frontier[:, None], gens], return_index=True)
+        fresh = ~seen[ys]
+        ys, (xs, ss) = ys[fresh], np.divmod(first[fresh], gens.size)
+        seen[ys] = True
+        fill = ~known[ys]
+        stack[ys[fill]] = (stack[frontier[xs[fill]]] @ stack[gens[ss[fill]]]) % prime
+        frontier = ys
+    if not seen.all():
         raise ValidationError("matrices do not cover a generating set")
-    stack = np.stack([m for m in mats]) % prime
     for a in range(n):
         inv_gfp(stack[a], prime)  # raises if singular
-        for b in range(n):
-            if not np.array_equal(stack[group.mul(a, b)], (stack[a] @ stack[b]) % prime):
-                raise ValidationError("matrix assignment is not a homomorphism")
+    for s in gens:
+        if not np.array_equal(stack[table[:, s]], (stack @ stack[s]) % prime):
+            raise ValidationError("matrix assignment is not a homomorphism")
     stack.setflags(write=False)
     return GModuleAction(group=group, prime=prime, dim=dim, matrices=stack)
 
@@ -288,20 +292,13 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     if not span.spans:
         raise ValidationError("translates of v do not span the space")
     n = action.group.order
-    translate_rows = np.array([action.translate(vt, h) for h in range(n)], dtype=np.int64)
+    translate_rows = (np.array(vt, dtype=np.int64) @ action.matrices) % p
     kernel = nullspace_gfp(translate_rows.T, p)  # rows c with c @ translate_rows == 0
-
-    def left_shift(coeffs: np.ndarray, h: int) -> np.ndarray:
-        # h * (sum c_g g) has coefficient c_g at position h*g
-        out = np.zeros(n, dtype=np.int64)
-        for gidx in range(n):
-            out[action.group.mul(h, gidx)] = coeffs[gidx]
-        return out
-
+    table = action.group.table
     for row in kernel:
         for h in range(n):
-            shifted = left_shift(row, h)
-            value = (shifted @ translate_rows) % p
+            # h * (sum c_g g) has coefficient c_g at position h*g
+            value = (row @ translate_rows[table[h]]) % p
             if value.any():
                 return RingConstruction(
                     well_defined=False, ring=None,
@@ -312,13 +309,10 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
                     ),
                     translate_bound=translate_decomposition(action, vt, vt, caps=caps).bound,
                 )
-        # the right check is automatic; assert it on the first basis row anyway
+    # the right check is automatic; assert it on the first basis row anyway
     for row in kernel[:1]:
         for h in range(n):
-            out = np.zeros(n, dtype=np.int64)
-            for gidx in range(n):
-                out[action.group.mul(gidx, h)] = row[gidx]
-            if ((out @ translate_rows) % p).any():
+            if ((row @ translate_rows[table[:, h]]) % p).any():
                 raise GroupLabError("annihilator is not a right ideal; action tables broken")
 
     ring = _translate_ring(action, vt, span)
@@ -330,14 +324,11 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
 
 def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) -> ModuleRing:
     """The product v^h * v^k = v^(hk) on the translate basis; well defined or not."""
-    p, d = action.prime, action.dim
+    p = action.prime
     basis = np.array(span.basis_vectors, dtype=np.int64)
-    basis_inv = inv_gfp(basis, p)
-    structure = np.zeros((d, d, d), dtype=np.int64)
-    for i, hi in enumerate(span.basis_elements):
-        for j, hj in enumerate(span.basis_elements):
-            prod_vec = np.asarray(action.translate(v, action.group.mul(hi, hj)), dtype=np.int64)
-            structure[i, j] = (prod_vec @ basis_inv) % p
+    hs = np.array(span.basis_elements, dtype=np.intp)
+    prods = action.matrices[action.group.table[np.ix_(hs, hs)]]  # matrix of h_i h_j
+    structure = (((np.array(v, dtype=np.int64) @ prods) % p) @ inv_gfp(basis, p)) % p
     return ModuleRing(action, v, span.basis_elements, basis, structure)
 
 

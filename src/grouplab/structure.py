@@ -17,12 +17,12 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _class_of,
+    _class_labels,
+    _class_reps,
     _closure_mask,
     _coset_reps,
     _greedy_generators,
     _normal_closure,
-    conjugacy_classes,
     is_nilpotent,
     subgroup_closure,
 )
@@ -91,7 +91,7 @@ def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> 
     found: dict[tuple[int, ...], Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", limit)
     gens = _greedy_generators(g.table)
-    closures = (_normal_closure(g, cls[:1], gens) for cls in conjugacy_classes(g)[1:])
+    closures = (_normal_closure(g, (x,), gens) for x in _class_reps(g)[1:])
     principals = {p.ids: p for p in closures}
     worklist = [p for p in principals.values() if _record(found, p, "normal_subgroup_count", limit)]
     for n in worklist:
@@ -109,7 +109,7 @@ def is_simple_nonabelian(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> bool:
         return False
     caps.check("order", g.order)
     gens = _greedy_generators(g.table)
-    return all(len(_normal_closure(g, cls[:1], gens)) == g.order for cls in conjugacy_classes(g)[1:])
+    return all(len(_normal_closure(g, (x,), gens)) == g.order for x in _class_reps(g)[1:])
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,14 @@ def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadRepo
     """Least m such that every element of every <x>^G is a product of at most
     m conjugates of x or x^-1.  The empty product covers the identity."""
     caps.check("spread_order", g.order)
-    t = g.table
-    searched: dict[bytes, tuple[int, int]] = {}  # generators -> (depth, worst)
+    t, labels = g.table, _class_labels(g)
+    searched: dict[frozenset[int], tuple[int, int]] = {}  # class pair -> (depth, worst)
     witnesses = []
-    for x in range(g.order):
+    for x, pair in enumerate(zip(labels.tolist(), labels[g.inverse].tolist())):
         # The same generators for every x in the class pair {C, C^-1}: one search per pair.
-        gens = np.union1d(_class_of(g, x), _class_of(g, int(g.inverse[x])))
-        if gens.tobytes() not in searched:
+        key = frozenset(pair)
+        if key not in searched:
+            gens = np.flatnonzero(np.isin(labels, pair))
             depth = np.full(g.order, -1, dtype=np.int32)
             depth[0] = 0
             frontier = np.array([0], dtype=np.int32)
@@ -148,8 +149,8 @@ def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadRepo
                 frontier = new
             reached = depth >= 0
             m_x = int(depth[reached].max())
-            searched[gens.tobytes()] = (m_x, int(np.flatnonzero(reached & (depth == m_x))[0]))
-        m_x, worst = searched[gens.tobytes()]
+            searched[key] = (m_x, int(np.flatnonzero(reached & (depth == m_x))[0]))
+        m_x, worst = searched[key]
         witnesses.append(SpreadWitness(element=x, depth=m_x, worst=worst))
     return SpreadReport(m=max(w.depth for w in witnesses), witnesses=tuple(witnesses))
 
@@ -165,7 +166,7 @@ def minimal_generator_count(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int
     if n == 1:
         return 0
     caps.check("subgroup_order", n)
-    reps = [cls[0] for cls in conjugacy_classes(g) if cls[0] != 0]
+    reps = _class_reps(g)[1:]
     rest = list(range(1, n))
     k = 1
     while True:
@@ -243,12 +244,10 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
         mapping = np.full(n, -1, dtype=np.int32)
         mapping[0] = 0
         frontier = [0]
-        used_gens = gens[: level + 1]
-        used_imgs = images
         while frontier:
             new_frontier = []
             for x in frontier:
-                for ggen, gimg in zip(used_gens, used_imgs):
+                for ggen, gimg in zip(gens, images):
                     y = int(g.table[x, ggen])
                     fy = int(g.table[mapping[x], gimg])
                     if mapping[y] == -1:
@@ -257,35 +256,28 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
                     elif mapping[y] != fy:
                         return None
             frontier = new_frontier
+        # f(xs) = f(x)f(s) on every edge makes f a homomorphism on the domain; need it injective
         dom = chains[level]
         vals = mapping[dom]
         if np.unique(vals).size != dom.size:
             return None
-        sub = g.table[np.ix_(dom, dom)]
-        if not np.array_equal(mapping[sub], g.table[vals[:, None], vals[None, :]]):
-            return None
         return mapping
 
-    def search(level: int, images: list[int]) -> None:
+    def search(level: int, images: list[int], mapping: np.ndarray) -> None:
         if level == len(gens):
-            mapping = np.arange(n, dtype=np.int32) if not gens else build_partial(images, len(gens) - 1)
-            if mapping is not None:
-                caps.check("automorphism_count", len(autos) + 1)
-                autos.append(mapping)
+            caps.check("automorphism_count", len(autos) + 1)
+            autos.append(mapping)
             return
         want = orders[gens[level]]
         for b in range(n):
             if orders[b] != want:
                 continue
             trial = images + [b]
-            if build_partial(trial, level) is None:
-                continue
-            search(level + 1, trial)
+            extended = build_partial(trial, level)
+            if extended is not None:
+                search(level + 1, trial, extended)
 
-    if not gens:
-        autos.append(np.arange(n, dtype=np.int32))
-    else:
-        search(0, [])
+    search(0, [], np.arange(n, dtype=np.int32))
     autos.sort(key=lambda m: tuple(int(v) for v in m))
     homs = tuple(GroupHom(g, g, m, validate=False) for m in autos)
 

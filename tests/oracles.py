@@ -12,15 +12,15 @@ from typing import Iterable
 import numpy as np
 
 from grouplab.config import DEFAULT_CAPS, Caps
-from grouplab.errors import CapExceeded, ValidationError
+from grouplab.errors import CapExceeded, GroupLabError, ValidationError
 from grouplab.groups import (
     FiniteGroup,
     Subgroup,
-    _class_of,
     _perm_closure,
     conjugacy_classes,
     subgroup_closure,
 )
+from grouplab.linalg import inv_gfp, is_prime, nullspace_gfp
 from grouplab.structure import SpreadReport, SpreadWitness
 
 
@@ -73,6 +73,29 @@ def all_subgroups_bruteforce(g: FiniteGroup, max_gens: int = 3) -> set[frozenset
 
 def conjugates_of(g: FiniteGroup, x: int) -> set[int]:
     return {g.conjugate(x, h) for h in g.elements()}
+
+
+def classes_per_element(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Conjugacy classes from one orbit per element, as x^h = h^-1 (x h), sorted by least member."""
+    t, inv, ids = g.table, g.inverse, np.arange(g.order)
+    orbits = {tuple(np.unique(t[inv, t[x, ids]]).tolist()) for x in g.elements()}
+    return tuple(sorted(orbits))
+
+
+def core_by_conjugates(g: FiniteGroup, h: Subgroup) -> set[int]:
+    """The intersection of all conjugates of h."""
+    inter = set(h.ids)
+    for x in g.elements():
+        inter &= set(h.conjugate_by(x).ids)
+    return inter
+
+
+def is_automorphism_all_pairs(g: FiniteGroup, mapping) -> bool:
+    """A bijection of the elements with f(xy) = f(x) f(y) on every pair."""
+    f = [int(v) for v in mapping]
+    if sorted(f) != list(g.elements()):
+        return False
+    return all(f[g.mul(x, y)] == g.mul(f[x], f[y]) for x in g.elements() for y in g.elements())
 
 
 def spread_depth_bruteforce(g: FiniteGroup, x: int) -> tuple[int, dict[int, int]]:
@@ -212,7 +235,7 @@ def conjugate_spread_per_element(g: FiniteGroup) -> SpreadReport:
     witnesses = []
     overall = 0
     for x in range(g.order):
-        gens = np.union1d(_class_of(g, x), _class_of(g, int(g.inverse[x])))
+        gens = np.array(sorted(conjugates_of(g, x) | conjugates_of(g, g.inv(x))), dtype=np.intp)
         depth = np.full(g.order, -1, dtype=np.int32)
         depth[0] = 0
         frontier = np.array([0], dtype=np.int32)
@@ -308,3 +331,66 @@ def rows_and_columns_are_permutations(arr: np.ndarray) -> bool:
     ids = np.arange(arr.shape[0], dtype=np.int32)
     return bool(np.array_equal(np.sort(arr, axis=1), np.broadcast_to(ids, arr.shape))
                 and np.array_equal(np.sort(arr, axis=0), np.broadcast_to(ids[:, None], arr.shape)))
+
+
+def action_matrices_all_pairs(group: FiniteGroup, prime: int, dim: int, matrices) -> np.ndarray:
+    """Matrices of an action: missing ones filled from all known pairs until nothing changes,
+    then the homomorphism law checked on every pair of elements."""
+    if not is_prime(prime):
+        raise ValidationError(f"{prime} is not prime")
+    n = group.order
+    mats: list[np.ndarray | None] = [None] * n
+    mats[0] = np.eye(dim, dtype=np.int64)
+    for eid, rows in matrices.items():
+        if not 0 <= int(eid) < n:
+            raise ValidationError(f"matrix for element {eid}: {group.name} has ids 0..{n - 1}")
+        m = np.asarray(rows, dtype=np.int64) % prime
+        if m.shape != (dim, dim):
+            raise ValidationError(f"matrix for element {eid} has wrong shape")
+        mats[int(eid)] = m
+    changed = True
+    while changed:
+        changed = False
+        known = [i for i in range(n) if mats[i] is not None]
+        for a in known:
+            for b in known:
+                ab = group.mul(a, b)
+                if mats[ab] is None:
+                    mats[ab] = (mats[a] @ mats[b]) % prime
+                    changed = True
+    if any(m is None for m in mats):
+        raise ValidationError("matrices do not cover a generating set")
+    stack = np.stack([m for m in mats]) % prime
+    for a in range(n):
+        inv_gfp(stack[a], prime)  # raises if singular
+        for b in range(n):
+            if not np.array_equal(stack[group.mul(a, b)], (stack[a] @ stack[b]) % prime):
+                raise ValidationError("matrix assignment is not a homomorphism")
+    return stack
+
+
+def ideal_witness_by_scatter(action, v: tuple[int, ...]):
+    """First (kernel row, h) whose left shift h * row does not annihilate v, with its value,
+    by writing each shifted coefficient vector out one entry at a time; None if two-sided.
+
+    Also asserts the right-ideal property on the first kernel row the same way.
+    """
+    p, n = action.prime, action.group.order
+    rows = np.array([action.translate(v, h) for h in range(n)], dtype=np.int64)
+    kernel = nullspace_gfp(rows.T, p)
+    for row in kernel:
+        for h in range(n):
+            shifted = np.zeros(n, dtype=np.int64)
+            for gidx in range(n):
+                shifted[action.group.mul(h, gidx)] = row[gidx]
+            value = (shifted @ rows) % p
+            if value.any():
+                return tuple(int(x) for x in row), h, tuple(int(x) for x in value)
+    for row in kernel[:1]:
+        for h in range(n):
+            out = np.zeros(n, dtype=np.int64)
+            for gidx in range(n):
+                out[action.group.mul(gidx, h)] = row[gidx]
+            if ((out @ rows) % p).any():
+                raise GroupLabError("annihilator is not a right ideal")
+    return None

@@ -25,6 +25,8 @@ from grouplab.groups import (
 from grouplab import groups
 from grouplab.corpus import bundled_towers
 from oracles import (
+    classes_per_element,
+    core_by_conjugates,
     double_loop_commuting_count,
     naive_is_associative,
     rows_and_columns_are_permutations,
@@ -129,6 +131,41 @@ def test_conjugacy_classes_a5(corpus):
 def test_abelian_classes_are_singletons(corpus):
     g = corpus["Z12"]
     assert all(len(c) == 1 for c in conjugacy_classes(g))
+
+
+def _class_map_groups(corpus, perm_group):
+    """Every bundled group, plus S5, D4xQ8 and A5xA5."""
+    return [g for _, g in corpus.items()] + [
+        perm_group("S5"), perm_group("D4xQ8"), direct_product(corpus["A5"], corpus["A5"])]
+
+
+def test_class_labels_match_per_element_orbits(corpus, perm_group):
+    for g in _class_map_groups(corpus, perm_group):
+        classes = conjugacy_classes(g)
+        assert classes == classes_per_element(g), g.name
+        labels = groups._class_labels(g)
+        assert labels.dtype == np.int32 and not labels.flags.writeable
+        assert all(labels[x] == k for k, cls in enumerate(classes) for x in cls), g.name
+        assert groups._class_reps(g) == [cls[0] for cls in classes], g.name
+        assert commuting_pair_count(g) == g.order * len(classes), g.name
+
+
+def test_center_is_centralizer_of_everything(corpus, perm_group):
+    for g in _class_map_groups(corpus, perm_group):
+        assert center(g) == centralizer(g, g.elements()), g.name
+
+
+def test_core_is_intersection_of_conjugates(corpus, perm_group):
+    from grouplab.structure import enumerate_subgroups
+
+    checked = 0
+    for g in [g for _, g in corpus.items()] + [perm_group("S5")]:
+        for h in enumerate_subgroups(g):
+            inter = core_by_conjugates(g, h)
+            assert set(core(g, h).ids) == inter, (g.name, h.ids)
+            assert h.is_normal() == (inter == set(h.ids)), (g.name, h.ids)
+            checked += 1
+    assert checked > 156  # S5 alone has 156 subgroups
 
 
 def test_centralizer(corpus):
@@ -335,23 +372,17 @@ def test_permutation_of_roundtrip(corpus):
             assert composed == perms[s3.mul(a, b)]
 
 
-def _perm_groups(corpus):
+def _perm_groups(corpus, perm_group):
     """Every bundled group and tower level built from permutations, plus S5, S6 and D4xQ8."""
     yield from (g for _, g in corpus.items())
     for system in bundled_towers(corpus).values():
         yield from (g for g in system.levels if g.perm_generators is not None)
-    q8 = [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]
-    d4xq8 = [[1, 2, 3, 0] + list(range(4, 12)), [3, 2, 1, 0] + list(range(4, 12))]
-    d4xq8 += [list(range(4)) + [4 + v for v in p] for p in q8]
-    for degree, gens in ((5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
-                         (6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]),
-                         (12, d4xq8)):
-        yield build_group(generators=gens, degree=degree)
+    yield from (perm_group(name) for name in ("S5", "S6", "D4xQ8"))
 
 
-def test_row_built_tables_match_column_built_oracle(corpus):
+def test_row_built_tables_match_column_built_oracle(corpus, perm_group):
     orders = []
-    for g in _perm_groups(corpus):
+    for g in _perm_groups(corpus, perm_group):
         pg = g.perm_generators
         gens = [np.array(p, dtype=np.int32) for p in pg.perms]
         assert np.array_equal(g.table, table_by_columns(gens, pg.degree)), g.name
@@ -374,10 +405,10 @@ def _latin_mutants(table: np.ndarray):
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 16, None])
-def test_blockwise_latin_check_matches_whole_table_sort(corpus, monkeypatch, block_rows):
+def test_blockwise_latin_check_matches_whole_table_sort(corpus, perm_group, monkeypatch, block_rows):
     tables = [corpus[name].table for name in ("S3", "Q8", "S4", "A5")]
     # S6, order 720, spans several blocks at the default size, the last one ragged
-    tables.append(build_group(generators=[[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], degree=6).table)
+    tables.append(perm_group("S6").table)
     ragged_multiblock = 0
     for table in tables:
         n = table.shape[0]

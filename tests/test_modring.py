@@ -5,6 +5,7 @@ from grouplab.algebras import mr_decompose
 from grouplab.cli import _bundled_actions
 from grouplab.config import DEFAULT_CAPS
 from grouplab.errors import GroupLabError, ValidationError
+from grouplab.groups import build_group
 from grouplab.modring import (
     _translate_ring,
     _verify_translate_products,
@@ -17,7 +18,12 @@ from grouplab.modring import (
     sum_zero_action,
     translate_decomposition,
 )
-from oracles import ring_tables_pairwise, translate_formula_agrees
+from oracles import (
+    action_matrices_all_pairs,
+    ideal_witness_by_scatter,
+    ring_tables_pairwise,
+    translate_formula_agrees,
+)
 
 SWAP = {1: [[0, 1], [1, 0]]}
 
@@ -43,6 +49,81 @@ def test_action_validation(corpus):
     with pytest.raises(ValidationError):
         # involution sent to a matrix of order 3: not a homomorphism
         action_from_matrices(z2, 7, 2, {1: [[0, 1], [6, 6]]})
+
+
+def _shift(dim):
+    return [[int(j == (i + 1) % dim) for j in range(dim)] for i in range(dim)]
+
+
+def _oracle_actions(corpus):
+    """(name, group, prime, dim, matrices): the bundled actions given on every element and on
+    element 1 alone, Z4 regular over GF(3) and GF(5), and the S3 and S4 permutation modules
+    over GF(2) given on ids 0-2."""
+    for name, (action, _) in _bundled_actions(corpus, DEFAULT_CAPS).items():
+        g = action.group
+        yield name, g, action.prime, action.dim, {h: action.matrices[h] for h in g.elements()}
+        yield name + "-gens", g, action.prime, action.dim, {1: action.matrices[1]}
+    for p in (3, 5):
+        yield f"z4-regular-gf{p}", corpus["Z4"], p, 4, {1: _shift(4)}
+    for name in ("S3", "S4"):
+        perm = permutation_module_action(corpus[name], 2)
+        yield name + "-perm", corpus[name], 2, perm.dim, {h: perm.matrices[h] for h in range(3)}
+
+
+def test_action_fill_matches_all_pairs_oracle(corpus):
+    for name, g, p, dim, mats in _oracle_actions(corpus):
+        try:
+            expected = action_matrices_all_pairs(g, p, dim, mats)
+        except ValidationError:  # the first ids need not generate
+            with pytest.raises(ValidationError, match="generating set"):
+                action_from_matrices(g, p, dim, mats)
+            continue
+        assert np.array_equal(action_from_matrices(g, p, dim, mats).matrices, expected), name
+
+
+@pytest.mark.parametrize("name, p, dim, mats, message", [
+    ("Z2", 4, 2, SWAP, "not prime"),
+    ("Z2", 3, 2, {}, "generating set"),
+    ("Z2", 3, 2, {1: [[1, 0], [1, 0]]}, "singular"),
+    ("Z2", 7, 2, {1: [[0, 1], [6, 6]]}, "not a homomorphism"),
+    ("Z4", 3, 2, {9: [[1, 0], [0, 1]]}, "ids 0..3"),
+    ("Z4", 3, 2, {1: [[1, 0, 0], [0, 1, 0]]}, "wrong shape"),
+    # a correct generator, and a wrong matrix supplied for the non-generator 2
+    ("Z4", 3, 4, {1: _shift(4), 2: np.eye(4, dtype=int).tolist()}, "not a homomorphism"),
+    ("Z4", 5, 2, {0: [[2, 0], [0, 2]], 1: [[0, 1], [4, 0]]}, "not a homomorphism"),
+    # the generators commute and 1 squares to the identity, but 2 does not
+    ("V4", 5, 1, {1: [[4]], 2: [[2]]}, "not a homomorphism"),
+])
+def test_action_rejects_bad_matrices_like_all_pairs_oracle(corpus, name, p, dim, mats, message):
+    with pytest.raises(ValidationError, match=message):
+        action_matrices_all_pairs(corpus[name], p, dim, mats)
+    with pytest.raises(ValidationError, match=message):
+        action_from_matrices(corpus[name], p, dim, mats)
+
+
+def test_ring_construct_witness_matches_scatter_oracle(corpus):
+    actions = [(a, v) for a, v in _bundled_actions(corpus, DEFAULT_CAPS).values()]
+    actions.append((sum_zero_action(corpus["S4"], 5), (1, 0, 0)))
+    actions.append((action_from_matrices(corpus["Z4"], 3, 4, {1: _shift(4)}), (1, 0, 0, 0)))
+    ill = 0
+    for action, v in actions:
+        built, expected = ring_construct(action, v), ideal_witness_by_scatter(action, v)
+        assert built.well_defined == (expected is None)
+        if expected is not None:
+            w = built.witness
+            assert (w.annihilator_coeffs, w.multiplier, w.product_value) == expected
+            ill += 1
+    assert ill >= 2
+
+
+def test_ring_construct_noncommutative_group_algebra(corpus):
+    # the regular module of S3 over GF(2), generated by e_0: the group algebra GF(2)[S3]
+    s3 = corpus["S3"]
+    regular = build_group(generators=[s3.table[:, s].tolist() for s in (1, 2)], degree=6)
+    action, v = permutation_module_action(regular, 2), (1, 0, 0, 0, 0, 0)
+    built = ring_construct(action, v)
+    assert built.well_defined and not built.ring.is_commutative()
+    assert translate_formula_agrees(built.ring, action, v)
 
 
 def test_orbit_span(swap_gf3):

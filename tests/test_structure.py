@@ -32,6 +32,7 @@ from oracles import (
     conjugate_spread_per_element,
     enumerate_normal_subgroups_pairwise,
     enumerate_subgroups_all_x,
+    is_automorphism_all_pairs,
     spread_depth_bruteforce,
     sylow_subgroup_restarting,
 )
@@ -154,8 +155,8 @@ def test_is_simple_nonabelian_matches_lattice(corpus):
         assert is_simple_nonabelian(g) == (not g.is_abelian and two_normals), name
 
 
-def test_spread_matches_per_element_oracle(corpus):
-    for name, g in corpus:
+def test_spread_matches_per_element_oracle(corpus, perm_group):
+    for name, g in list(corpus) + [("S5", perm_group("S5"))]:
         assert conjugate_spread(g) == conjugate_spread_per_element(g), name
 
 
@@ -277,3 +278,26 @@ def test_automorphisms_are_homs(corpus):
     for a in report.automorphisms:
         GroupHom(g, g, a.mapping, validate=True)  # raises if not a hom
         assert sorted(int(v) for v in a.mapping) == list(g.elements())
+
+
+def test_automorphisms_pass_all_pairs_oracle(corpus):
+    checked = 0
+    products = [("S3xZ2", direct_product(corpus["S3"], corpus["Z2"])),
+                ("D4xZ2", direct_product(corpus["D4"], corpus["Z2"]))]
+    for name, g in list(corpus) + products:
+        if g.order > Caps().automorphism_order:
+            continue
+        for a in automorphism_group(g).automorphisms:
+            assert is_automorphism_all_pairs(g, a.mapping), name
+            checked += 1
+    assert checked > 120  # Aut(A5) alone has 120
+
+
+def test_automorphism_group_orders(corpus):
+    # S3xZ2 is the dihedral group of order 12; in both products some injective
+    # generator-image maps are not homomorphisms
+    cases = [(corpus["S3"], 6), (corpus["D4"], 8), (corpus["Q8"], 24),
+             (direct_power(corpus["Z2"], 3), 168),
+             (direct_product(corpus["S3"], corpus["Z2"]), 12),
+             (direct_product(corpus["D4"], corpus["Z2"]), 64)]
+    assert [len(automorphism_group(g).automorphisms) for g, _ in cases] == [n for _, n in cases]
