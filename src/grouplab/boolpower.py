@@ -276,8 +276,11 @@ def bp_quotient_iso(base: FiniteGroup, ring: FiniteBooleanRing, ideal: BooleanId
     q, proj = quotient(mat.group, sub)
     kept = [i for i in range(ring.atom_count) if not ideal.span >> i & 1]
     m = len(kept)
-    target = direct_power(base, m, name=f"{base.name}^{m}",
-                          caps=caps.with_overrides(order=max(caps.order, base.order ** max(m, 1))))
+    if m == ring.atom_count:  # the materialised power is P^m itself, up to its name
+        target = mat.group._renamed(f"{base.name}^{m}")
+    else:
+        big = caps.with_overrides(order=max(caps.order, base.order ** max(m, 1)))
+        target = direct_power(base, m, name=f"{base.name}^{m}", caps=big)
     n = base.order
     mapping = np.zeros(q.order, dtype=np.int64)
     # the first, hence minimal, id in each coset

@@ -7,6 +7,7 @@ regardless of platform.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,7 +66,12 @@ def _greedy_generators(table: np.ndarray, ids: Sequence[int] | None = None) -> l
     return gens
 
 
-_CHECK_BLOCK = 1 << 16  # cells of one block of rows in the table checks
+_CHECK_BLOCK = 1 << 16  # cells of one block of rows in the whole-table passes
+
+
+def _block_rows(width: int) -> int:
+    """Rows of `width` cells in one block of at most `_CHECK_BLOCK` cells, or one."""
+    return max(1, _CHECK_BLOCK // width)
 
 
 def _is_latin(table: np.ndarray) -> bool:
@@ -75,7 +81,7 @@ def _is_latin(table: np.ndarray) -> bool:
     block at a time, so the scratch stays near `_CHECK_BLOCK` cells at any order.
     """
     n = table.shape[0]
-    rows = min(n, max(1, _CHECK_BLOCK // n))  # a small table needs no more scratch than itself
+    rows = min(n, _block_rows(n))  # a small table needs no more scratch than itself
     offsets = np.arange(rows, dtype=np.intp)[:, None] * n
     seen = np.empty(rows * n, dtype=bool)
     for t in (table, table.T):
@@ -93,7 +99,7 @@ def _light_associativity(table: np.ndarray) -> None:
     # Light's test: associativity on a generating set proves it everywhere.
     # Rows x are compared one bounded block at a time.
     n = table.shape[0]
-    rows = max(1, _CHECK_BLOCK // n)
+    rows = _block_rows(n)
     for g in _greedy_generators(table):
         for r in range(0, n, rows):
             block = table[r:r + rows]
@@ -149,8 +155,11 @@ class FiniteGroup:
             raise ValidationError("element 0 must act as the identity")
         if not _is_latin(arr):
             raise ValidationError("table rows/columns are not permutations")
-        # every row is a permutation of 0..n-1, so its minimum 0 sits at the inverse
-        inverse = arr.argmin(axis=1).astype(np.int32)
+        # every row is a permutation of 0..n-1, so its minimum 0 sits at the inverse;
+        # taken a block of rows at a time, since argmin copies a read-only array whole
+        rows = _block_rows(n)
+        inverse = np.concatenate([arr[r:r + rows].argmin(axis=1) for r in range(0, n, rows)])
+        inverse = inverse.astype(np.int32)
         if not np.all(arr[inverse, ids] == 0):
             raise ValidationError("an element lacks a two-sided inverse")
         if validate == "full":
@@ -200,7 +209,8 @@ class FiniteGroup:
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.table, self.table.T))
+            blocks = _transpose_blocks(self.table)
+            self._abelian = all(np.array_equal(rows, cols) for rows, cols in blocks)
         return self._abelian
 
     def exponent(self) -> int:
@@ -236,8 +246,27 @@ class FiniteGroup:
             perm = perm[gen_arrays[gi]]
         return tuple(int(v) for v in perm)
 
+    def _renamed(self, name: str) -> "FiniteGroup":
+        """The same group under another name, sharing its read-only table, inverse and memos.
+
+        Like a group built from the table, it carries no permutation presentation.
+        """
+        grp = copy.copy(self)
+        grp.name = name
+        grp.perm_generators = None
+        grp._words = None
+        return grp
+
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+
+def _transpose_blocks(table: np.ndarray):
+    """Pairs (t[r:r+k], t[:, r:r+k].T) of row blocks and the matching transposed column blocks,
+    each of at most `_CHECK_BLOCK` cells: x*y against y*x for every x in the block."""
+    rows = _block_rows(table.shape[0])
+    for r in range(0, table.shape[0], rows):
+        yield table[r:r + rows], table[:, r:r + rows].T
 
 
 class Subgroup:
@@ -368,10 +397,11 @@ class GroupHom:
         if validate:
             if arr[0] != 0:
                 raise ValidationError("homomorphism must fix the identity")
-            lhs = arr[source.table]
-            rhs = target.table[arr[:, None], arr[None, :]]
-            if not np.array_equal(lhs, rhs):
-                raise ValidationError("mapping is not a homomorphism")
+            # f(xs) = f(x)f(s) for every x and every generator s is the whole law:
+            # the s for which it holds for every x are closed under products.
+            for s in _greedy_generators(source.table):
+                if not np.array_equal(arr[source.table[:, s]], target.table[arr, arr[s]]):
+                    raise ValidationError("mapping is not a homomorphism")
         arr.setflags(write=False)
         self.source = source
         self.target = target
@@ -535,8 +565,10 @@ def direct_power(p: FiniteGroup, m: int, *, name: str | None = None,
         raise ValidationError("power must be nonnegative")
     caps.check("order", p.order ** m)
     name = name or f"{p.name}^{m}"
-    if m <= 1:
-        return FiniteGroup(p.table if m else [[0]], name=name, validate="basic", caps=caps)
+    if m == 0:
+        return FiniteGroup([[0]], name=name, validate="basic", caps=caps)
+    if m == 1:
+        return p._renamed(name)
     grp = p
     for k in range(2, m + 1):
         grp = direct_product(grp, p, name=name if k == m else None, caps=caps)
@@ -594,7 +626,8 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 def commuting_pair_count(g: FiniteGroup) -> int:
     """Exact |{(x, y) : xy = yx}| with a class-counting cross-check, computed once per group."""
     if g._pairs is None:
-        count = int((g.table == g.table.T).sum())
+        blocks = _transpose_blocks(g.table)
+        count = sum(int(np.count_nonzero(rows == cols)) for rows, cols in blocks)
         if count != g.order * len(_class_reps(g)):
             raise GroupLabError("commuting-pair count disagrees with class count")
         g._pairs = count
@@ -658,8 +691,14 @@ def is_soluble(g: FiniteGroup) -> bool:
 
 
 def _coset_reps(g: FiniteGroup, ids: Sequence[int]) -> np.ndarray:
-    """For every element x, the minimal id in its left coset x*H of H = `ids`."""
-    return g.table[:, np.array(ids, dtype=np.int32)].min(axis=1)
+    """For every element x, the minimal id in its left coset x*H of H = `ids`.
+
+    Taken a block of rows x at a time; the products x*h of a block fill at most
+    `_CHECK_BLOCK` cells.
+    """
+    h = np.array(ids, dtype=np.intp)
+    rows = _block_rows(h.size)
+    return np.concatenate([g.table[r:r + rows][:, h].min(axis=1) for r in range(0, g.order, rows)])
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -668,13 +707,17 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         raise ValidationError("subgroup belongs to a different group")
     if not n.is_normal():
         raise ValidationError("subgroup is not normal")
+    name = f"{g.name}/{len(n)}"
+    if len(n) == 1:
+        q = g._renamed(name)
+        return q, GroupHom(g, q, np.arange(g.order), validate=False)
     rep = _coset_reps(g, n.ids)
     reps = np.unique(rep)
     idx_of = np.full(g.order, -1, dtype=np.int32)
     idx_of[reps] = np.arange(reps.size, dtype=np.int32)
     proj = idx_of[rep]
     qtable = proj[g.table[np.ix_(reps, reps)]]
-    q = FiniteGroup(qtable, name=f"{g.name}/{len(n)}", validate="basic")
+    q = FiniteGroup(qtable, name=name, validate="basic")
     return q, GroupHom(g, q, proj, validate=False)
 
 

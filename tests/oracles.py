@@ -98,6 +98,14 @@ def is_automorphism_all_pairs(g: FiniteGroup, mapping) -> bool:
     return all(f[g.mul(x, y)] == g.mul(f[x], f[y]) for x in g.elements() for y in g.elements())
 
 
+def is_hom_all_pairs(source: FiniteGroup, target: FiniteGroup, mapping) -> bool:
+    """f(0) = 0 and f(xy) = f(x) f(y) on every pair, as two whole tables compared at once."""
+    arr = np.asarray(mapping)
+    if arr[0] != 0:
+        return False
+    return bool(np.array_equal(arr[source.table], target.table[arr[:, None], arr[None, :]]))
+
+
 def spread_depth_bruteforce(g: FiniteGroup, x: int) -> tuple[int, dict[int, int]]:
     """Minimal number of conjugates of x or x^-1 multiplying to each element.
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from grouplab import boolpower, cli
+from grouplab import boolpower, cli, groups
 from grouplab.cli import main
 from grouplab.corpus import Corpus, bundled_corpus, load_corpus, load_group_file, save_corpus
 from grouplab.errors import ValidationError
@@ -252,6 +252,22 @@ def test_cli_boolean_power_materializes_the_power_once(tmp_path, monkeypatch):
     # the same bytes as when every call materialised its own power
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == (
         "8cf7b9e359e3839a74e6f756dffc2b6f625de96d7676ed28d9df0430348af978")
+
+
+def test_cli_boolean_power_builds_one_table_of_the_power_order(tmp_path, monkeypatch):
+    orders = []
+
+    def counted(self, table, **kwargs):
+        init(self, table, **kwargs)
+        orders.append(self.order)
+
+    init = groups.FiniteGroup.__init__
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counted)
+    code = main(["boolean-power", "--base", "A5", "--atoms", "2", "--out", str(tmp_path / "out")])
+    # the empty ideal's quotient and target share the power's table
+    assert code == 0 and orders.count(3600) == 1
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == (
+        "592d42569b785d6016248c62c9cc24f31ce9b56d4b665f26fae41ca01e4fb6fb")
 
 
 def test_cli_boolean_power_spec_file(tmp_path):

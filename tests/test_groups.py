@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import (
+    FiniteGroup,
     Subgroup,
     build_group,
     center,
@@ -226,6 +229,9 @@ def test_quotient_by_trivial(corpus):
     q, hom = quotient(g, g.trivial_subgroup())
     assert q.order == 6
     assert hom.is_injective() and hom.is_surjective()
+    # the same group under a new name, sharing the read-only arrays
+    assert q.table is g.table and q.inverse is g.inverse and q.name == "S3/1"
+    assert np.array_equal(hom.mapping, np.arange(6))
 
 
 def test_quotient_s3_by_a3(corpus):
@@ -325,7 +331,7 @@ def test_direct_product_and_power(corpus):
     assert g.order == 8 and g.name == "Z2^3"
     once = direct_power(z2, 1)
     assert once is not z2 and once.name == "Z2^1"
-    assert np.array_equal(once.table, z2.table)
+    assert once.table is z2.table and once.perm_generators is None
     assert direct_power(z2, 0).order == 1
     assert g.is_abelian and all(g.element_order(x) <= 2 for x in g.elements())
     p = direct_product(corpus["S3"], z2)
@@ -421,3 +427,43 @@ def test_blockwise_latin_check_matches_whole_table_sort(corpus, perm_group, monk
             assert not rows_and_columns_are_permutations(mutant)
             assert not groups._is_latin(mutant)
     assert ragged_multiblock or block_rows == 1  # one-row blocks are never ragged
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_blockwise_coset_reps_match_one_shot_minimum(corpus, perm_group, monkeypatch, block):
+    from grouplab.structure import enumerate_subgroups
+
+    if block is not None:
+        monkeypatch.setattr(groups, "_CHECK_BLOCK", block)
+    s6 = perm_group("S6")
+    cases = [(corpus["S4"], sub) for sub in enumerate_subgroups(corpus["S4"])]
+    # at the default size the 720 rows of S6 span eight blocks of 91, the last one ragged
+    cases += [(s6, s6.whole_subgroup()), (s6, subgroup_closure(s6, [1, 2]))]
+    for g, sub in cases:
+        one_shot = g.table[:, np.array(sub.ids)].min(axis=1)
+        assert np.array_equal(groups._coset_reps(g, sub.ids), one_shot), (g.name, len(sub))
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+def test_blockwise_commuting_count_matches_double_loop(corpus, monkeypatch, block_rows):
+    for name in ("Z1", "Z6", "S3", "Q8", "S4", "A5"):
+        g = corpus[name]
+        if block_rows is not None:
+            monkeypatch.setattr(groups, "_CHECK_BLOCK", block_rows * g.order)
+        fresh = FiniteGroup(g.table, name=name)  # nothing memoised yet
+        pairs = double_loop_commuting_count(g)
+        assert commuting_pair_count(fresh) == pairs, name
+        assert fresh.is_abelian == (pairs == g.order ** 2), name
+
+
+def test_read_only_table_needs_less_than_a_table_of_scratch(perm_group):
+    table = perm_group("S6").table
+    assert not table.flags.writeable
+    tracemalloc.start()
+    try:
+        g = FiniteGroup(table, name="S6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.table is table and np.array_equal(table[np.arange(720), g.inverse], np.zeros(720))
+    assert peak < table.nbytes
