@@ -181,27 +181,18 @@ def materialize_bp_group(base: FiniteGroup, ring: FiniteBooleanRing,
     return MaterializedBooleanPower(power=BooleanPowerGroup(base, ring), group=grp)
 
 
+def _atom_values(mat: MaterializedBooleanPower, ids: np.ndarray) -> np.ndarray:
+    """The value at every atom of each id of the power, one row per id: the id's
+    mixed-radix digits, atom 0 most significant, as `decode` reads them one by one."""
+    n, m = mat.power.base.order, mat.power.ring.atom_count
+    return np.asarray(ids, dtype=np.int64)[:, None] // n ** np.arange(m - 1, -1, -1) % n
+
+
 def _ideal_member_ids(mat: MaterializedBooleanPower, ideal: BooleanIdeal) -> list[int]:
     """Ids of elements supported inside the ideal, ascending."""
-    base_n = mat.power.base.order
-    atoms = mat.power.ring.atom_count
-    choices = []
-    for i in range(atoms):
-        if ideal.span >> i & 1:
-            choices.append(range(base_n))
-        else:
-            choices.append(range(1))
-    ids = []
-
-    def rec(i: int, acc: int) -> None:
-        if i == atoms:
-            ids.append(acc)
-            return
-        for v in choices[i]:
-            rec(i + 1, acc * base_n + v)
-
-    rec(0, 0)
-    return ids
+    outside = [i for i in range(mat.power.ring.atom_count) if not ideal.span >> i & 1]
+    values = _atom_values(mat, np.arange(mat.group.order))
+    return np.flatnonzero((values[:, outside] == 0).all(axis=1)).tolist()
 
 
 def ideal_normal_subgroup(base: FiniteGroup, ring: FiniteBooleanRing, ideal: BooleanIdeal,
@@ -281,16 +272,12 @@ def bp_quotient_iso(base: FiniteGroup, ring: FiniteBooleanRing, ideal: BooleanId
     else:
         big = caps.with_overrides(order=max(caps.order, base.order ** max(m, 1)))
         target = direct_power(base, m, name=f"{base.name}^{m}", caps=big)
-    n = base.order
-    mapping = np.zeros(q.order, dtype=np.int64)
-    # the first, hence minimal, id in each coset
-    cosets, reps = np.unique(proj.mapping, return_index=True)
-    for cos, rep in zip(cosets, reps):
-        values = mat.decode(int(rep)).values()
-        out = 0
-        for i in kept:
-            out = out * n + values[i]
-        mapping[cos] = out
+    # coset k's first, hence minimal, id, read at the kept atoms as an id of P^m
+    _, reps = np.unique(proj.mapping, return_index=True)
+    values = _atom_values(mat, reps)
+    mapping = np.zeros(reps.size, dtype=np.int64)
+    for i in kept:
+        mapping = mapping * base.order + values[:, i]
     iso = GroupHom(q, target, mapping.astype(np.int32), validate=True)
     if not (iso.is_injective() and iso.is_surjective()):
         raise GroupLabError("atom-tracing map is not a bijection")

@@ -21,7 +21,7 @@ from .boolean import BooleanIdeal, build_boolean_ring
 from .boolpower import bp_quotient_iso, materialize_bp_group, verify_ideal_correspondence
 from .config import DEFAULT_CAPS, Caps
 from .corpus import Corpus, bundled_corpus, bundled_towers, load_corpus
-from .errors import GroupLabError, ValidationError, parsing
+from .errors import GroupLabError, ValidationError, integers, parsing
 from .groups import FiniteGroup, GroupHom, Subgroup
 from .measure import (
     commuting_pairs,
@@ -177,7 +177,7 @@ def _cmd_boolean_power(args, corpus: Corpus, caps: Caps):
             if "field" in payload:
                 return _filtered_power_rows(payload, caps)
             args.base = payload["base_group"]
-            args.atoms = int(payload["atoms"])
+            args.atoms = int(integers(payload["atoms"], "atoms must be an integer", 0))
     if not args.base or args.atoms is None:
         raise ValidationError("boolean-power needs --base/--atoms or --spec")
     base = corpus[args.base]
@@ -214,7 +214,8 @@ def _filtered_power_rows(payload: dict, caps: Caps):
     from .boolpower import filtered_power, filtered_power_spec
 
     field = field_by_name(payload["field"])
-    ring = build_boolean_ring(int(payload["atoms"]), caps=caps)
+    ring = build_boolean_ring(int(integers(payload["atoms"], "atoms must be an integer", 0)),
+                              caps=caps)
     constraints = []
     described = []
     for entry in payload.get("constraints", ()):
@@ -223,8 +224,9 @@ def _filtered_power_rows(payload: dict, caps: Caps):
         if sub.char != field.char or sub.size not in (field.char, field.size):
             raise ValidationError(f"{entry['subfield']} is not a subfield of {payload['field']}")
         ids = prime_subfield_ids(field) if sub.size == field.char else frozenset(field.elements())
-        constraints.append((entry["points"], ids))
-        described.append(f"{','.join(str(p) for p in entry['points'])}:{entry['subfield']}")
+        points = integers(entry["points"], "points must be a list of integers", 1).tolist()
+        constraints.append((points, ids))
+        described.append(f"{','.join(str(p) for p in points)}:{entry['subfield']}")
     spec = filtered_power_spec(field, ring, constraints)
     algebra = filtered_power(spec, caps=caps)
     decomp = mr_decompose(algebra, caps=caps)
@@ -307,10 +309,11 @@ def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAct
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         g = corpus[payload["group"]]
         matrices = {int(k): v for k, v in payload["matrices"].items()}
-        action = action_from_matrices(g, int(payload["p"]), int(payload["dim"]), matrices,
-                                      caps=caps)
+        p = int(integers(payload["p"], "p must be an integer", 0))
+        dim = int(integers(payload["dim"], "dim must be an integer", 0))
+        action = action_from_matrices(g, p, dim, matrices, caps=caps)
         if "v" in payload:
-            v = tuple(int(x) for x in payload["v"])
+            v = tuple(integers(payload["v"], "v must be a list of integers", 1).tolist())
             if len(v) != action.dim:
                 raise ValidationError(f"v has {len(v)} coordinates, dim is {action.dim}")
             return action, v
@@ -366,7 +369,8 @@ def _cmd_verify_inequalities(args, corpus: Corpus, caps: Caps):
     if args.beta_table:
         with parsing(args.beta_table):
             raw = json.loads(Path(args.beta_table).read_text(encoding="utf-8"))
-            beta = {int(k): int(v) for k, v in raw.items()}
+            beta = {int(k): int(integers(v, f"beta for rank {k} must be an integer", 0))
+                    for k, v in raw.items()}
     members, select_errors = _select_groups(corpus, args.group)
     report = verify_inequalities(members, beta_table=beta, caps=caps)
     items = []

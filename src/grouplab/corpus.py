@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import ValidationError, parsing
+from .errors import ValidationError, integers, parsing
 from .groups import FiniteGroup, Subgroup, build_group, subgroup_closure
 from .towers import InverseSystem, coset_action_system, direct_power_system
 
@@ -194,11 +194,12 @@ def load_group_file(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> FiniteGro
             raise ValidationError("missing group name")
         if "table" in payload:
             g = build_group(table=payload["table"], name=name, caps=caps)
-            if "order" in payload and int(payload["order"]) != g.order:
+            order = payload.get("order", g.order)
+            if int(integers(order, "order must be an integer", 0)) != g.order:
                 raise ValidationError("declared order does not match the table")
         elif "generators" in payload:
-            g = build_group(generators=payload["generators"],
-                            degree=int(payload["degree"]), name=name, caps=caps)
+            degree = int(integers(payload["degree"], "degree must be an integer", 0))
+            g = build_group(generators=payload["generators"], degree=degree, name=name, caps=caps)
         else:
             raise ValidationError("need either a table or generators")
     return g
@@ -222,7 +223,8 @@ def load_corpus(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> Corpus:
             entries = json.loads(index_path.read_text(encoding="utf-8"))
     for entry in entries:
         with parsing(index_path):
-            fname, order = entry["file"], int(entry.get("order", 0))
+            fname = entry["file"]
+            order = int(integers(entry.get("order", 0), "order must be an integer", 0))
         if fname == "index.json":
             continue
         g = load_group_file(root / fname, caps=caps)

@@ -4,6 +4,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 
 class GroupLabError(Exception):
     """Base class for all toolkit errors."""
@@ -53,3 +55,20 @@ def parsing(path: str | Path) -> Iterator[None]:
         yield
     except (ValidationError, ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ValidationError(f"{Path(path).name}: {exc}") from exc
+
+
+def integers(value, error: str, ndim: int | None = None) -> np.ndarray:
+    """`value` as a numpy array of integers of rank `ndim` (any rank if None),
+    else a ValidationError with the message `error`.
+
+    int() would truncate 1.9 to 1 and read True or "1" as 1; the kind of the
+    array numpy makes of the value tells them apart.  An empty value has no
+    entry that is not an integer.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        raise ValidationError(error) from None
+    if (arr.size and arr.dtype.kind not in "iu") or (ndim is not None and arr.ndim != ndim):
+        raise ValidationError(error)
+    return arr

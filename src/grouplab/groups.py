@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, GroupLabError, ValidationError
+from .errors import CapExceeded, GroupLabError, ValidationError, integers
 
 __all__ = [
     "FiniteGroup",
@@ -141,8 +141,7 @@ class FiniteGroup:
         n = raw.shape[0]
         if n == 0:
             raise ValidationError("a group has at least one element")
-        if raw.dtype.kind not in "iu":
-            raise ValidationError(f"multiplication table entries must be integers, not {raw.dtype}")
+        integers(raw, f"multiplication table entries must be integers, not {raw.dtype}")
         caps.check("order", n)
         if validate not in ("full", "basic"):
             raise ValueError(f"unknown validation level {validate!r}")
@@ -275,6 +274,8 @@ class Subgroup:
     __slots__ = ("group", "ids", "_members", "_gens")
 
     def __init__(self, group: FiniteGroup, ids: Iterable[int], *, validate: bool = True):
+        if validate:
+            ids = integers(list(ids), "subgroup ids must be a list of integers", 1)
         sorted_ids = tuple(sorted({int(x) for x in ids}))
         if not sorted_ids:
             raise ValidationError("a subgroup is nonempty")
@@ -388,7 +389,7 @@ class GroupHom:
         *,
         validate: bool = True,
     ):
-        raw = np.asarray(mapping)
+        raw = integers(mapping, "homomorphism images must be integers")
         if raw.shape != (source.order,):
             raise ValidationError("homomorphism mapping has wrong length")
         if raw.min() < 0 or raw.max() >= target.order:
@@ -532,10 +533,10 @@ def build_group(
         raise ValidationError("degree must be at least 1")
     gen_arrays = []
     for images in generators or ():
-        arr = np.asarray(list(images))
-        if (arr.shape != (degree,) or arr.dtype.kind not in "iu"
-                or not np.array_equal(np.sort(arr), np.arange(degree))):
-            raise ValidationError(f"not a permutation of {degree} points: {list(images)!r}")
+        bad = f"not a permutation of {degree} points: {list(images)!r}"
+        arr = integers(list(images), bad)
+        if arr.shape != (degree,) or not np.array_equal(np.sort(arr), np.arange(degree)):
+            raise ValidationError(bad)
         gen_arrays.append(arr.astype(np.int32))
     return _group_from_perms(gen_arrays, degree, name=name, caps=caps)[0]
 

@@ -28,7 +28,7 @@ from .groups import (
     quotient,
 )
 from .linalg import rank_gfp, split_prime_power
-from .structure import enumerate_normal_subgroups, enumerate_subgroups, prufer_rank
+from .structure import _relative_rank, enumerate_normal_subgroups, enumerate_subgroups
 
 __all__ = [
     "CommutingStats",
@@ -146,15 +146,13 @@ def neumann_search(g: FiniteGroup, *, name: str | None = None,
 
 
 def group_rank_bound(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
-    """Max over subgroups H of the rank of H / core(H), the per-group input to rho_r."""
-    best = 0
-    for h in enumerate_subgroups(g, caps=caps):
-        h_core = core(g, h)
-        h_grp, _ = h.as_group()
-        core_local = Subgroup(h_grp, _local_ids(h, h_core.ids), validate=False)
-        q, _ = quotient(h_grp, core_local)
-        best = max(best, prufer_rank(q, caps=caps))
-    return best
+    """Max over subgroups H of the rank of H / core(H), the per-group input to rho_r.
+
+    A subgroup of H/core(H) is K/C with C = core(H) <= K <= H, and then C = core(K):
+    C <= core(K) as C is normal in g and inside K, and core(K) <= C as K <= H.
+    Each K is also its own H, so this is the max over subgroups K of d(K/core(K)).
+    """
+    return max(_relative_rank(g, core(g, k), k) for k in enumerate_subgroups(g, caps=caps))
 
 
 @dataclass(frozen=True)

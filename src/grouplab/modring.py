@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebras import FiniteCommutativeAlgebra
 from .config import DEFAULT_CAPS, Caps
-from .errors import GroupLabError, ValidationError
+from .errors import GroupLabError, ValidationError, integers
 from .groups import FiniteGroup, _greedy_generators
 from .linalg import inv_gfp, is_prime, nullspace_gfp
 
@@ -82,7 +82,8 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
     for eid, rows in matrices.items():
         if not 0 <= int(eid) < n:
             raise ValidationError(f"matrix for element {eid}: {group.name} has ids 0..{n - 1}")
-        m = np.asarray(rows, dtype=np.int64) % prime
+        bad = f"matrix for element {eid} must be rows of integers"
+        m = (integers(rows, bad) % prime).astype(np.int64)
         if m.shape != (dim, dim):
             raise ValidationError(f"matrix for element {eid} has wrong shape")
         stack[int(eid)] = m

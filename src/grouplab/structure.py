@@ -155,40 +155,35 @@ def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadRepo
     return SpreadReport(m=max(w.depth for w in witnesses), witnesses=tuple(witnesses))
 
 
-def minimal_generator_count(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
-    """Smallest k such that some k elements generate g.
+def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
+    """d(sub/base): the smallest k such that `base` and some k elements of `sub` generate `sub`.
 
-    Searches k = 1, 2, ... exhaustively; the first chosen generator ranges
-    only over conjugacy-class representatives (conjugating a generating set
-    yields a generating set).
+    `base` is normal in `sub`.  As <base, x> = <base, xb> for b in base, the
+    candidates are the minimal representatives of the cosets of `base` in `sub`
+    other than `base` itself, and each unordered k-subset of them is tried once.
     """
-    n = g.order
-    if n == 1:
+    if len(base) == len(sub):
         return 0
-    caps.check("subgroup_order", n)
-    reps = _class_reps(g)[1:]
-    rest = list(range(1, n))
-    k = 1
-    while True:
-        for first in reps:
-            others = [x for x in rest if x != first]
-            for combo in itertools.combinations(others, k - 1):
-                if _closure_mask(g.table, (first,) + combo).all():
-                    return k
-        k += 1
-        if k > n.bit_length():
-            raise GroupLabError("generator search exceeded the log2 bound")
+    reps = np.unique(_coset_reps(g, base.ids)[list(sub.ids)])[1:].tolist()
+    for k in range(1, (len(sub) // len(base)).bit_length() + 1):
+        for combo in itertools.combinations(reps, k):
+            if np.count_nonzero(_closure_mask(g.table, combo, base.ids)) == len(sub):
+                return k
+    raise GroupLabError("generator search exceeded the log2 bound")
+
+
+def minimal_generator_count(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
+    """Smallest k such that some k elements generate g."""
+    if g.order == 1:
+        return 0
+    caps.check("subgroup_order", g.order)
+    return _relative_rank(g, g.trivial_subgroup(), g.whole_subgroup())
 
 
 def prufer_rank(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
     """Max over subgroups of the minimal generating-set size; 0 for the trivial group."""
-    best = 0
-    for sub in enumerate_subgroups(g, caps=caps):
-        if len(sub) == 1:
-            continue
-        grp, _ = sub.as_group()
-        best = max(best, minimal_generator_count(grp, caps=caps))
-    return best
+    trivial = g.trivial_subgroup()
+    return max(_relative_rank(g, trivial, k) for k in enumerate_subgroups(g, caps=caps))
 
 
 def sylow_subgroup(g: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) -> Subgroup:

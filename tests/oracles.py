@@ -16,12 +16,17 @@ from grouplab.errors import CapExceeded, GroupLabError, ValidationError
 from grouplab.groups import (
     FiniteGroup,
     Subgroup,
+    _class_reps,
+    _closure_mask,
+    _local_ids,
     _perm_closure,
     conjugacy_classes,
+    core,
+    quotient,
     subgroup_closure,
 )
 from grouplab.linalg import inv_gfp, is_prime, nullspace_gfp
-from grouplab.structure import SpreadReport, SpreadWitness
+from grouplab.structure import SpreadReport, SpreadWitness, enumerate_subgroups
 
 
 def double_loop_commuting_count(g: FiniteGroup) -> int:
@@ -402,3 +407,54 @@ def ideal_witness_by_scatter(action, v: tuple[int, ...]):
             if ((out @ rows) % p).any():
                 raise GroupLabError("annihilator is not a right ideal")
     return None
+
+
+def minimal_generator_count_from_class_reps(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
+    """Smallest k such that some k elements generate g.
+
+    Searches k = 1, 2, ... exhaustively; the first chosen generator ranges
+    only over conjugacy-class representatives (conjugating a generating set
+    yields a generating set).
+    """
+    n = g.order
+    if n == 1:
+        return 0
+    caps.check("subgroup_order", n)
+    reps = _class_reps(g)[1:]
+    rest = list(range(1, n))
+    k = 1
+    while True:
+        for first in reps:
+            others = [x for x in rest if x != first]
+            for combo in itertools.combinations(others, k - 1):
+                if _closure_mask(g.table, (first,) + combo).all():
+                    return k
+        k += 1
+        if k > n.bit_length():
+            raise GroupLabError("generator search exceeded the log2 bound")
+
+
+def prufer_rank_of_subgroup_groups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
+    """Max over subgroups of the minimal generating-set size; 0 for the trivial group.
+
+    Each subgroup is rebuilt as a group of its own and searched there.
+    """
+    best = 0
+    for sub in enumerate_subgroups(g, caps=caps):
+        if len(sub) == 1:
+            continue
+        grp, _ = sub.as_group()
+        best = max(best, minimal_generator_count_from_class_reps(grp, caps=caps))
+    return best
+
+
+def group_rank_bound_of_quotients(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
+    """Max over subgroups H of the Pruefer rank of H / core(H), each quotient built as a group."""
+    best = 0
+    for h in enumerate_subgroups(g, caps=caps):
+        h_core = core(g, h)
+        h_grp, _ = h.as_group()
+        core_local = Subgroup(h_grp, _local_ids(h, h_core.ids), validate=False)
+        q, _ = quotient(h_grp, core_local)
+        best = max(best, prufer_rank_of_subgroup_groups(q, caps=caps))
+    return best

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from grouplab.algebras import gf, mr_decompose
 from grouplab.boolean import BooleanIdeal, build_boolean_ring
 from grouplab.boolpower import (
     BooleanPowerGroup,
+    _atom_values,
     bp_multiply,
     bp_quotient_iso,
     filtered_power,
@@ -113,6 +115,12 @@ def test_encode_decode_roundtrip(corpus):
     mat = materialize_bp_group(corpus["S3"], build_boolean_ring(2))
     for gid in range(mat.group.order):
         assert mat.encode(mat.decode(gid)) == gid
+
+
+def test_atom_values_are_decoded_values(corpus):
+    mat = materialize_bp_group(corpus["S3"], build_boolean_ring(3))
+    values = _atom_values(mat, np.arange(mat.group.order))
+    assert values.tolist() == [mat.decode(gid).values() for gid in range(mat.group.order)]
 
 
 def test_atom_evaluation_is_isomorphism(corpus):

@@ -143,6 +143,22 @@ def test_cli_rho_golden(tmp_path, corpus):
         assert got[order] == golden.get(order, "inf")
 
 
+def test_cli_rho_r_golden(tmp_path, corpus):
+    # golden values from the oracle that builds every H/core(H) as a group
+    from oracles import group_rank_bound_of_quotients
+
+    golden = {}
+    for name, g in corpus:
+        if g.order <= 24:
+            rank = group_rank_bound_of_quotients(g)
+            golden[g.order] = max(golden.get(g.order, rank), rank)
+    code, text = _run(tmp_path, ["rho", "--kind", "r", "--max-order", "24"])
+    assert code == 0
+    items = json.loads(text)["items"]
+    got = {row["order"]: row["value"] for row in items}
+    assert got == {order: golden.get(order, "inf") for order in range(1, 25)}
+
+
 def test_cli_no_floats_anywhere(tmp_path):
     for args in (["analyze-group"], ["rho", "--kind", "com"], ["inverse-system"]):
         code, text = _run(tmp_path, args)
@@ -324,6 +340,31 @@ def test_cli_filtered_power_rejects_non_subfield(tmp_path):
      {"group": "Z4", "p": 5, "dim": 1, "matrices": {"-3": [[2]]}}),
     ("ring-from-module", "--action-file", "action.json",
      {"group": "Z4", "p": 5, "dim": 1, "matrices": {"1": [[2]]}, "v": [1, 0]}),
+    # numbers that int() would truncate or read as integers
+    ("inverse-system", "--tower-file", "tower.json",
+     {"levels": ["Z2", "Z4"], "projections": [[0, 1.9, 0, 1]]}),
+    ("inverse-system", "--tower-file", "tower.json",
+     {"levels": ["Z2", "Z4"], "projections": [[False, True, False, True]]}),
+    ("inverse-system", "--tower-file", "tower.json",
+     {"group": "Z8", "chain": [list(range(8)), [0, 4.5], [0]]}),
+    ("inverse-system", "--tower-file", "tower.json",
+     {"group": "Z8", "chain": [list(range(8)), ["0", "4"], [0]]}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z2", "p": 3, "dim": 2, "matrices": {"1": [[0, 1.7], [1, 0]]}}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z2", "p": 3.9, "dim": 2, "matrices": {"1": [[0, 1], [1, 0]]}}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z2", "p": 3, "dim": 2.0, "matrices": {"1": [[0, 1], [1, 0]]}}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z2", "p": 3, "dim": 2, "matrices": {"1": [[0, 1], [1, 0]]}, "v": [1.2, 0]}),
+    ("boolean-power", "--spec", "bp.json", {"base_group": "S3", "atoms": 2.6}),
+    ("boolean-power", "--spec", "bp.json",
+     {"field": "GF4", "atoms": 2, "constraints": [{"points": [True], "subfield": "GF2"}]}),
+    ("verify-inequalities", "--beta-table", "beta.json", {"0": 1, "1": 2.5, "2": 6}),
+    ("analyze-group", "--corpus", "index.json",
+     [{"name": "S3", "order": 6.5, "file": "S3.json"}]),
+    ("analyze-group", "--corpus", "S3.json",
+     {"name": "S3", "degree": 3.5, "generators": [[1, 0, 2], [1, 2, 0]]}),
 ])
 def test_cli_malformed_file_is_one_error_line(tmp_path, capsys, corpus,
                                               subcommand, flag, fname, payload):

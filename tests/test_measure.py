@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from grouplab import groups
 from grouplab.errors import ValidationError
 from grouplab.groups import commuting_pair_count, direct_product
 from grouplab.measure import (
@@ -13,9 +14,9 @@ from grouplab.measure import (
     rho_wedge,
     verify_inequalities,
 )
-from grouplab.structure import enumerate_normal_subgroups
+from grouplab.structure import enumerate_normal_subgroups, prufer_rank
 
-from oracles import double_loop_commuting_count
+from oracles import double_loop_commuting_count, group_rank_bound_of_quotients
 
 
 def test_commuting_pairs_examples(corpus):
@@ -129,6 +130,25 @@ def test_group_rank_bound_s3(corpus):
     assert group_rank_bound(corpus["S3"]) == 1
     assert group_rank_bound(corpus["V4"]) == 0  # all subgroups normal -> trivial quotients
     assert group_rank_bound(corpus["S4"]) == 2
+
+
+def test_group_rank_bound_matches_quotient_groups(corpus, perm_group):
+    for g in [g for _, g in corpus] + [perm_group("S5"), perm_group("D4xQ8")]:
+        assert group_rank_bound(g) == group_rank_bound_of_quotients(g), g.name
+
+
+def test_rank_searches_build_no_group(corpus, monkeypatch):
+    built = []
+
+    def counted(self, table, **kwargs):
+        built.append(kwargs.get("name"))
+        init(self, table, **kwargs)
+
+    init = groups.FiniteGroup.__init__
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counted)
+    s4 = corpus["S4"]
+    assert group_rank_bound(s4) == 2 and prufer_rank(s4) == 2
+    assert built == []
 
 
 def test_rho_wedge_heisenberg(corpus):

@@ -5,16 +5,20 @@ import pytest
 from grouplab.config import Caps
 from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import (
+    Subgroup,
     _greedy_generators,
+    _local_ids,
     _normal_closure,
     commutator_subgroup,
     conjugacy_classes,
     direct_power,
     direct_product,
     normal_closure,
+    quotient,
     subgroup_closure,
 )
 from grouplab.structure import (
+    _relative_rank,
     automorphism_group,
     conjugate_spread,
     enumerate_normal_subgroups,
@@ -33,6 +37,8 @@ from oracles import (
     enumerate_normal_subgroups_pairwise,
     enumerate_subgroups_all_x,
     is_automorphism_all_pairs,
+    minimal_generator_count_from_class_reps,
+    prufer_rank_of_subgroup_groups,
     spread_depth_bruteforce,
     sylow_subgroup_restarting,
 )
@@ -213,6 +219,30 @@ def test_prufer_rank(corpus):
     assert prufer_rank(corpus["S3"]) == 2
     assert prufer_rank(corpus["Q8"]) == 2
     assert prufer_rank(corpus["Z1"]) == 0
+
+
+def test_minimal_generator_count_matches_class_rep_search(corpus, perm_group):
+    # D4xQ8 is left to the CI stretch step, which asserts the oracle's value 4:
+    # the two searches on it take about 7 s together.
+    for g in [g for _, g in corpus] + [perm_group("S5")]:
+        assert minimal_generator_count(g) == minimal_generator_count_from_class_reps(g), g.name
+
+
+def test_prufer_rank_matches_subgroups_as_groups(corpus):
+    for g in [g for _, g in corpus] + [direct_power(corpus["Z2"], 4)]:
+        assert prufer_rank(g) == prufer_rank_of_subgroup_groups(g), g.name
+
+
+@pytest.mark.parametrize("name", ["S4", "D4"])
+def test_relative_rank_is_rank_of_quotient(corpus, name):
+    g = corpus[name]
+    subgroups = enumerate_subgroups(g)
+    for n in enumerate_normal_subgroups(g):
+        for k in subgroups:
+            if k.contains_subgroup(n):
+                k_grp, _ = k.as_group()
+                q, _ = quotient(k_grp, Subgroup(k_grp, _local_ids(k, n.ids)))
+                assert _relative_rank(g, n, k) == minimal_generator_count_from_class_reps(q)
 
 
 def test_sylow(corpus):
