@@ -21,7 +21,7 @@ from .boolean import BooleanIdeal, build_boolean_ring
 from .boolpower import bp_quotient_iso, materialize_bp_group, verify_ideal_correspondence
 from .config import DEFAULT_CAPS, Caps
 from .corpus import Corpus, bundled_corpus, bundled_towers, load_corpus
-from .errors import GroupLabError, ValidationError, integers, parsing
+from .errors import GroupLabError, ValidationError, integer_key, integers, parsing
 from .groups import FiniteGroup, GroupHom, Subgroup
 from .measure import (
     commuting_pairs,
@@ -308,7 +308,8 @@ def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAct
     with parsing(path):
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         g = corpus[payload["group"]]
-        matrices = {int(k): v for k, v in payload["matrices"].items()}
+        matrices = {integer_key(k, f"matrices key {k!r} is not an element id"): v
+                    for k, v in payload["matrices"].items()}
         p = int(integers(payload["p"], "p must be an integer", 0))
         dim = int(integers(payload["dim"], "dim must be an integer", 0))
         action = action_from_matrices(g, p, dim, matrices, caps=caps)
@@ -369,7 +370,8 @@ def _cmd_verify_inequalities(args, corpus: Corpus, caps: Caps):
     if args.beta_table:
         with parsing(args.beta_table):
             raw = json.loads(Path(args.beta_table).read_text(encoding="utf-8"))
-            beta = {int(k): int(integers(v, f"beta for rank {k} must be an integer", 0))
+            beta = {integer_key(k, f"beta table key {k!r} is not a rank"):
+                    int(integers(v, f"beta for rank {k} must be an integer", 0))
                     for k, v in raw.items()}
     members, select_errors = _select_groups(corpus, args.group)
     report = verify_inequalities(members, beta_table=beta, caps=caps)

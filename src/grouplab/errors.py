@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit."""
 
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -72,3 +73,14 @@ def integers(value, error: str, ndim: int | None = None) -> np.ndarray:
     if (arr.size and arr.dtype.kind not in "iu") or (ndim is not None and arr.ndim != ndim):
         raise ValidationError(error)
     return arr
+
+
+def integer_key(key: str, error: str) -> int:
+    """The JSON object key `key` as an int when it is a canonical decimal, else a
+    ValidationError with the message `error`.
+
+    int() would read "0_1" or " 1" as 1, so two keys could name one entry.
+    """
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise ValidationError(error)
+    return int(key)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, GroupLabError, ValidationError, integers
+from .errors import GroupLabError, ValidationError, integers
 
 __all__ = [
     "FiniteGroup",
@@ -67,6 +67,16 @@ def _greedy_generators(table: np.ndarray, ids: Sequence[int] | None = None) -> l
 
 
 _CHECK_BLOCK = 1 << 16  # cells of one block of rows in the whole-table passes
+_ID16_LIMIT = 1 << 15   # largest order whose element ids are stored as int16
+
+
+def _id_dtype(order: int) -> type:
+    """The dtype of the element ids in the table and inverse of a group of `order`.
+
+    int16 while every id fits, int32 above: the table is most of a group's
+    memory, and int16 halves it.  Signed, so that a -1 sentinel keeps its meaning.
+    """
+    return np.int16 if order <= _ID16_LIMIT else np.int32
 
 
 def _block_rows(width: int) -> int:
@@ -122,7 +132,8 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     `table[a, b]` is the id of the product a*b.  The table and inverse array
-    are read-only numpy arrays; instances are immutable and safe to share.
+    are read-only numpy arrays of dtype `_id_dtype(order)`; instances are
+    immutable and safe to share.
     """
 
     def __init__(
@@ -145,11 +156,12 @@ class FiniteGroup:
         caps.check("order", n)
         if validate not in ("full", "basic"):
             raise ValueError(f"unknown validation level {validate!r}")
-        # before the int32 cast, which would wrap an entry such as 2**32 into range
+        # before the cast to the id dtype, which would wrap an entry such as 2**32 into range
         if raw.min() < 0 or raw.max() >= n:
             raise ValidationError("table entry out of range")
-        arr = np.ascontiguousarray(raw, dtype=np.int32)
-        ids = np.arange(n, dtype=np.int32)
+        dtype = _id_dtype(n)
+        arr = np.ascontiguousarray(raw, dtype=dtype)  # no copy of a table built in `dtype`
+        ids = np.arange(n, dtype=dtype)
         if not (np.array_equal(arr[0], ids) and np.array_equal(arr[:, 0], ids)):
             raise ValidationError("element 0 must act as the identity")
         if not _is_latin(arr):
@@ -158,7 +170,7 @@ class FiniteGroup:
         # taken a block of rows at a time, since argmin copies a read-only array whole
         rows = _block_rows(n)
         inverse = np.concatenate([arr[r:r + rows].argmin(axis=1) for r in range(0, n, rows)])
-        inverse = inverse.astype(np.int32)
+        inverse = inverse.astype(dtype)
         if not np.all(arr[inverse, ids] == 0):
             raise ValidationError("an element lacks a two-sided inverse")
         if validate == "full":
@@ -357,7 +369,7 @@ class Subgroup:
     def as_group(self, *, name: str | None = None) -> tuple[FiniteGroup, "GroupHom"]:
         """Reindexed copy of this subgroup plus the embedding hom into the parent."""
         arr = np.array(self.ids, dtype=np.int32)
-        table = _local_ids(self, self.group.table[np.ix_(arr, arr)])
+        table = _local_ids(self, self.group.table[np.ix_(arr, arr)])  # in the subgroup's id dtype
         grp = FiniteGroup(table, name=name or f"{self.group.name}-sub{len(arr)}", validate="basic")
         embed = GroupHom(grp, self.group, arr, validate=False)
         return grp, embed
@@ -367,12 +379,13 @@ class Subgroup:
 
 
 def _local_ids(sub: Subgroup, ids) -> np.ndarray:
-    """Ids of elements of `sub` in `sub.as_group()`: their positions in the sorted `sub.ids`.
+    """Ids of elements of `sub` in `sub.as_group()`: their positions in the sorted `sub.ids`,
+    of that group's id dtype.
 
     Elements outside `sub` get -1.
     """
-    local = np.full(sub.group.order, -1, dtype=np.int32)
-    local[np.array(sub.ids, dtype=np.int32)] = np.arange(len(sub), dtype=np.int32)
+    local = np.full(sub.group.order, -1, dtype=_id_dtype(len(sub)))
+    local[np.array(sub.ids, dtype=np.int32)] = np.arange(len(sub))
     return local[np.asarray(ids)]
 
 
@@ -454,7 +467,7 @@ class Series:
 
 
 def _perm_closure(
-    gen_arrays: list[np.ndarray], degree: int, cap: int
+    gen_arrays: list[np.ndarray], degree: int, caps: Caps
 ) -> tuple[list[np.ndarray], dict[bytes, int], list[int], list[int]]:
     """BFS closure of permutations under right multiplication by the generators.
 
@@ -473,8 +486,7 @@ def _perm_closure(
             new = cur[gp]
             key = new.tobytes()
             if key not in index:
-                if len(perms) >= cap:
-                    raise CapExceeded("order", cap, len(perms) + 1, "permutation closure")
+                caps.check("order", len(perms) + 1, "permutation closure")
                 index[key] = len(perms)
                 perms.append(new)
                 parents.append(qi)
@@ -491,10 +503,10 @@ def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
     i = parent*gen gives i*j = parent*(gen*j), so row i is the parent's row
     read through the left-multiplication column of the generator.
     """
-    perms, index, parents, genidx = _perm_closure(gen_arrays, degree, caps.order)
+    perms, index, parents, genidx = _perm_closure(gen_arrays, degree, caps)
     n = len(perms)
-    table = np.empty((n, n), dtype=np.int32)
-    table[0] = np.arange(n, dtype=np.int32)
+    table = np.empty((n, n), dtype=_id_dtype(n))
+    table[0] = np.arange(n)
     left = [np.fromiter((index[g[perm].tobytes()] for perm in perms), dtype=np.intp, count=n)
             for g in gen_arrays]
     for i in range(1, n):
@@ -544,9 +556,10 @@ def build_group(
 def cyclic_group(n: int, *, name: str | None = None, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
     if n < 1:
         raise ValidationError("cyclic group order must be positive")
-    ids = np.arange(n, dtype=np.int32)
-    table = (ids[:, None] + ids[None, :]) % n
-    return FiniteGroup(table.astype(np.int32), name=name or f"Z{n}", validate="basic", caps=caps)
+    ids = np.arange(n, dtype=_id_dtype(n))
+    # row i is (i + j) mod n: the window at i over ids followed by ids again, with no sum to overflow
+    table = np.lib.stride_tricks.sliding_window_view(np.concatenate([ids, ids[:-1]]), n)
+    return FiniteGroup(table, name=name or f"Z{n}", validate="basic", caps=caps)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, *, name: str | None = None,
@@ -554,7 +567,10 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *, name: str | None = None,
     """Direct product with ids encoded as x*|b| + y (first factor most significant)."""
     na, nb = a.order, b.order
     caps.check("order", na * nb)
-    t = a.table[:, None, :, None].astype(np.int32) * nb + b.table[None, :, None, :]
+    # x*nb for every product x of a, then the one n^2 array, built in the product's id
+    # dtype: (na-1)*nb + nb-1 < na*nb fits it
+    high = (np.arange(na) * nb).astype(_id_dtype(na * nb))[a.table]
+    t = high[:, None, :, None] + b.table[None, :, None, :]
     table = t.reshape(na * nb, na * nb)
     return FiniteGroup(table, name=name or f"{a.name}x{b.name}", validate="basic", caps=caps)
 
@@ -714,8 +730,8 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         return q, GroupHom(g, q, np.arange(g.order), validate=False)
     rep = _coset_reps(g, n.ids)
     reps = np.unique(rep)
-    idx_of = np.full(g.order, -1, dtype=np.int32)
-    idx_of[reps] = np.arange(reps.size, dtype=np.int32)
+    idx_of = np.full(g.order, -1, dtype=_id_dtype(reps.size))  # so the quotient's table is built in it
+    idx_of[reps] = np.arange(reps.size)
     proj = idx_of[rep]
     qtable = proj[g.table[np.ix_(reps, reps)]]
     q = FiniteGroup(qtable, name=name, validate="basic")

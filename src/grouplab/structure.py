@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, GroupLabError, ValidationError
+from .errors import GroupLabError, ValidationError
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -47,12 +47,11 @@ def _canonical(subs: dict[tuple[int, ...], Subgroup]) -> list[Subgroup]:
     return [subs[key] for key in sorted(subs, key=lambda ids: (len(ids), ids))]
 
 
-def _record(found: dict[tuple[int, ...], Subgroup], sub: Subgroup, cap: str, limit: int) -> bool:
-    """Add `sub` to `found` unless it is there already; True when it is new."""
+def _record(found: dict[tuple[int, ...], Subgroup], sub: Subgroup, cap: str, caps: Caps) -> bool:
+    """Add `sub` to `found` unless it is there already, within the count `cap`; True when it is new."""
     if sub.ids in found:
         return False
-    if len(found) >= limit:
-        raise CapExceeded(cap, limit, len(found) + 1)
+    caps.check(cap, len(found) + 1)
     found[sub.ids] = sub
     return True
 
@@ -67,14 +66,14 @@ def enumerate_subgroups(
     representatives of the left cosets xH other than H; each closure grows from H.
     """
     caps.check("subgroup_order", g.order)
-    limit = max_count if max_count is not None else caps.subgroup_count
+    caps = caps.with_overrides(subgroup_count=max_count)
     found: dict[tuple[int, ...], Subgroup] = {}
     worklist = [g.trivial_subgroup()]
-    _record(found, worklist[0], "subgroup_count", limit)
+    _record(found, worklist[0], "subgroup_count", caps)
     for h in worklist:
         for x in np.unique(_coset_reps(g, h.ids))[1:].tolist():
             sub = subgroup_closure(g, h.gens + (x,), start=h)
-            if _record(found, sub, "subgroup_count", limit):
+            if _record(found, sub, "subgroup_count", caps):
                 worklist.append(sub)
     return _canonical(found)
 
@@ -87,18 +86,17 @@ def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> 
     each principal P not inside N reaches them all.  N*P grows from N under P.gens.
     """
     caps.check("order", g.order)
-    limit = caps.normal_subgroup_count
     found: dict[tuple[int, ...], Subgroup] = {}
-    _record(found, g.trivial_subgroup(), "normal_subgroup_count", limit)
+    _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
     gens = _greedy_generators(g.table)
     closures = (_normal_closure(g, (x,), gens) for x in _class_reps(g)[1:])
     principals = {p.ids: p for p in closures}
-    worklist = [p for p in principals.values() if _record(found, p, "normal_subgroup_count", limit)]
+    worklist = [p for p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
     for n in worklist:
         for p in principals.values():
             if not n.contains_subgroup(p):
                 join = subgroup_closure(g, p.gens, start=n)
-                if _record(found, join, "normal_subgroup_count", limit):
+                if _record(found, join, "normal_subgroup_count", caps):
                     worklist.append(join)
     return _canonical(found)
 

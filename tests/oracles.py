@@ -321,13 +321,13 @@ def class_closure(g: FiniteGroup, cls: Iterable[int]) -> tuple[Subgroup, tuple[i
 
 
 def table_by_columns(gen_arrays: list[np.ndarray], degree: int,
-                     cap: int = DEFAULT_CAPS.order) -> np.ndarray:
+                     caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Cayley table of the group the permutations generate, filled column by column.
 
     Element j = parent*gen gives i*j = (i*parent)*gen, so column j is the
     parent's column read through the right-multiplication column of the generator.
     """
-    perms, index, parents, genidx = _perm_closure(gen_arrays, degree, cap)
+    perms, index, parents, genidx = _perm_closure(gen_arrays, degree, caps)
     n = len(perms)
     table = np.empty((n, n), dtype=np.int32)
     table[:, 0] = np.arange(n, dtype=np.int32)

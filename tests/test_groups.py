@@ -467,3 +467,113 @@ def test_read_only_table_needs_less_than_a_table_of_scratch(perm_group):
         tracemalloc.stop()
     assert g.table is table and np.array_equal(table[np.arange(720), g.inverse], np.zeros(720))
     assert peak < table.nbytes
+
+
+def test_id_dtype_is_int16_while_every_id_fits():
+    assert groups._id_dtype(1) is np.int16
+    assert groups._id_dtype(32768) is np.int16  # ids 0..32767
+    assert groups._id_dtype(32769) is np.int32
+    assert groups._id_dtype(100_000) is np.int32  # the CLI's hard cap on any order
+
+
+def _loop_product(a: FiniteGroup, b: FiniteGroup) -> list[list[int]]:
+    """The direct product's table from its definition: (x1, x2)(y1, y2) = (x1 y1, x2 y2)."""
+    nb = b.order
+    return [[a.mul(x // nb, y // nb) * nb + b.mul(x % nb, y % nb) for y in range(a.order * nb)]
+            for x in range(a.order * nb)]
+
+
+def _constructed(corpus, perm_group):
+    """(label, group, its table as an oracle or a Python loop computes it), one or more per constructor."""
+    from grouplab.boolean import build_boolean_ring
+    from grouplab.boolpower import materialize_bp_group
+    from grouplab.towers import coset_action_system
+
+    s3, s4, z2 = corpus["S3"], corpus["S4"], corpus["Z2"]
+    yield "table", FiniteGroup(s4.table.tolist(), name="S4"), s4.table.tolist()
+    for name in ("S5", "S6"):
+        g = perm_group(name)
+        gens = [np.array(p, dtype=np.int32) for p in g.perm_generators.perms]
+        yield name, g, table_by_columns(gens, g.perm_generators.degree)
+    for n in (1, 2, 7, 12):
+        yield f"Z{n}", cyclic_group(n), [[(x + y) % n for y in range(n)] for x in range(n)]
+    yield "S3xZ2", direct_product(s3, z2), _loop_product(s3, z2)
+    yield "S3^2", direct_power(s3, 2), _loop_product(s3, s3)
+    yield "Z2^0", direct_power(z2, 0), [[0]]
+    yield "Z2^3", direct_power(z2, 3), [[x ^ y for y in range(8)] for x in range(8)]
+    mat = materialize_bp_group(s3, build_boolean_ring(2))
+    yield "S3^B2", mat.group, _loop_product(s3, s3)
+    v4 = next(n for n in _normals(s4) if len(n) == 4)
+    q, proj = quotient(s4, v4)
+    _, lift = np.unique(proj.mapping, return_index=True)  # the least id of every coset
+    yield "S4/V4", q, [[proj(s4.mul(x, y)) for y in lift] for x in lift]
+    a4 = next(n for n in _normals(s4) if len(n) == 12)
+    sub, _ = a4.as_group()
+    yield "A4<S4", sub, [[a4.ids.index(s4.mul(x, y)) for y in a4.ids] for x in a4.ids]
+    chain = [s4.whole_subgroup(), a4, v4, s4.trivial_subgroup()]
+    for level in coset_action_system(s4, chain).system.levels:
+        gens = [np.array(p, dtype=np.int32) for p in level.perm_generators.perms]
+        yield level.name, level, table_by_columns(gens, level.perm_generators.degree)
+
+
+def test_every_constructor_builds_its_table_and_inverse_in_the_id_dtype(corpus, perm_group):
+    labels = []
+    for label, g, expected in _constructed(corpus, perm_group):
+        dtype = groups._id_dtype(g.order)
+        assert g.table.dtype == g.inverse.dtype == dtype, label
+        assert np.array_equal(g.table, np.array(expected)), label
+        assert all(g.mul(x, g.inv(x)) == 0 for x in g.elements()), label
+        labels.append(label)
+    assert len(labels) == 18
+
+
+def test_mixed_id_widths_give_the_same_tables_ids_and_reports(corpus, perm_group, monkeypatch, tmp_path):
+    """With int16 ids only up to order 20, factors and quotients cross the width both ways."""
+    from grouplab.cli import main
+    from grouplab.corpus import bundled_corpus
+
+    s4, a4, z2 = corpus["S4"], corpus["A4"], corpus["Z2"]
+    v4 = next(n for n in _normals(s4) if len(n) == 4)
+    unpatched = {
+        "A4xZ2": direct_product(a4, z2),
+        "S4/V4": quotient(s4, v4)[0],
+        "S5": perm_group("S5"),
+    }
+    argv = ["analyze-group", "--out"]
+    assert main([*argv, str(tmp_path / "int16.json")]) == 0
+
+    monkeypatch.setattr(groups, "_ID16_LIMIT", 20)
+    narrow_a4 = FiniteGroup(a4.table, name="A4")
+    wide_s4 = FiniteGroup(s4.table, name="S4")
+    assert narrow_a4.table.dtype == np.int16 and wide_s4.table.dtype == np.int32
+    product = direct_product(narrow_a4, FiniteGroup(z2.table, name="Z2"))  # int16 factors
+    q = quotient(wide_s4, Subgroup(wide_s4, v4.ids))[0]                      # an int32 group
+    patched = {"A4xZ2": product, "S4/V4": q, "S5": perm_group("S5")}
+    assert [g.table.dtype for g in patched.values()] == [np.int32, np.int16, np.int32]
+    for name, g in patched.items():
+        assert g.inverse.dtype == g.table.dtype, name
+        assert np.array_equal(g.table, unpatched[name].table), name
+        assert np.array_equal(g.inverse, unpatched[name].inverse), name
+    rebuilt = bundled_corpus()
+    assert {g.table.dtype.type for _, g in rebuilt.items()} == {np.int16, np.int32}
+    for name, g in rebuilt.items():
+        assert g.table.dtype == groups._id_dtype(g.order), name
+        assert np.array_equal(g.table, corpus[name].table), name
+    assert main([*argv, str(tmp_path / "mixed.json")]) == 0
+    assert (tmp_path / "mixed.json").read_bytes() == (tmp_path / "int16.json").read_bytes()
+
+
+def test_direct_product_allocates_no_table_wider_than_its_own(corpus, monkeypatch):
+    s4 = corpus["S4"]
+    # The whole-table checks keep a scratch of `_CHECK_BLOCK` cells at any order, bounded
+    # by the blockwise tests above; at four rows a block, the product's table is the one
+    # n^2 allocation left to measure.
+    monkeypatch.setattr(groups, "_CHECK_BLOCK", 4 * s4.order ** 2)
+    tracemalloc.start()
+    try:
+        g = direct_product(s4, s4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.table.dtype == np.int16
+    assert peak <= 1.25 * g.table.nbytes
