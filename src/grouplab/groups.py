@@ -43,15 +43,19 @@ __all__ = [
 
 
 def _closure_mask(table: np.ndarray, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
-    """Boolean mask of the closure of `start` under right multiplication by `gens`."""
+    """Boolean mask of the closure of `start` under right multiplication by `gens`.
+
+    Each step marks the products of the frontier straight into the mask; the
+    next frontier is what the step newly marked, read off the mask, so no sort.
+    """
     seen = np.zeros(table.shape[0], dtype=bool)
     frontier = np.asarray(start, dtype=np.intp)
     seen[frontier] = True
     garr = np.asarray(gens, dtype=np.intp)
     while frontier.size and garr.size:
-        prods = table[frontier[:, None], garr]
-        frontier = np.unique(prods[~seen[prods]])
-        seen[frontier] = True
+        before = seen.copy()
+        seen[table[frontier[:, None], garr]] = True
+        frontier = np.flatnonzero(seen != before)
     return seen
 
 

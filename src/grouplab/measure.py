@@ -28,7 +28,7 @@ from .groups import (
     quotient,
 )
 from .linalg import rank_gfp, split_prime_power
-from .structure import _relative_rank, enumerate_normal_subgroups, enumerate_subgroups
+from .structure import _relative_rank, _subgroup_classes, enumerate_normal_subgroups
 
 __all__ = [
     "CommutingStats",
@@ -100,13 +100,20 @@ class NeumannWitness:
 
 
 def _admissible_pairs(g: FiniteGroup, normals: Sequence[Subgroup]) -> Iterable[tuple[Subgroup, Subgroup]]:
+    """The pairs K <= N with N/K abelian, K != N unless N = 1, in the order of `normals`.
+
+    Containment is read from one membership matrix, a row per normal subgroup.
+    """
+    member = np.zeros((len(normals), g.order), dtype=bool)
+    for row, sub in zip(member, normals):
+        row[list(sub.ids)] = True
+    sizes = member.sum(axis=1)
     for n_sub in normals:
         comm = commutator_subgroup(n_sub, n_sub)
-        for k_sub in normals:
-            if not n_sub.contains_subgroup(k_sub):
-                continue
-            if not k_sub.contains_subgroup(comm):
-                continue  # N/K not abelian
+        inside = member[:, list(n_sub.ids)].sum(axis=1) == sizes
+        above_comm = member[:, list(comm.ids)].all(axis=1)  # N/K abelian
+        for i in np.flatnonzero(inside & above_comm).tolist():
+            k_sub = normals[i]
             if k_sub == n_sub and len(n_sub) != 1:
                 continue
             yield k_sub, n_sub
@@ -151,8 +158,9 @@ def group_rank_bound(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
     A subgroup of H/core(H) is K/C with C = core(H) <= K <= H, and then C = core(K):
     C <= core(K) as C is normal in g and inside K, and core(K) <= C as K <= H.
     Each K is also its own H, so this is the max over subgroups K of d(K/core(K)).
+    That does not change under conjugation, so one K per class is searched.
     """
-    return max(_relative_rank(g, core(g, k), k) for k in enumerate_subgroups(g, caps=caps))
+    return max(_relative_rank(g, core(g, k), k) for k, *_ in _subgroup_classes(g, caps))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .groups import (
     _coset_reps,
     _greedy_generators,
     _normal_closure,
+    commutator_subgroup,
     is_nilpotent,
     subgroup_closure,
 )
@@ -43,8 +45,8 @@ __all__ = [
 ]
 
 
-def _canonical(subs: dict[tuple[int, ...], Subgroup]) -> list[Subgroup]:
-    return [subs[key] for key in sorted(subs, key=lambda ids: (len(ids), ids))]
+def _canonical(subs: Iterable[Subgroup]) -> list[Subgroup]:
+    return sorted(subs, key=lambda sub: (len(sub), sub.ids))
 
 
 def _record(found: dict[tuple[int, ...], Subgroup], sub: Subgroup, cap: str, caps: Caps) -> bool:
@@ -56,49 +58,93 @@ def _record(found: dict[tuple[int, ...], Subgroup], sub: Subgroup, cap: str, cap
     return True
 
 
+def _conjugates(g: FiniteGroup, k: Subgroup) -> list[Subgroup]:
+    """The distinct conjugates of `k`, `k` itself first, each with its conjugated `gens`.
+
+    One gather gives k^h for every h, as |G| x |K| cells; a conjugate is kept at
+    the least h that makes it.
+    """
+    if g.is_abelian:
+        return [k]
+    t, inv, every = g.table, g.inverse, np.arange(g.order)[:, None]
+    rows = np.sort(t[t[inv[:, None], list(k.ids)], every], axis=1)
+    row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    hs = np.sort(np.unique(row_bytes, return_index=True)[1])[1:]  # h = 0 gives k
+    gens = t[t[inv[hs][:, None], list(k.gens)], hs[:, None]].tolist()
+    return [k] + [Subgroup._from_sorted(g, tuple(rows[h].tolist()), tuple(c))
+                  for h, c in zip(hs.tolist(), gens)]
+
+
+def _subgroup_classes(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
+    """Every subgroup, one conjugacy class per list with its representative first.
+
+    Cyclic extension (Neubüser) of one representative H per class: as
+    <H, x> = <H, xh> for h in H, x ranges over the minimal representatives of
+    the left cosets xH other than H, each closure grown from H.  That reaches a
+    member of every class, as <H^h, x> = <H, x^(h^-1)>^h.  A new subgroup brings
+    its whole class, and each conjugate is recorded against `subgroup_count`.
+    """
+    caps.check("subgroup_order", g.order)
+    found: dict[tuple[int, ...], Subgroup] = {}
+    classes: list[list[Subgroup]] = []
+
+    def add_class(sub: Subgroup) -> None:
+        conjugates = _conjugates(g, sub)
+        for c in conjugates:
+            _record(found, c, "subgroup_count", caps)
+        classes.append(conjugates)
+
+    add_class(g.trivial_subgroup())
+    for cls in classes:
+        h = cls[0]
+        for x in np.unique(_coset_reps(g, h.ids))[1:].tolist():
+            sub = subgroup_closure(g, h.gens + (x,), start=h)
+            if sub.ids not in found:
+                add_class(sub)
+    return classes
+
+
 def enumerate_subgroups(
     g: FiniteGroup, *, max_count: int | None = None, caps: Caps = DEFAULT_CAPS
 ) -> list[Subgroup]:
-    """All subgroups, by cyclic extension (Neubüser): grow each found H by one x outside it.
-
-    Every subgroup is reached from the trivial one by adding generators one at
-    a time.  As <H, x> = <H, xh> for h in H, x ranges only over the minimal
-    representatives of the left cosets xH other than H; each closure grows from H.
-    """
-    caps.check("subgroup_order", g.order)
-    caps = caps.with_overrides(subgroup_count=max_count)
-    found: dict[tuple[int, ...], Subgroup] = {}
-    worklist = [g.trivial_subgroup()]
-    _record(found, worklist[0], "subgroup_count", caps)
-    for h in worklist:
-        for x in np.unique(_coset_reps(g, h.ids))[1:].tolist():
-            sub = subgroup_closure(g, h.gens + (x,), start=h)
-            if _record(found, sub, "subgroup_count", caps):
-                worklist.append(sub)
-    return _canonical(found)
+    """All subgroups, by cyclic extension of one representative per conjugacy class."""
+    classes = _subgroup_classes(g, caps.with_overrides(subgroup_count=max_count))
+    return _canonical(itertools.chain.from_iterable(classes))
 
 
 def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:
     """All normal subgroups, as joins of principal normal subgroups from a worklist.
 
-    The principals are the normal closures <x^G>, one per class.  Every normal N
-    is the join of the principals inside it, so joining each newly found N with
-    each principal P not inside N reaches them all.  N*P grows from N under P.gens.
+    The principals are the normal closures <x^G>, one per class, deduped by ids.
+    Every normal N is the join of the principals inside it, so joining each newly
+    found N with each principal P = <x^G> not inside N reaches them all.  N*P
+    depends only on the class of xN in G/N, so the principals outside N are keyed
+    by the least coset representative over the class of x and joined once per
+    key.  N*P grows from N under P.gens.
     """
     caps.check("order", g.order)
     found: dict[tuple[int, ...], Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
     gens = _greedy_generators(g.table)
-    closures = (_normal_closure(g, (x,), gens) for x in _class_reps(g)[1:])
-    principals = {p.ids: p for p in closures}
-    worklist = [p for p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
+    closures = ((x, _normal_closure(g, (x,), gens)) for x in _class_reps(g)[1:])
+    principals = {p.ids: (x, p) for x, p in closures}
+    worklist = [p for _, p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
+    labels = _class_labels(g)
+    class_count = int(labels.max()) + 1
     for n in worklist:
-        for p in principals.values():
-            if not n.contains_subgroup(p):
-                join = subgroup_closure(g, p.gens, start=n)
-                if _record(found, join, "normal_subgroup_count", caps):
-                    worklist.append(join)
-    return _canonical(found)
+        outside = [(x, p) for x, p in principals.values() if x not in n]  # P <= N iff x in N
+        if len(outside) > 1:
+            key = np.full(class_count, g.order)
+            np.minimum.at(key, labels, _coset_reps(g, n.ids))
+            keyed: dict[int, tuple[int, Subgroup]] = {}
+            for x, p in outside:
+                keyed.setdefault(int(key[labels[x]]), (x, p))
+            outside = list(keyed.values())
+        for _, p in outside:
+            join = subgroup_closure(g, p.gens, start=n)
+            if _record(found, join, "normal_subgroup_count", caps):
+                worklist.append(join)
+    return _canonical(found.values())
 
 
 def is_simple_nonabelian(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -156,12 +202,31 @@ def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadRepo
 def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     """d(sub/base): the smallest k such that `base` and some k elements of `sub` generate `sub`.
 
-    `base` is normal in `sub`.  As <base, x> = <base, xb> for b in base, the
+    `base` is normal in `sub`.  When sub/base is a p-group this is log_p |sub : M|
+    by the Burnside basis theorem, where M/base is its Frattini subgroup: M is
+    grown from `base` under the p-th powers of `sub` and the generators of
+    [sub, sub].  Otherwise it is `_rank_by_search`.
+    """
+    index = len(sub) // len(base)
+    if index == 1:
+        return 0
+    p = next(q for q in range(2, index + 1) if index % q == 0)
+    if split_prime_power(index, p)[1] != 1:
+        return _rank_by_search(g, base, sub)
+    t, arr = g.table, np.array(sub.ids, dtype=np.intp)
+    powers = arr
+    for _ in range(p - 1):
+        powers = t[powers, arr]
+    gens = np.unique(powers).tolist() + list(commutator_subgroup(sub, sub).gens)
+    m_order = np.count_nonzero(_closure_mask(t, gens, base.ids))
+    return split_prime_power(len(sub) // m_order, p)[0]
+
+
+def _rank_by_search(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
+    """d(sub/base) by search: as <base, x> = <base, xb> for b in base, the
     candidates are the minimal representatives of the cosets of `base` in `sub`
     other than `base` itself, and each unordered k-subset of them is tried once.
     """
-    if len(base) == len(sub):
-        return 0
     reps = np.unique(_coset_reps(g, base.ids)[list(sub.ids)])[1:].tolist()
     for k in range(1, (len(sub) // len(base)).bit_length() + 1):
         for combo in itertools.combinations(reps, k):
@@ -179,9 +244,12 @@ def minimal_generator_count(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int
 
 
 def prufer_rank(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
-    """Max over subgroups of the minimal generating-set size; 0 for the trivial group."""
+    """Max over subgroups of the minimal generating-set size; 0 for the trivial group.
+
+    Conjugate subgroups need equally many generators, so one per class is searched.
+    """
     trivial = g.trivial_subgroup()
-    return max(_relative_rank(g, trivial, k) for k in enumerate_subgroups(g, caps=caps))
+    return max(_relative_rank(g, trivial, k) for k, *_ in _subgroup_classes(g, caps))
 
 
 def sylow_subgroup(g: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) -> Subgroup:

@@ -7,7 +7,7 @@ nested loops and exhaustive enumeration only.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,7 +18,10 @@ from grouplab.groups import (
     Subgroup,
     _class_reps,
     _closure_mask,
+    _coset_reps,
+    _greedy_generators,
     _local_ids,
+    _normal_closure,
     _perm_closure,
     conjugacy_classes,
     core,
@@ -26,7 +29,7 @@ from grouplab.groups import (
     subgroup_closure,
 )
 from grouplab.linalg import inv_gfp, is_prime, nullspace_gfp
-from grouplab.structure import SpreadReport, SpreadWitness, enumerate_subgroups
+from grouplab.structure import SpreadReport, SpreadWitness, _record, enumerate_subgroups
 
 
 def double_loop_commuting_count(g: FiniteGroup) -> int:
@@ -209,6 +212,64 @@ def enumerate_subgroups_all_x(
                     new_frontier.append(added)
         frontier = new_frontier
     return _canonical(found)
+
+
+def enumerate_subgroups_per_subgroup(
+    g: FiniteGroup, *, max_count: int | None = None, caps: Caps = DEFAULT_CAPS
+) -> list[Subgroup]:
+    """All subgroups, by cyclic extension (Neubüser): grow each found H by one x outside it.
+
+    Every subgroup is reached from the trivial one by adding generators one at
+    a time.  As <H, x> = <H, xh> for h in H, x ranges only over the minimal
+    representatives of the left cosets xH other than H; each closure grows from H.
+    """
+    caps.check("subgroup_order", g.order)
+    caps = caps.with_overrides(subgroup_count=max_count)
+    found: dict[tuple[int, ...], Subgroup] = {}
+    worklist = [g.trivial_subgroup()]
+    _record(found, worklist[0], "subgroup_count", caps)
+    for h in worklist:
+        for x in np.unique(_coset_reps(g, h.ids))[1:].tolist():
+            sub = subgroup_closure(g, h.gens + (x,), start=h)
+            if _record(found, sub, "subgroup_count", caps):
+                worklist.append(sub)
+    return _canonical(found)
+
+
+def enumerate_normal_subgroups_all_principals(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:
+    """All normal subgroups, as joins of principal normal subgroups from a worklist.
+
+    The principals are the normal closures <x^G>, one per class.  Every normal N
+    is the join of the principals inside it, so joining each newly found N with
+    each principal P not inside N reaches them all.  N*P grows from N under P.gens.
+    """
+    caps.check("order", g.order)
+    found: dict[tuple[int, ...], Subgroup] = {}
+    _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
+    gens = _greedy_generators(g.table)
+    closures = (_normal_closure(g, (x,), gens) for x in _class_reps(g)[1:])
+    principals = {p.ids: p for p in closures}
+    worklist = [p for p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
+    for n in worklist:
+        for p in principals.values():
+            if not n.contains_subgroup(p):
+                join = subgroup_closure(g, p.gens, start=n)
+                if _record(found, join, "normal_subgroup_count", caps):
+                    worklist.append(join)
+    return _canonical(found)
+
+
+def closure_mask_by_unique(table: np.ndarray, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
+    """Boolean mask of the closure of `start` under right multiplication by `gens`."""
+    seen = np.zeros(table.shape[0], dtype=bool)
+    frontier = np.asarray(start, dtype=np.intp)
+    seen[frontier] = True
+    garr = np.asarray(gens, dtype=np.intp)
+    while frontier.size and garr.size:
+        prods = table[frontier[:, None], garr]
+        frontier = np.unique(prods[~seen[prods]])
+        seen[frontier] = True
+    return seen
 
 
 def enumerate_normal_subgroups_pairwise(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:

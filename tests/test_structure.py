@@ -1,23 +1,30 @@
 import itertools
 
+import numpy as np
 import pytest
+
+import grouplab.groups
 
 from grouplab.config import Caps
 from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import (
     Subgroup,
+    _closure_mask,
     _greedy_generators,
     _local_ids,
     _normal_closure,
     commutator_subgroup,
     conjugacy_classes,
+    core,
     direct_power,
     direct_product,
     normal_closure,
     quotient,
     subgroup_closure,
 )
+from grouplab.linalg import split_prime_power
 from grouplab.structure import (
+    _rank_by_search,
     _relative_rank,
     automorphism_group,
     conjugate_spread,
@@ -32,10 +39,13 @@ from grouplab.structure import (
 from oracles import (
     all_subgroups_bruteforce,
     class_closure,
+    closure_mask_by_unique,
     commutator_subgroup_all_pairs,
     conjugate_spread_per_element,
+    enumerate_normal_subgroups_all_principals,
     enumerate_normal_subgroups_pairwise,
     enumerate_subgroups_all_x,
+    enumerate_subgroups_per_subgroup,
     is_automorphism_all_pairs,
     minimal_generator_count_from_class_reps,
     prufer_rank_of_subgroup_groups,
@@ -52,6 +62,39 @@ def test_enumerators_match_exhaustive_oracles(corpus):
             [s.ids for s in enumerate_subgroups_all_x(g)], name
         assert [s.ids for s in enumerate_normal_subgroups(g)] == \
             [s.ids for s in enumerate_normal_subgroups_pairwise(g)], name
+
+
+def test_enumerators_match_per_subgroup_oracles(corpus, perm_group):
+    groups = list(corpus) + [(name, perm_group(name)) for name in ("S5", "D4xQ8")]
+    for name, g in groups + [("Z2^4", direct_power(corpus["Z2"], 4))]:
+        assert [s.ids for s in enumerate_subgroups(g)] == \
+            [s.ids for s in enumerate_subgroups_per_subgroup(g)], name
+        assert [s.ids for s in enumerate_normal_subgroups(g)] == \
+            [s.ids for s in enumerate_normal_subgroups_all_principals(g)], name
+
+
+def test_closure_mask_matches_unique_oracle(corpus):
+    rng = np.random.default_rng(7)
+    for name, g in corpus:
+        for _ in range(20):
+            gens = rng.integers(0, g.order, size=rng.integers(0, 4)).tolist()
+            start = rng.integers(0, g.order, size=rng.integers(1, 4)).tolist()
+            assert np.array_equal(_closure_mask(g.table, gens, start),
+                                  closure_mask_by_unique(g.table, gens, start)), (name, gens, start)
+
+
+@pytest.mark.parametrize("enumerate_, group, count, limit", [
+    (enumerate_normal_subgroups, "Z2^5", 374, 2100),
+    (enumerate_subgroups, "S5", 156, 520),
+])
+def test_lattice_closure_counts(corpus, perm_group, monkeypatch, enumerate_, group, count, limit):
+    g = direct_power(corpus["Z2"], 5) if group == "Z2^5" else perm_group(group)
+    calls = []
+    closure_mask = grouplab.groups._closure_mask
+    monkeypatch.setattr(grouplab.groups, "_closure_mask",
+                        lambda *args: calls.append(1) or closure_mask(*args))
+    assert len(enumerate_(g)) == count
+    assert 0 < len(calls) <= limit
 
 
 def test_greedy_class_closure_matches_plain_closure(corpus):
@@ -102,6 +145,16 @@ def test_lattice_caps_fire_at_the_lattice_size(corpus, cap):
     with pytest.raises(CapExceeded) as info:
         enumerate_(count - 1)
     assert (info.value.cap_name, info.value.limit, info.value.actual) == (cap, count - 1, count)
+
+
+def test_subgroup_cap_counts_every_conjugate(corpus):
+    s4 = corpus["S4"]  # 30 subgroups in 11 classes, of up to 6 conjugates
+    assert len(enumerate_subgroups(s4, max_count=30)) == 30
+    for limit in range(1, 30):  # some limits fall inside a class
+        with pytest.raises(CapExceeded) as info:
+            enumerate_subgroups(s4, max_count=limit)
+        assert (info.value.cap_name, info.value.limit, info.value.actual) == \
+            ("subgroup_count", limit, limit + 1)
 
 
 def test_subgroup_counts(corpus):
@@ -223,7 +276,7 @@ def test_prufer_rank(corpus):
 
 def test_minimal_generator_count_matches_class_rep_search(corpus, perm_group):
     # D4xQ8 is left to the CI stretch step, which asserts the oracle's value 4:
-    # the two searches on it take about 7 s together.
+    # the oracle alone takes about 2.5-4 s on it.
     for g in [g for _, g in corpus] + [perm_group("S5")]:
         assert minimal_generator_count(g) == minimal_generator_count_from_class_reps(g), g.name
 
@@ -243,6 +296,20 @@ def test_relative_rank_is_rank_of_quotient(corpus, name):
                 k_grp, _ = k.as_group()
                 q, _ = quotient(k_grp, Subgroup(k_grp, _local_ids(k, n.ids)))
                 assert _relative_rank(g, n, k) == minimal_generator_count_from_class_reps(q)
+
+
+def test_burnside_rank_matches_search_on_p_quotients(corpus):
+    checked = 0
+    for name, g in corpus:
+        trivial = g.trivial_subgroup()
+        for k in enumerate_subgroups(g):
+            for base in (core(g, k), trivial):
+                index = len(k) // len(base)
+                p = next((q for q in range(2, index + 1) if index % q == 0), index)
+                if index > 1 and split_prime_power(index, p)[1] == 1:
+                    assert _relative_rank(g, base, k) == _rank_by_search(g, base, k), (name, k, base)
+                    checked += 1
+    assert checked == 231
 
 
 def test_sylow(corpus):
