@@ -1,6 +1,8 @@
-"""Finite groups as immutable Cayley tables with 0-based element ids.
+"""Finite groups with 0-based element ids, read through the columns of their Cayley tables.
 
-Element 0 is always the identity.  Every canonical order used anywhere in
+A group given by a table keeps it; a group built from permutation generators
+keeps its permutations and computes the columns it is asked for.  Element 0
+is always the identity.  Every canonical order used anywhere in
 the package is id-lexicographic, so repeated runs produce identical output
 regardless of platform.
 """
@@ -42,32 +44,62 @@ __all__ = [
 ]
 
 
-def _closure_mask(table: np.ndarray, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
+def _closure_mask(g: FiniteGroup, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
     """Boolean mask of the closure of `start` under right multiplication by `gens`.
 
     Each step marks the products of the frontier straight into the mask; the
     next frontier is what the step newly marked, read off the mask, so no sort.
     """
-    seen = np.zeros(table.shape[0], dtype=bool)
+    seen = np.zeros(g.order, dtype=bool)
     frontier = np.asarray(start, dtype=np.intp)
     seen[frontier] = True
-    garr = np.asarray(gens, dtype=np.intp)
-    while frontier.size and garr.size:
-        before = seen.copy()
-        seen[table[frontier[:, None], garr]] = True
-        frontier = np.flatnonzero(seen != before)
+    if len(gens):
+        cols = np.array([g.right(s) for s in gens])  # row i: the products x*gens[i]
+        while frontier.size:
+            before = seen.copy()
+            seen[cols[:, frontier]] = True
+            frontier = np.flatnonzero(seen != before)
     return seen
 
 
-def _greedy_generators(table: np.ndarray, ids: Sequence[int] | None = None) -> list[int]:
-    """Small generating set of the subgroup `ids` (default: all of G), chosen by ascending id."""
-    ids = np.arange(table.shape[0]) if ids is None else np.asarray(ids, dtype=np.intp)
+def _greedy_generators(g: FiniteGroup, ids: Sequence[int] | None = None) -> list[int]:
+    """Small generating set of the subgroup `ids` (default: all of G, made once per group),
+    chosen by ascending id."""
+    if ids is None and g._gens is not None:
+        return list(g._gens)
+    want = np.arange(g.order) if ids is None else np.asarray(ids, dtype=np.intp)
     gens: list[int] = []
-    covered = _closure_mask(table, gens)
-    while not covered[ids].all():
-        gens.append(int(ids[np.argmin(covered[ids])]))
-        covered = _closure_mask(table, gens, np.flatnonzero(covered))
+    covered = _closure_mask(g, gens)
+    while not covered[want].all():
+        gens.append(int(want[np.argmin(covered[want])]))
+        covered = _closure_mask(g, gens, np.flatnonzero(covered))
+    if ids is None:
+        g._gens = tuple(gens)
     return gens
+
+
+def _orbit_minima(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """For every point 0..n-1, the least point of its orbit under the permutations.
+
+    Min-label propagation, one permutation at a time in turn, each by pointer
+    jumping: a step takes the least of a label and the label 2^k places on along
+    the cycle, then squares the step, so a cycle costs log steps, not its
+    length.  A step that lowers nothing leaves the labels constant on the
+    cycles; once that holds for every permutation in a row, each orbit is
+    labelled by its least point.
+    """
+    label = np.arange(n)
+    stable, turn = 0, 0  # the permutations in a row whose cycles the labels are constant on
+    while stable < len(perms):
+        step = perms[turn % len(perms)]
+        turn += 1
+        stable += 1
+        while True:
+            wider = np.minimum(label, label[step])
+            if not (wider < label).any():
+                break
+            label, step, stable = wider, step[step], 1
+    return label
 
 
 _CHECK_BLOCK = 1 << 16  # cells of one block of rows in the whole-table passes
@@ -109,18 +141,115 @@ def _is_latin(table: np.ndarray) -> bool:
     return True
 
 
-def _light_associativity(table: np.ndarray) -> None:
+def _light_associativity(g: FiniteGroup) -> None:
     # Light's test: associativity on a generating set proves it everywhere.
     # Rows x are compared one bounded block at a time.
-    n = table.shape[0]
+    table, n = g.table, g.order
     rows = _block_rows(n)
-    for g in _greedy_generators(table):
+    for s in _greedy_generators(g):
         for r in range(0, n, rows):
             block = table[r:r + rows]
-            lhs = table[block[:, g]]      # (x g) y
-            rhs = block[:, table[g]]      # x (g y)
+            lhs = table[block[:, s]]      # (x s) y
+            rhs = block[:, table[s]]      # x (s y)
             if not np.array_equal(lhs, rhs):
                 raise ValidationError("multiplication table is not associative")
+
+
+def _table_inverse(table: np.ndarray) -> np.ndarray:
+    """The inverse array of a square table of ids in range, after checking that element 0
+    is the identity, that the table is Latin and that every element has a two-sided inverse."""
+    n = table.shape[0]
+    ids = np.arange(n, dtype=table.dtype)
+    if not (np.array_equal(table[0], ids) and np.array_equal(table[:, 0], ids)):
+        raise ValidationError("element 0 must act as the identity")
+    if not _is_latin(table):
+        raise ValidationError("table rows/columns are not permutations")
+    # every row is a permutation of 0..n-1, so its minimum 0 sits at the inverse;
+    # taken a block of rows at a time, since argmin copies a read-only array whole
+    rows = _block_rows(n)
+    inverse = np.concatenate([table[r:r + rows].argmin(axis=1) for r in range(0, n, rows)])
+    inverse = inverse.astype(table.dtype)
+    if not np.all(table[inverse, ids] == 0):
+        raise ValidationError("an element lacks a two-sided inverse")
+    inverse.setflags(write=False)
+    return inverse
+
+
+_KEY_DEGREE = 15  # largest degree whose permutations have int64 keys: 15**15 < 2**63 <= 16**16
+
+
+def _perm_keys(rows: np.ndarray) -> np.ndarray:
+    """Sort keys of permutations given as rows: their digits in mixed radix up to
+    `_KEY_DEGREE`, and their bytes above it (so the rows must share one dtype)."""
+    degree = rows.shape[1]
+    if degree <= _KEY_DEGREE:
+        return (rows * degree ** np.arange(degree, dtype=np.int64)).sum(axis=1)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * degree))).ravel()
+
+
+class _Perms:
+    """The permutations behind a group built from generators: row i of `perms` is
+    element i, and `ids[searchsorted(keys, key)]` the id of a permutation.  The
+    columns made so far, and the table once built, are kept here, where a
+    renamed copy of the group shares them."""
+
+    __slots__ = ("perms", "keys", "ids", "gens", "columns", "table")
+
+    def __init__(self, perms: np.ndarray) -> None:
+        keys = _perm_keys(perms)
+        self.perms = perms
+        self.ids = np.argsort(keys).astype(_id_dtype(perms.shape[0]))
+        self.keys = keys[self.ids]
+        self.gens: tuple[int, ...] = ()  # the ids of the generators the rows were closed from
+        self.columns: dict[tuple[str, int], np.ndarray] = {}
+        self.table: np.ndarray | None = None
+
+    def ids_of(self, rows: np.ndarray) -> np.ndarray:
+        """The element id of every permutation row, each of which must lie in the group."""
+        keys = _perm_keys(np.asarray(rows, dtype=self.perms.dtype))
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        if not np.array_equal(self.keys[pos], keys):
+            raise GroupLabError("a permutation outside the group")
+        return self.ids[pos]
+
+    def cayley_table(self, inverse: np.ndarray) -> np.ndarray:
+        """The whole table, made once, row by row from the generators `gens`.
+
+        Ids follow breadth-first discovery, so every id j > 0 is x*s for its
+        discoverer x < j, the least x over the generators s; then row j is row
+        x read through the row of s, as (x s) y = x (s y).
+        """
+        if self.table is None:
+            n, k = self.perms.shape[0], len(self.gens)
+            table = np.empty((n, n), dtype=inverse.dtype)
+            table[0] = np.arange(n)
+            if k:
+                # [i, j]: the x with x * gens[i] = j, ranked with i in row-major order
+                found_from = k * np.array([self.column("right", inverse[s]) for s in self.gens],
+                                          dtype=np.intp)
+                gen = np.argmin(found_from + np.arange(k)[:, None], axis=0)
+                parent = found_from[gen, np.arange(n)] // k
+                if not (parent[1:] < np.arange(1, n)).all():
+                    raise GroupLabError("element ids do not follow breadth-first discovery")
+                rows = [self.column("left", s) for s in self.gens]
+                for j in range(1, n):
+                    np.take(table[parent[j]], rows[gen[j]], out=table[j])
+            if not np.array_equal(_table_inverse(table), inverse):
+                raise GroupLabError("the table and the permutations disagree on inverses")
+            table.setflags(write=False)
+            self.table = table
+        return self.table
+
+    def column(self, side: str, s: int) -> np.ndarray:
+        """The ids of x*s ("right") or of s*x ("left") for every x, made once."""
+        key = (side, int(s))
+        if key not in self.columns:
+            p = self.perms
+            col = self.ids_of(p[:, p[s]] if side == "right" else p[s][p])
+            col.setflags(write=False)
+            self.columns[key] = col
+        return self.columns[key]
 
 
 @dataclass(frozen=True)
@@ -133,11 +262,14 @@ class PermGenerators:
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table.
+    """A finite group read through the columns of its multiplication table.
 
-    `table[a, b]` is the id of the product a*b.  The table and inverse array
-    are read-only numpy arrays of dtype `_id_dtype(order)`; instances are
-    immutable and safe to share.
+    `right(s)[x]` and `left(s)[x]` are the ids of x*s and s*x.  A group given
+    by its table reads them from it; a group built from permutation generators
+    and larger than one check block computes them from its permutations, once
+    each, and builds `table` only for a consumer that reads it whole.  Tables,
+    columns and the inverse array are read-only numpy arrays of dtype
+    `_id_dtype(order)`; instances are immutable and safe to share.
     """
 
     def __init__(
@@ -146,7 +278,6 @@ class FiniteGroup:
         *,
         name: str = "G",
         perm_generators: PermGenerators | None = None,
-        words: tuple[np.ndarray, np.ndarray] | None = None,
         validate: str = "full",
         caps: Caps = DEFAULT_CAPS,
     ) -> None:
@@ -163,69 +294,76 @@ class FiniteGroup:
         # before the cast to the id dtype, which would wrap an entry such as 2**32 into range
         if raw.min() < 0 or raw.max() >= n:
             raise ValidationError("table entry out of range")
-        dtype = _id_dtype(n)
-        arr = np.ascontiguousarray(raw, dtype=dtype)  # no copy of a table built in `dtype`
-        ids = np.arange(n, dtype=dtype)
-        if not (np.array_equal(arr[0], ids) and np.array_equal(arr[:, 0], ids)):
-            raise ValidationError("element 0 must act as the identity")
-        if not _is_latin(arr):
-            raise ValidationError("table rows/columns are not permutations")
-        # every row is a permutation of 0..n-1, so its minimum 0 sits at the inverse;
-        # taken a block of rows at a time, since argmin copies a read-only array whole
-        rows = _block_rows(n)
-        inverse = np.concatenate([arr[r:r + rows].argmin(axis=1) for r in range(0, n, rows)])
-        inverse = inverse.astype(dtype)
-        if not np.all(arr[inverse, ids] == 0):
-            raise ValidationError("an element lacks a two-sided inverse")
-        if validate == "full":
-            _light_associativity(arr)
+        arr = np.ascontiguousarray(raw, dtype=_id_dtype(n))  # no copy of a table built in its dtype
+        self.inverse = _table_inverse(arr)
         arr.setflags(write=False)
-        inverse.setflags(write=False)
-        self.name = name
-        self.table = arr
-        self.inverse = inverse
-        self.perm_generators = perm_generators
-        self._words = words
-        self._labels: np.ndarray | None = None
-        self._pairs: int | None = None
-        self._abelian: bool | None = None
+        self.name, self.perm_generators, self._table = name, perm_generators, arr
+        if validate == "full":
+            _light_associativity(self)
+
+    # the table, for a group built from generators once some consumer reads it whole
+    _table: np.ndarray | None = None
+    _perms: _Perms | None = None  # the permutations of a group built from generators
+    # memos: greedy generators of G, class labels, commuting pairs, commutativity
+    _gens: tuple[int, ...] | None = None
+    _labels: np.ndarray | None = None
+    _pairs: int | None = None
+    _abelian: bool | None = None
+
+    @property
+    def table(self) -> np.ndarray:
+        """The whole table: `table[a, b]` is the id of a*b.  A group built from
+        permutations builds it on first use, checked like a table given as input."""
+        if self._table is None:
+            self._table = self._perms.cayley_table(self.inverse)
+        return self._table
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def order(self) -> int:
-        return int(self.table.shape[0])
+        return int(self.inverse.shape[0])
 
     def elements(self) -> range:
         return range(self.order)
 
+    def right(self, s: int) -> np.ndarray:
+        """Column s of the table: the id of x*s for every x."""
+        return self._perms.column("right", s) if self._table is None else self._table[:, s]
+
+    def left(self, s: int) -> np.ndarray:
+        """Row s of the table: the id of s*x for every x."""
+        return self._perms.column("left", s) if self._table is None else self._table[s]
+
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return int(self.right(b)[a])
 
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
     def conjugate(self, g: int, h: int) -> int:
         """g^h = h^-1 g h."""
-        return int(self.table[self.table[self.inverse[h], g], h])
+        return int(self.left(self.inverse[h])[self.right(h)[g]])
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
-        t = self.table
-        return int(t[t[t[self.inverse[a], self.inverse[b]], a], b])
+        return int(self.left(self.inverse[a])[self.left(self.inverse[b])[self.right(b)[a]]])
 
     def element_order(self, a: int) -> int:
+        col = self.right(a)
         x, k = int(a), 1
         while x != 0:
-            x = int(self.table[x, a])
+            x = int(col[x])
             k += 1
         return k
 
     @property
     def is_abelian(self) -> bool:
+        """Whether the generators commute pairwise."""
         if self._abelian is None:
-            blocks = _transpose_blocks(self.table)
-            self._abelian = all(np.array_equal(rows, cols) for rows, cols in blocks)
+            gens = _greedy_generators(self)
+            self._abelian = all(self.right(b)[a] == self.right(a)[b]
+                                for i, a in enumerate(gens) for b in gens[i + 1:])
         return self._abelian
 
     def exponent(self) -> int:
@@ -248,40 +386,23 @@ class FiniteGroup:
 
     def permutation_of(self, x: int) -> tuple[int, ...]:
         """Permutation realizing element x, for groups built from generators."""
-        if self.perm_generators is None or self._words is None:
+        if self.perm_generators is None or self._perms is None:
             raise ValidationError("group has no permutation presentation")
-        parents, genidx = self._words
-        chain: list[int] = []
-        while x != 0:
-            chain.append(int(genidx[x]))
-            x = int(parents[x])
-        perm = np.arange(self.perm_generators.degree, dtype=np.int32)
-        gen_arrays = [np.array(p, dtype=np.int32) for p in self.perm_generators.perms]
-        for gi in reversed(chain):
-            perm = perm[gen_arrays[gi]]
-        return tuple(int(v) for v in perm)
+        return tuple(self._perms.perms[x].tolist())
 
     def _renamed(self, name: str) -> "FiniteGroup":
-        """The same group under another name, sharing its read-only table, inverse and memos.
+        """The same group under another name, sharing its read-only arrays, columns and memos.
 
-        Like a group built from the table, it carries no permutation presentation.
+        Like a group built from the table, it carries no permutation presentation;
+        the permutations behind its columns stay.
         """
         grp = copy.copy(self)
         grp.name = name
         grp.perm_generators = None
-        grp._words = None
         return grp
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
-
-
-def _transpose_blocks(table: np.ndarray):
-    """Pairs (t[r:r+k], t[:, r:r+k].T) of row blocks and the matching transposed column blocks,
-    each of at most `_CHECK_BLOCK` cells: x*y against y*x for every x in the block."""
-    rows = _block_rows(table.shape[0])
-    for r in range(0, table.shape[0], rows):
-        yield table[r:r + rows], table[:, r:r + rows].T
 
 
 class Subgroup:
@@ -331,7 +452,7 @@ class Subgroup:
     def gens(self) -> tuple[int, ...]:
         """The generators `subgroup_closure` closed it from, else greedy ones by ascending id."""
         if self._gens is None:
-            self._gens = tuple(_greedy_generators(self.group.table, self.ids))
+            self._gens = tuple(_greedy_generators(self.group, self.ids))
         return self._gens
 
     def __len__(self) -> int:
@@ -361,9 +482,8 @@ class Subgroup:
         return self._members.issuperset(other._members)
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        t, inv = self.group.table, self.group.inverse
-        arr = np.array(self.ids, dtype=np.int32)
-        conj = t[t[inv[g], arr], g]
+        grp = self.group
+        conj = grp.right(g)[grp.left(grp.inverse[g])[np.array(self.ids, dtype=np.intp)]]
         return Subgroup(self.group, conj.tolist(), validate=False)
 
     def is_normal(self) -> bool:
@@ -417,8 +537,8 @@ class GroupHom:
                 raise ValidationError("homomorphism must fix the identity")
             # f(xs) = f(x)f(s) for every x and every generator s is the whole law:
             # the s for which it holds for every x are closed under products.
-            for s in _greedy_generators(source.table):
-                if not np.array_equal(arr[source.table[:, s]], target.table[arr, arr[s]]):
+            for s in _greedy_generators(source):
+                if not np.array_equal(arr[source.right(s)], target.right(arr[s])[arr]):
                     raise ValidationError("mapping is not a homomorphism")
         arr.setflags(write=False)
         self.source = source
@@ -470,60 +590,60 @@ class Series:
 # -- construction ----------------------------------------------------------
 
 
-def _perm_closure(
-    gen_arrays: list[np.ndarray], degree: int, caps: Caps
-) -> tuple[list[np.ndarray], dict[bytes, int], list[int], list[int]]:
-    """BFS closure of permutations under right multiplication by the generators.
+def _perm_closure(gen_arrays: list[np.ndarray], degree: int, caps: Caps) -> np.ndarray:
+    """The group the permutations generate, one row per element, in breadth-first discovery order.
 
     Composition convention: (p * q)(x) = p(q(x)), so right-multiplying the
-    permutation array p by generator q is p[q].
+    permutation array p by generator q is p[q].  Layer by layer, the products
+    of the newest layer with every generator are taken in row-major (element,
+    generator) order, and each new one at its first occurrence there: the order
+    in which a queue takes them, one product at a time.
     """
-    ident = np.arange(degree, dtype=np.int32)
-    perms = [ident]
-    index: dict[bytes, int] = {ident.tobytes(): 0}
-    parents = [-1]
-    genidx = [-1]
-    qi = 0
-    while qi < len(perms):
-        cur = perms[qi]
-        for gi, gp in enumerate(gen_arrays):
-            new = cur[gp]
-            key = new.tobytes()
-            if key not in index:
-                caps.check("order", len(perms) + 1, "permutation closure")
-                index[key] = len(perms)
-                perms.append(new)
-                parents.append(qi)
-                genidx.append(gi)
-        qi += 1
-    return perms, index, parents, genidx
+    gens = np.array(gen_arrays, dtype=np.intp).reshape(len(gen_arrays), degree)
+    layer = np.arange(degree, dtype=np.uint8 if degree <= 256 else np.uint16)[None, :]
+    found, keys = [layer], _perm_keys(layer)  # keys of every element so far, sorted
+    while layer.size and gens.size:
+        prods = layer[:, gens].reshape(-1, degree)  # [x * s for x in layer for s in gens]
+        prod_keys = _perm_keys(prods)
+        pos = np.minimum(np.searchsorted(keys, prod_keys), keys.size - 1)
+        fresh = np.flatnonzero(keys[pos] != prod_keys)
+        fresh = fresh[np.sort(np.unique(prod_keys[fresh], return_index=True)[1])]
+        # the element-by-element search stopped at the first element past the cap
+        caps.check("order", min(keys.size + fresh.size, caps.order + 1), "permutation closure")
+        layer = prods[fresh]
+        found.append(layer)
+        keys = np.sort(np.concatenate([keys, prod_keys[fresh]]))
+    return np.concatenate(found)
 
 
 def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
-                      caps: Caps) -> tuple[FiniteGroup, dict[bytes, int]]:
-    """The group generated by permutations, and its index: permutation bytes -> element id.
+                      caps: Caps) -> FiniteGroup:
+    """The group generated by permutations, kept as its permutations.
 
-    The Cayley table is built row by row, by left multiplication: element
-    i = parent*gen gives i*j = parent*(gen*j), so row i is the parent's row
-    read through the left-multiplication column of the generator.
+    It is checked in O(n k): the key index is a bijection, element 0 is the
+    identity, and the column of every generator permutes the ids.  Its table
+    is built here only when it fits one check block.
     """
-    perms, index, parents, genidx = _perm_closure(gen_arrays, degree, caps)
-    n = len(perms)
-    table = np.empty((n, n), dtype=_id_dtype(n))
-    table[0] = np.arange(n)
-    left = [np.fromiter((index[g[perm].tobytes()] for perm in perms), dtype=np.intp, count=n)
-            for g in gen_arrays]
-    for i in range(1, n):
-        np.take(table[parents[i]], left[genidx[i]], out=table[i])
-    presentation = PermGenerators(
+    backing = _Perms(_perm_closure(gen_arrays, degree, caps))
+    perms, keys = backing.perms, backing.keys
+    if not (keys[1:] != keys[:-1]).all() or not np.array_equal(perms[0], np.arange(degree)):
+        raise GroupLabError("the permutation index is not a bijection from the identity first")
+    grp = FiniteGroup.__new__(FiniteGroup)
+    grp.name, grp._perms = name, backing
+    grp.inverse = backing.ids_of(np.argsort(perms, axis=1))  # argsort inverts a permutation
+    grp.inverse.setflags(write=False)
+    backing.gens = tuple(backing.ids_of(np.reshape(gen_arrays, (-1, degree))).tolist())
+    grp.perm_generators = PermGenerators(
         degree=degree,
-        perms=tuple(tuple(int(v) for v in g) for g in gen_arrays),
-        element_ids=tuple(index[g.tobytes()] for g in gen_arrays),
+        perms=tuple(tuple(int(v) for v in p) for p in gen_arrays),
+        element_ids=backing.gens,
     )
-    words = (np.array(parents, dtype=np.int32), np.array(genidx, dtype=np.int32))
-    grp = FiniteGroup(table, name=name, perm_generators=presentation, words=words,
-                      validate="basic", caps=caps)
-    return grp, index
+    for s in grp.perm_generators.element_ids:
+        if not (np.bincount(grp.right(s), minlength=perms.shape[0]) == 1).all():
+            raise GroupLabError("a generator does not permute the elements")
+    if perms.shape[0] ** 2 <= _CHECK_BLOCK:
+        grp.table  # a table of one check block costs less than the columns read from it
+    return grp
 
 
 def build_group(
@@ -554,7 +674,7 @@ def build_group(
         if arr.shape != (degree,) or not np.array_equal(np.sort(arr), np.arange(degree)):
             raise ValidationError(bad)
         gen_arrays.append(arr.astype(np.int32))
-    return _group_from_perms(gen_arrays, degree, name=name, caps=caps)[0]
+    return _group_from_perms(gen_arrays, degree, name=name, caps=caps)
 
 
 def cyclic_group(n: int, *, name: str | None = None, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
@@ -609,7 +729,7 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
     """
     start = start if start is not None else g.trivial_subgroup()
     gens = list(gens)
-    mask = _closure_mask(g.table, gens, start.ids)
+    mask = _closure_mask(g, gens, start.ids)
     return Subgroup._from_sorted(g, tuple(np.flatnonzero(mask).tolist()),
                                  start.gens + tuple(x for x in gens if x not in start))
 
@@ -617,16 +737,13 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
 def _class_labels(g: FiniteGroup) -> np.ndarray:
     """The conjugacy class number of every element, as a read-only int32 array made once per group.
 
-    Classes are numbered by their smallest member, so class 0 is the identity's.
+    Classes are the orbits of conjugation by the generators; they are numbered
+    by their smallest member, so class 0 is the identity's.
     """
     if g._labels is None:
-        t, ids = g.table, np.arange(g.order)
-        labels = np.full(g.order, -1, dtype=np.int32)
-        k = 0
-        for x in range(g.order):
-            if labels[x] < 0:
-                labels[t[t[g.inverse, x], ids]] = k  # the orbit {h^-1 x h : h in G}
-                k += 1
+        conj = [g.left(g.inverse[s])[g.right(s)] for s in _greedy_generators(g)]  # x -> s^-1 x s
+        minima = _orbit_minima(conj, g.order)
+        labels = (np.cumsum(minima == np.arange(g.order), dtype=np.int32) - 1)[minima]
         labels.setflags(write=False)
         g._labels = labels
     return g._labels
@@ -645,11 +762,18 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def commuting_pair_count(g: FiniteGroup) -> int:
-    """Exact |{(x, y) : xy = yx}| with a class-counting cross-check, computed once per group."""
+    """Exact |{(x, y) : xy = yx}|, computed once per group: the sum over classes of
+    |class| * |C(rep)|, each term checked against |G| (orbit-stabiliser) and the
+    sum against k(G) * |G|."""
     if g._pairs is None:
-        blocks = _transpose_blocks(g.table)
-        count = sum(int(np.count_nonzero(rows == cols)) for rows, cols in blocks)
-        if count != g.order * len(_class_reps(g)):
+        reps = _class_reps(g)
+        count = 0
+        for rep, size in zip(reps, np.bincount(_class_labels(g)).tolist()):
+            term = size * int(np.count_nonzero(g.right(rep) == g.left(rep)))
+            if term != g.order:
+                raise GroupLabError("a class size times its centraliser order is not the group order")
+            count += term
+        if count != g.order * len(reps):
             raise GroupLabError("commuting-pair count disagrees with class count")
         g._pairs = count
     return g._pairs
@@ -659,7 +783,7 @@ def centralizer(g: FiniteGroup, ids: Iterable[int]) -> Subgroup:
     """Elements commuting with every element of `ids`; the whole group if empty."""
     mask = np.ones(g.order, dtype=bool)
     for s in ids:
-        mask &= g.table[:, s] == g.table[s, :]
+        mask &= g.right(s) == g.left(s)
     return Subgroup(g, np.flatnonzero(mask).tolist(), validate=False)
 
 
@@ -711,15 +835,17 @@ def is_soluble(g: FiniteGroup) -> bool:
     return len(series(g, "derived").terms[-1]) == 1
 
 
-def _coset_reps(g: FiniteGroup, ids: Sequence[int]) -> np.ndarray:
-    """For every element x, the minimal id in its left coset x*H of H = `ids`.
+def _coset_reps(h: Subgroup) -> np.ndarray:
+    """For every element x, the minimal id in its left coset x*H.
 
-    Taken a block of rows x at a time; the products x*h of a block fill at most
-    `_CHECK_BLOCK` cells.
+    With the table at hand and |G| x |H| cells in one check block, one gather
+    of the columns of H; otherwise the least point of the orbit of x under
+    right multiplication by the generators of H, which reads their columns only.
     """
-    h = np.array(ids, dtype=np.intp)
-    rows = _block_rows(h.size)
-    return np.concatenate([g.table[r:r + rows][:, h].min(axis=1) for r in range(0, g.order, rows)])
+    g = h.group
+    if g._table is not None and g.order * len(h) <= _CHECK_BLOCK:
+        return g.table[:, list(h.ids)].min(axis=1)
+    return _orbit_minima([g.right(s) for s in h.gens], g.order)
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -732,7 +858,7 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if len(n) == 1:
         q = g._renamed(name)
         return q, GroupHom(g, q, np.arange(g.order), validate=False)
-    rep = _coset_reps(g, n.ids)
+    rep = _coset_reps(n)
     reps = np.unique(rep)
     idx_of = np.full(g.order, -1, dtype=_id_dtype(reps.size))  # so the quotient's table is built in it
     idx_of[reps] = np.arange(reps.size)
@@ -769,4 +895,4 @@ def _normal_closure(g: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[
 
 def normal_closure(g: FiniteGroup, x: int) -> Subgroup:
     """Smallest normal subgroup containing x: the closure of <x> under conjugation by G."""
-    return _normal_closure(g, (x,), _greedy_generators(g.table))
+    return _normal_closure(g, (x,), _greedy_generators(g))

@@ -88,7 +88,7 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
             raise ValidationError(f"matrix for element {eid} has wrong shape")
         stack[int(eid)] = m
         known[int(eid)] = True
-    gens = np.array(_greedy_generators(table, np.flatnonzero(known)), dtype=np.intp)
+    gens = np.array(_greedy_generators(group, np.flatnonzero(known)), dtype=np.intp)
     seen, frontier = np.arange(n) == 0, np.zeros(1, dtype=np.intp)
     while frontier.size and gens.size:
         # each new y = x*s; supplied elements are expanded too, and keep their matrices

@@ -97,7 +97,7 @@ def _subgroup_classes(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
     add_class(g.trivial_subgroup())
     for cls in classes:
         h = cls[0]
-        for x in np.unique(_coset_reps(g, h.ids))[1:].tolist():
+        for x in np.unique(_coset_reps(h))[1:].tolist():
             sub = subgroup_closure(g, h.gens + (x,), start=h)
             if sub.ids not in found:
                 add_class(sub)
@@ -125,7 +125,7 @@ def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> 
     caps.check("order", g.order)
     found: dict[tuple[int, ...], Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
-    gens = _greedy_generators(g.table)
+    gens = _greedy_generators(g)
     closures = ((x, _normal_closure(g, (x,), gens)) for x in _class_reps(g)[1:])
     principals = {p.ids: (x, p) for x, p in closures}
     worklist = [p for _, p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
@@ -135,7 +135,7 @@ def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> 
         outside = [(x, p) for x, p in principals.values() if x not in n]  # P <= N iff x in N
         if len(outside) > 1:
             key = np.full(class_count, g.order)
-            np.minimum.at(key, labels, _coset_reps(g, n.ids))
+            np.minimum.at(key, labels, _coset_reps(n))
             keyed: dict[int, tuple[int, Subgroup]] = {}
             for x, p in outside:
                 keyed.setdefault(int(key[labels[x]]), (x, p))
@@ -152,7 +152,7 @@ def is_simple_nonabelian(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> bool:
     if g.is_abelian or g.order == 1:
         return False
     caps.check("order", g.order)
-    gens = _greedy_generators(g.table)
+    gens = _greedy_generators(g)
     return all(len(_normal_closure(g, (x,), gens)) == g.order for x in _class_reps(g)[1:])
 
 
@@ -218,7 +218,7 @@ def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     for _ in range(p - 1):
         powers = t[powers, arr]
     gens = np.unique(powers).tolist() + list(commutator_subgroup(sub, sub).gens)
-    m_order = np.count_nonzero(_closure_mask(t, gens, base.ids))
+    m_order = np.count_nonzero(_closure_mask(g, gens, base.ids))
     return split_prime_power(len(sub) // m_order, p)[0]
 
 
@@ -227,10 +227,10 @@ def _rank_by_search(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     candidates are the minimal representatives of the cosets of `base` in `sub`
     other than `base` itself, and each unordered k-subset of them is tried once.
     """
-    reps = np.unique(_coset_reps(g, base.ids)[list(sub.ids)])[1:].tolist()
+    reps = np.unique(_coset_reps(base)[list(sub.ids)])[1:].tolist()
     for k in range(1, (len(sub) // len(base)).bit_length() + 1):
         for combo in itertools.combinations(reps, k):
-            if np.count_nonzero(_closure_mask(g.table, combo, base.ids)) == len(sub):
+            if np.count_nonzero(_closure_mask(g, combo, base.ids)) == len(sub):
                 return k
     raise GroupLabError("generator search exceeded the log2 bound")
 
@@ -290,13 +290,13 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
     """
     n = g.order
     caps.check("automorphism_order", n)
-    gens = _greedy_generators(g.table)
+    gens = _greedy_generators(g)
     orders = [g.element_order(x) for x in range(n)]
 
     # Precompute the subgroup chain <gens[:i+1]> with BFS words over it.
     chains: list[np.ndarray] = []
     for i in range(len(gens)):
-        chains.append(np.flatnonzero(_closure_mask(g.table, gens[: i + 1])))
+        chains.append(np.flatnonzero(_closure_mask(g, gens[: i + 1])))
 
     autos: list[np.ndarray] = []
 

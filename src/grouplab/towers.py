@@ -103,7 +103,7 @@ class CosetSpace:
     @classmethod
     def build(cls, subgroup: Subgroup) -> "CosetSpace":
         g = subgroup.group
-        reps = np.unique(_coset_reps(g, subgroup.ids))
+        reps = np.unique(_coset_reps(subgroup))
         return cls(group=g, subgroup=subgroup, reps=tuple(int(r) for r in reps))
 
     def __len__(self) -> int:
@@ -146,20 +146,19 @@ def coset_action_system(g: FiniteGroup, chain: Sequence[Subgroup],
         reps = np.array(space.reps, dtype=np.int32)
         point_of = np.empty(g.order, dtype=np.int32)
         point_of[reps] = offset + np.arange(len(reps), dtype=np.int32)
-        blocks.append(point_of[_coset_reps(g, sub.ids)[g.table[:, reps]]])
+        blocks.append(point_of[_coset_reps(sub)[np.stack([g.right(r) for r in reps], axis=1)]])
         offset += len(reps)
 
-    gens = _greedy_generators(g.table)
+    gens = _greedy_generators(g)
     levels: list[FiniteGroup] = []
     projections: list[GroupHom] = []
     to_level: list[GroupHom] = []
     for n in range(1, len(chain) + 1):
         acting = np.hstack(blocks[:n])  # row x: the permutation of x on the first n spaces
-        level, index = _group_from_perms([acting[x] for x in gens], acting.shape[1],
-                                         name=f"{g.name}|X{n}", caps=caps)
+        level = _group_from_perms([acting[x] for x in gens], acting.shape[1],
+                                  name=f"{g.name}|X{n}", caps=caps)
         levels.append(level)
-        acting_map = np.fromiter((index[row.tobytes()] for row in acting), dtype=np.int32,
-                                 count=g.order)
+        acting_map = level._perms.ids_of(acting)
         to_level.append(GroupHom(g, level, acting_map, validate=False))
         if n > 1:
             # g maps onto every level, and restricting to the first n-1 spaces

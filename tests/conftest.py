@@ -1,15 +1,19 @@
 import pytest
 
 from grouplab.corpus import bundled_corpus
-from grouplab.groups import build_group
+from grouplab.groups import FiniteGroup, Subgroup, build_group
+from grouplab.towers import coset_action_system
 
 _Q8 = [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]
 _D4XQ8 = [[1, 2, 3, 0] + list(range(4, 12)), [3, 2, 1, 0] + list(range(4, 12))]
 _D4XQ8 += [list(range(4)) + [4 + v for v in p] for p in _Q8]
+_A5 = [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]
 _PERM_GROUPS = {  # name -> (degree, generators)
     "S5": (5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
     "S6": (6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]),
     "D4xQ8": (12, _D4XQ8),
+    "A5xA5": (10, [p + list(range(5, 10)) for p in _A5] + [list(range(5)) + [5 + v for v in p] for p in _A5]),
+    "S7": (7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]),
 }
 
 
@@ -25,3 +29,12 @@ def perm_group():
         degree, gens = _PERM_GROUPS[name]
         return build_group(generators=gens, degree=degree, name=name)
     return build
+
+
+def s6_tower_levels(s6: FiniteGroup) -> list[FiniteGroup]:
+    """S6 acting on the cosets of the stabilisers of 0, 1, 2 in turn, as the benchmark's tower
+    file has it: degrees 1, 7, 37 and 157, the last two above the int64-key degree."""
+    perms = [s6.permutation_of(x) for x in s6.elements()]
+    chain = [Subgroup(s6, [x for x, p in enumerate(perms) if all(p[a] == a for a in range(depth))])
+             for depth in range(4)]
+    return list(coset_action_system(s6, chain).system.levels)

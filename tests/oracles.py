@@ -18,11 +18,9 @@ from grouplab.groups import (
     Subgroup,
     _class_reps,
     _closure_mask,
-    _coset_reps,
     _greedy_generators,
     _local_ids,
     _normal_closure,
-    _perm_closure,
     conjugacy_classes,
     core,
     quotient,
@@ -229,7 +227,7 @@ def enumerate_subgroups_per_subgroup(
     worklist = [g.trivial_subgroup()]
     _record(found, worklist[0], "subgroup_count", caps)
     for h in worklist:
-        for x in np.unique(_coset_reps(g, h.ids))[1:].tolist():
+        for x in np.unique(coset_reps_by_gather(g, h.ids))[1:].tolist():
             sub = subgroup_closure(g, h.gens + (x,), start=h)
             if _record(found, sub, "subgroup_count", caps):
                 worklist.append(sub)
@@ -246,7 +244,7 @@ def enumerate_normal_subgroups_all_principals(g: FiniteGroup, *, caps: Caps = DE
     caps.check("order", g.order)
     found: dict[tuple[int, ...], Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
-    gens = _greedy_generators(g.table)
+    gens = _greedy_generators(g)
     closures = (_normal_closure(g, (x,), gens) for x in _class_reps(g)[1:])
     principals = {p.ids: p for p in closures}
     worklist = [p for p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
@@ -381,6 +379,63 @@ def class_closure(g: FiniteGroup, cls: Iterable[int]) -> tuple[Subgroup, tuple[i
     return sub, gens
 
 
+def perm_closure_by_dict(
+    gen_arrays: list[np.ndarray], degree: int, caps: Caps = DEFAULT_CAPS
+) -> tuple[list[np.ndarray], dict[bytes, int], list[int], list[int]]:
+    """Queue-based closure of permutations under right multiplication by the generators,
+    one product at a time, with a bytes -> id dict: (perms, index, parents, genidx).
+
+    Composition convention: (p * q)(x) = p(q(x)), so right-multiplying the
+    permutation array p by generator q is p[q].
+    """
+    ident = np.arange(degree, dtype=np.int32)
+    perms = [ident]
+    index: dict[bytes, int] = {ident.tobytes(): 0}
+    parents = [-1]
+    genidx = [-1]
+    qi = 0
+    while qi < len(perms):
+        cur = perms[qi]
+        for gi, gp in enumerate(gen_arrays):
+            new = cur[gp]
+            key = new.tobytes()
+            if key not in index:
+                caps.check("order", len(perms) + 1, "permutation closure")
+                index[key] = len(perms)
+                perms.append(new)
+                parents.append(qi)
+                genidx.append(gi)
+        qi += 1
+    return perms, index, parents, genidx
+
+
+def commuting_pair_count_blockwise(g: FiniteGroup, block: int = 1 << 16) -> int:
+    """|{(x, y) : xy = yx}| from the whole table: each block of rows x*y against the
+    matching transposed block of columns y*x, at most `block` cells at a time."""
+    t = g.table
+    rows = max(1, block // g.order)
+    return sum(int(np.count_nonzero(t[r:r + rows] == t[:, r:r + rows].T))
+               for r in range(0, g.order, rows))
+
+
+def class_labels_per_element(g: FiniteGroup) -> np.ndarray:
+    """Class numbers by smallest member: each unlabelled x, ascending, labels its whole
+    orbit {h^-1 x h : h in G}, read off the whole table."""
+    t, ids = g.table, np.arange(g.order)
+    labels = np.full(g.order, -1, dtype=np.int32)
+    k = 0
+    for x in range(g.order):
+        if labels[x] < 0:
+            labels[t[t[g.inverse, x], ids]] = k
+            k += 1
+    return labels
+
+
+def coset_reps_by_gather(g: FiniteGroup, ids: Sequence[int]) -> np.ndarray:
+    """For every x, the least id of x*h over all h in `ids`, one |G| x |H| gather."""
+    return g.table[:, np.array(ids, dtype=np.intp)].min(axis=1)
+
+
 def table_by_columns(gen_arrays: list[np.ndarray], degree: int,
                      caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Cayley table of the group the permutations generate, filled column by column.
@@ -388,7 +443,7 @@ def table_by_columns(gen_arrays: list[np.ndarray], degree: int,
     Element j = parent*gen gives i*j = (i*parent)*gen, so column j is the
     parent's column read through the right-multiplication column of the generator.
     """
-    perms, index, parents, genidx = _perm_closure(gen_arrays, degree, caps)
+    perms, index, parents, genidx = perm_closure_by_dict(gen_arrays, degree, caps)
     n = len(perms)
     table = np.empty((n, n), dtype=np.int32)
     table[:, 0] = np.arange(n, dtype=np.int32)
@@ -488,7 +543,7 @@ def minimal_generator_count_from_class_reps(g: FiniteGroup, *, caps: Caps = DEFA
         for first in reps:
             others = [x for x in rest if x != first]
             for combo in itertools.combinations(others, k - 1):
-                if _closure_mask(g.table, (first,) + combo).all():
+                if _closure_mask(g, (first,) + combo).all():
                     return k
         k += 1
         if k > n.bit_length():

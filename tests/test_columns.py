@@ -1,0 +1,140 @@
+"""Groups built from generators, read through columns, against the whole-table path.
+
+A group built from permutation generators keeps its permutations and computes
+the columns it is asked for; the oracles of `oracles.py` close the generators
+one product at a time and read a whole table.  Both must agree on element
+ids, inverses, closures, class labels, coset representatives and pair counts.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import _PERM_GROUPS, s6_tower_levels
+from grouplab.cli import _canonical_row
+from grouplab.config import DEFAULT_CAPS, Caps
+from grouplab.corpus import load_corpus
+from grouplab.errors import CapExceeded, ValidationError
+from grouplab.groups import (
+    FiniteGroup,
+    _class_labels,
+    _closure_mask,
+    _coset_reps,
+    _orbit_minima,
+    build_group,
+    commuting_pair_count,
+    subgroup_closure,
+)
+from oracles import (
+    class_labels_per_element,
+    closure_mask_by_unique,
+    commuting_pair_count_blockwise,
+    coset_reps_by_gather,
+    perm_closure_by_dict,
+    table_by_columns,
+)
+
+_S7_TABLE_BYTES = 5040 * 5040 * 2  # one int16 Cayley table of S7: 50.8 MB
+
+
+def _generator_groups(corpus, perm_group):
+    """Freshly built: the bundled corpus, S5, S6, D4xQ8, A5xA5, S7 and the S6 tower levels."""
+    for name, g in corpus.items():
+        pg = g.perm_generators
+        yield build_group(generators=pg.perms, degree=pg.degree, name=name)
+    yield from (perm_group(name) for name in ("S5", "S6", "D4xQ8", "A5xA5", "S7"))
+    yield from s6_tower_levels(perm_group("S6"))
+
+
+def _gen_arrays(g: FiniteGroup) -> list[np.ndarray]:
+    return [np.array(p, dtype=np.int32) for p in g.perm_generators.perms]
+
+
+def test_layered_closure_keeps_the_queue_order_ids_and_inverses(corpus, perm_group):
+    wide = build_group(generators=[[(x + 1) % 300 for x in range(300)]], degree=300, name="Z300")
+    degrees = []
+    for g in [*_generator_groups(corpus, perm_group), wide]:
+        pg = g.perm_generators
+        perms, index, _, _ = perm_closure_by_dict(_gen_arrays(g), pg.degree, Caps(order=10**5))
+        assert [g.permutation_of(x) for x in g.elements()] == [tuple(p.tolist()) for p in perms], g.name
+        assert g.inverse.tolist() == [index[np.argsort(p).astype(np.int32).tobytes()] for p in perms]
+        assert list(pg.element_ids) == [index[p.tobytes()] for p in _gen_arrays(g)], g.name
+        degrees.append(pg.degree)
+    assert {7, 37, 157, 300} <= set(degrees)  # int64 keys, byte keys, uint16 points
+    assert wide._perms.perms.dtype == np.uint16
+
+
+def _table_path(g: FiniteGroup) -> FiniteGroup:
+    """The same group from its whole table, filled by the column-by-column oracle."""
+    table = table_by_columns(_gen_arrays(g), g.perm_generators.degree, Caps(order=10**5))
+    return FiniteGroup(table, name=g.name, validate="basic", caps=Caps(order=10**5))
+
+
+def test_column_path_matches_table_path(corpus, perm_group):
+    rng = np.random.default_rng(11)
+    for g in _generator_groups(corpus, perm_group):
+        t = _table_path(g)
+        assert np.array_equal(g.inverse, t.inverse), g.name
+        assert np.array_equal(_class_labels(g), class_labels_per_element(t)), g.name
+        assert commuting_pair_count(g) == commuting_pair_count_blockwise(t), g.name
+        for _ in range(4):
+            gens = rng.integers(0, g.order, size=rng.integers(0, 3)).tolist()
+            start = rng.integers(0, g.order, size=rng.integers(1, 3)).tolist()
+            assert np.array_equal(_closure_mask(g, gens, start),
+                                  closure_mask_by_unique(t.table, gens, start)), (g.name, gens, start)
+            # cyclic subgroups everywhere, and two-generated ones up to order 720
+            sub = subgroup_closure(g, gens[:1] if g.order > 720 else gens)
+            reps = coset_reps_by_gather(t, sub.ids)
+            orbits = _orbit_minima([g.right(s) for s in sub.gens], g.order)  # at every order
+            assert np.array_equal(_coset_reps(sub), reps) and np.array_equal(orbits, reps), g.name
+        for s in (*g.perm_generators.element_ids, g.order - 1):
+            assert np.array_equal(g.right(s), t.table[:, s]) and np.array_equal(g.left(s), t.table[s])
+        if g.order > 720:
+            assert g._table is None, g.name  # every answer above came from columns
+
+
+def test_large_neumann_rows_build_no_table(tmp_path):
+    """Loading A5xA5 and S7 from generator files and answering `neumann` for them needs
+    less memory than one table of S7, and leaves both groups without a table."""
+    for name in ("A5xA5", "S7"):
+        degree, gens = _PERM_GROUPS[name]
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"name": name, "degree": degree, "generators": gens}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(tmp_path)
+        rows = [_canonical_row(name, g, DEFAULT_CAPS, full=False) for name, g in corpus.items()]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r["name"], r["pairs"], r["neumann_value"]) for r in rows] == \
+        [("A5xA5", 25 * 3600, 3600 ** 2), ("S7", 15 * 5040, 2520)]
+    for _, g in corpus.items():
+        assert g._table is None and g._perms.table is None, g.name
+    assert peak < _S7_TABLE_BYTES
+
+
+def test_renamed_table_free_group_keeps_its_columns(perm_group):
+    g = perm_group("S6")
+    copy = g._renamed("T")
+    assert copy.perm_generators is None and copy._table is None
+    with pytest.raises(ValidationError, match="no permutation presentation"):
+        copy.permutation_of(1)
+    for s in (1, 7, 719):
+        assert np.array_equal(copy.right(s), g.right(s)) and np.array_equal(copy.left(s), g.left(s))
+    assert copy.table is g.table  # built once, for both
+
+
+def test_layered_closure_raises_at_the_cap_with_the_queue_text():
+    gens = [[1, 0, 2, 3], [1, 2, 3, 0]]  # S4
+    arrays = [np.array(p, dtype=np.int32) for p in gens]
+    for k in range(1, 24):
+        with pytest.raises(CapExceeded) as layered:
+            build_group(generators=gens, degree=4, caps=Caps(order=k))
+        with pytest.raises(CapExceeded) as queued:
+            perm_closure_by_dict(arrays, 4, Caps(order=k))
+        assert str(layered.value) == str(queued.value) == \
+            f"cap 'order' exceeded: {k + 1} > {k} (permutation closure)"
+    assert build_group(generators=gens, degree=4, caps=Caps(order=24)).order == 24

@@ -99,8 +99,7 @@ def test_cli_analyze_trivial_group(tmp_path):
 def test_cli_small_order_cap_names_the_order_cap(tmp_path, capsys):
     code = main(["analyze-group", "--cap-order", "5", "--out", str(tmp_path / "x")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "cap 'order' exceeded" in err and "degree" not in err
+    assert capsys.readouterr().err == "error: cap 'order' exceeded: 6 > 5 (permutation closure)\n"
 
 
 def test_cli_unknown_group(tmp_path):

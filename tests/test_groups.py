@@ -27,9 +27,11 @@ from grouplab.groups import (
 
 from grouplab import groups
 from grouplab.corpus import bundled_towers
+from conftest import s6_tower_levels
 from oracles import (
     classes_per_element,
     core_by_conjugates,
+    coset_reps_by_gather,
     double_loop_commuting_count,
     naive_is_associative,
     rows_and_columns_are_permutations,
@@ -379,11 +381,14 @@ def test_permutation_of_roundtrip(corpus):
 
 
 def _perm_groups(corpus, perm_group):
-    """Every bundled group and tower level built from permutations, plus S5, S6 and D4xQ8."""
-    yield from (g for _, g in corpus.items())
+    """Every bundled group and tower level built from permutations, plus S5, S6 and D4xQ8,
+    and the levels of S6 on a stabiliser chain (degrees up to 157), each freshly built."""
+    yield from (build_group(generators=g.perm_generators.perms, degree=g.perm_generators.degree,
+                            name=name) for name, g in corpus.items())
     for system in bundled_towers(corpus).values():
         yield from (g for g in system.levels if g.perm_generators is not None)
     yield from (perm_group(name) for name in ("S5", "S6", "D4xQ8"))
+    yield from s6_tower_levels(perm_group("S6"))
 
 
 def test_row_built_tables_match_column_built_oracle(corpus, perm_group):
@@ -391,7 +396,12 @@ def test_row_built_tables_match_column_built_oracle(corpus, perm_group):
     for g in _perm_groups(corpus, perm_group):
         pg = g.perm_generators
         gens = [np.array(p, dtype=np.int32) for p in pg.perms]
+        # past one check block, the table is built on first use, after columns from the permutations
+        assert (g._table is None) == (g.order ** 2 > groups._CHECK_BLOCK), g.name
+        last = g.right(g.order - 1)
         assert np.array_equal(g.table, table_by_columns(gens, pg.degree)), g.name
+        assert g.table is g.table and not g.table.flags.writeable and g.table.dtype == g.inverse.dtype
+        assert np.array_equal(g.right(g.order - 1), last), g.name
         orders.append(g.order)
     assert {120, 720, 64} <= set(orders)
 
@@ -440,8 +450,8 @@ def test_blockwise_coset_reps_match_one_shot_minimum(corpus, perm_group, monkeyp
     # at the default size the 720 rows of S6 span eight blocks of 91, the last one ragged
     cases += [(s6, s6.whole_subgroup()), (s6, subgroup_closure(s6, [1, 2]))]
     for g, sub in cases:
-        one_shot = g.table[:, np.array(sub.ids)].min(axis=1)
-        assert np.array_equal(groups._coset_reps(g, sub.ids), one_shot), (g.name, len(sub))
+        one_shot = coset_reps_by_gather(g, sub.ids)
+        assert np.array_equal(groups._coset_reps(sub), one_shot), (g.name, len(sub))
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, None])

@@ -79,7 +79,7 @@ def test_closure_mask_matches_unique_oracle(corpus):
         for _ in range(20):
             gens = rng.integers(0, g.order, size=rng.integers(0, 4)).tolist()
             start = rng.integers(0, g.order, size=rng.integers(1, 4)).tolist()
-            assert np.array_equal(_closure_mask(g.table, gens, start),
+            assert np.array_equal(_closure_mask(g, gens, start),
                                   closure_mask_by_unique(g.table, gens, start)), (name, gens, start)
 
 
@@ -99,7 +99,7 @@ def test_lattice_closure_counts(corpus, perm_group, monkeypatch, enumerate_, gro
 
 def test_greedy_class_closure_matches_plain_closure(corpus):
     for name, g in corpus:
-        gens = _greedy_generators(g.table)
+        gens = _greedy_generators(g)
         for cls in conjugacy_classes(g):
             sub = _normal_closure(g, cls[:1], gens)
             assert sub == subgroup_closure(g, cls) == class_closure(g, cls)[0], (name, cls)
