@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, NilpotentElementError, ValidationError
+from .groups import FiniteGroup, _greedy_generators
 from .linalg import is_prime
 
 __all__ = [
@@ -29,7 +30,7 @@ __all__ = [
     "zmod",
 ]
 
-_FULL_CHECK_LIMIT = 256  # associativity/distributivity checked exhaustively below this size
+_FULL_CHECK_LIMIT = 256  # associativity/distributivity checked up to this size
 
 
 class FiniteCommutativeAlgebra:
@@ -71,24 +72,30 @@ class FiniteCommutativeAlgebra:
             if acc.any():
                 raise ValidationError("characteristic does not annihilate the ring")
             if n <= _FULL_CHECK_LIMIT:
-                self._exhaustive_axioms(add, mul)
+                self._axioms_on_generators(add, mul)
         add.setflags(write=False)
         mul.setflags(write=False)
         self.add_table = add
         self.mul_table = mul
 
     @staticmethod
-    def _exhaustive_axioms(add: np.ndarray, mul: np.ndarray) -> None:
-        n = add.shape[0]
-        for a in range(n):
-            if not np.array_equal(add[add[a, :], :], add[a][add]):
+    def _axioms_on_generators(add: np.ndarray, mul: np.ndarray) -> None:
+        """Both associativities and distributivity, exactly, on the greedy generators S of (R, +).
+
+        Light's test on S proves + associative; the c with a(b+c) = ab + ac for all
+        a, b are closed under sums; then (ab)c and a(bc) are additive in b and c.
+        """
+        gens = _greedy_generators(FiniteGroup(add, name="(R, +)", validate="basic"))
+        for s in gens:
+            if not np.array_equal(add[add[:, s]], add[:, add[s]]):  # (x+s)+y, x+(s+y)
                 raise ValidationError("addition is not associative")
-            if not np.array_equal(mul[mul[a, :], :], mul[a][mul]):
-                raise ValidationError("multiplication is not associative")
-            lhs = mul[a][add]  # a * (b + c)
-            rhs = add[mul[a][:, None], mul[a][None, :]]  # a*b + a*c
-            if not np.array_equal(lhs, rhs):
+        for s in gens:
+            if not np.array_equal(mul[:, add[:, s]], add[mul, mul[:, s, None]]):  # a(b+s), ab+as
                 raise ValidationError("multiplication does not distribute over addition")
+        for s in gens:
+            for t in gens:
+                if not np.array_equal(mul[mul[:, s], t], mul[:, mul[s, t]]):  # (as)t, a(st)
+                    raise ValidationError("multiplication is not associative")
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])

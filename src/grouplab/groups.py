@@ -1,15 +1,16 @@
 """Finite groups with 0-based element ids, read through the columns of their Cayley tables.
 
 A group given by a table keeps it; a group built from permutation generators
-keeps its permutations and computes the columns it is asked for.  Element 0
-is always the identity.  Every canonical order used anywhere in
-the package is id-lexicographic, so repeated runs produce identical output
-regardless of platform.
+keeps its permutations, and a direct product its two factors, and each
+computes the columns it is asked for.  Element 0 is always the identity.
+Every canonical order used anywhere in the package is id-lexicographic, so
+repeated runs produce identical output regardless of platform.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -175,6 +176,25 @@ def _table_inverse(table: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _table_from_rows(rows: Sequence[np.ndarray], n: int, dtype: type) -> np.ndarray:
+    """The table of the group of order n generated by elements whose rows (s*x for every x)
+    are `rows`, breadth-first from the identity 0: an element j first reached as s*p has
+    row j = row s read at row p, as (s p) x = s (p x)."""
+    table = np.empty((n, n), dtype=dtype)
+    table[0] = np.arange(n)
+    queue, reached = [0], {0}
+    for p in queue:
+        for row in rows:
+            j = int(row[p])
+            if j not in reached:
+                reached.add(j)
+                queue.append(j)
+                np.take(row, table[p], out=table[j])
+    if len(queue) != n:
+        raise GroupLabError("the generators do not generate the group")
+    return table
+
+
 _KEY_DEGREE = 15  # largest degree whose permutations have int64 keys: 15**15 < 2**63 <= 16**16
 
 
@@ -214,27 +234,10 @@ class _Perms:
         return self.ids[pos]
 
     def cayley_table(self, inverse: np.ndarray) -> np.ndarray:
-        """The whole table, made once, row by row from the generators `gens`.
-
-        Ids follow breadth-first discovery, so every id j > 0 is x*s for its
-        discoverer x < j, the least x over the generators s; then row j is row
-        x read through the row of s, as (x s) y = x (s y).
-        """
+        """The whole table, made once, from the rows of the generators `gens`."""
         if self.table is None:
-            n, k = self.perms.shape[0], len(self.gens)
-            table = np.empty((n, n), dtype=inverse.dtype)
-            table[0] = np.arange(n)
-            if k:
-                # [i, j]: the x with x * gens[i] = j, ranked with i in row-major order
-                found_from = k * np.array([self.column("right", inverse[s]) for s in self.gens],
-                                          dtype=np.intp)
-                gen = np.argmin(found_from + np.arange(k)[:, None], axis=0)
-                parent = found_from[gen, np.arange(n)] // k
-                if not (parent[1:] < np.arange(1, n)).all():
-                    raise GroupLabError("element ids do not follow breadth-first discovery")
-                rows = [self.column("left", s) for s in self.gens]
-                for j in range(1, n):
-                    np.take(table[parent[j]], rows[gen[j]], out=table[j])
+            rows = [self.column("left", s) for s in self.gens]
+            table = _table_from_rows(rows, self.perms.shape[0], inverse.dtype)
             if not np.array_equal(_table_inverse(table), inverse):
                 raise GroupLabError("the table and the permutations disagree on inverses")
             table.setflags(write=False)
@@ -251,6 +254,50 @@ class _Perms:
             self.columns[key] = col
         return self.columns[key]
 
+    def element_order(self, s: int) -> int:
+        """The order of element s: the lcm of the cycle lengths of its permutation."""
+        lengths = np.bincount(_orbit_minima([self.perms[s]], self.perms.shape[1]))
+        return int(np.lcm.reduce(lengths[lengths > 0]))
+
+
+class _Product:
+    """The factors behind a direct product A x B, whose element x*|B| + y is the pair (x, y).
+    Columns are read digit-wise from the factors' columns and not kept; the table,
+    once built, is kept here, where a renamed copy of the group shares it."""
+
+    __slots__ = ("a", "b", "table")
+
+    def __init__(self, a: FiniteGroup, b: FiniteGroup) -> None:
+        self.a, self.b = a, b
+        self.table: np.ndarray | None = None
+
+    def cayley_table(self, inverse: np.ndarray) -> np.ndarray:
+        """The whole table, made once: x*nb for every product x of A, plus the table of B."""
+        if self.table is None:
+            na, nb = self.a.order, self.b.order
+            # built in the product's id dtype: (na-1)*nb + nb-1 < na*nb fits it
+            high = (np.arange(na) * nb).astype(inverse.dtype)[self.a.table]
+            table = (high[:, None, :, None] + self.b.table[None, :, None, :]).reshape(na * nb, na * nb)
+            if not np.array_equal(_table_inverse(table), inverse):
+                raise GroupLabError("the table and the factors disagree on inverses")
+            table.setflags(write=False)
+            self.table = table
+        return self.table
+
+    def column(self, side: str, s: int) -> np.ndarray:
+        """The ids of x*s ("right") or of s*x ("left") for every x, digit by digit."""
+        nb = self.b.order
+        x, y = divmod(int(s), nb)
+        high = getattr(self.a, side)(x).astype(_id_dtype(self.a.order * nb)) * nb
+        col = (high[:, None] + getattr(self.b, side)(y)).ravel()
+        col.setflags(write=False)
+        return col
+
+    def element_order(self, s: int) -> int:
+        """The order of element s: the lcm of its digits' orders."""
+        x, y = divmod(int(s), self.b.order)
+        return math.lcm(self.a.element_order(x), self.b.element_order(y))
+
 
 @dataclass(frozen=True)
 class PermGenerators:
@@ -265,11 +312,12 @@ class FiniteGroup:
     """A finite group read through the columns of its multiplication table.
 
     `right(s)[x]` and `left(s)[x]` are the ids of x*s and s*x.  A group given
-    by its table reads them from it; a group built from permutation generators
-    and larger than one check block computes them from its permutations, once
-    each, and builds `table` only for a consumer that reads it whole.  Tables,
-    columns and the inverse array are read-only numpy arrays of dtype
-    `_id_dtype(order)`; instances are immutable and safe to share.
+    by its table reads them from it; a group built from permutation generators,
+    or a direct product, larger than one check block computes them from its
+    permutations or its factors (`_source`), and builds `table` only for a
+    consumer that reads it whole.  Tables, columns and the inverse array are
+    read-only numpy arrays of dtype `_id_dtype(order)`; instances are
+    immutable and safe to share.
     """
 
     def __init__(
@@ -301,9 +349,10 @@ class FiniteGroup:
         if validate == "full":
             _light_associativity(self)
 
-    # the table, for a group built from generators once some consumer reads it whole
+    # the table, for a group with a column source once some consumer reads it whole
     _table: np.ndarray | None = None
-    _perms: _Perms | None = None  # the permutations of a group built from generators
+    # the permutations of a group built from generators, or the factors of a direct product
+    _source: _Perms | _Product | None = None
     # memos: greedy generators of G, class labels, commuting pairs, commutativity
     _gens: tuple[int, ...] | None = None
     _labels: np.ndarray | None = None
@@ -312,10 +361,10 @@ class FiniteGroup:
 
     @property
     def table(self) -> np.ndarray:
-        """The whole table: `table[a, b]` is the id of a*b.  A group built from
-        permutations builds it on first use, checked like a table given as input."""
+        """The whole table: `table[a, b]` is the id of a*b.  A group with a column
+        source builds it on first use, checked like a table given as input."""
         if self._table is None:
-            self._table = self._perms.cayley_table(self.inverse)
+            self._table = self._source.cayley_table(self.inverse)
         return self._table
 
     # -- basic queries ----------------------------------------------------
@@ -329,11 +378,11 @@ class FiniteGroup:
 
     def right(self, s: int) -> np.ndarray:
         """Column s of the table: the id of x*s for every x."""
-        return self._perms.column("right", s) if self._table is None else self._table[:, s]
+        return self._source.column("right", s) if self._table is None else self._table[:, s]
 
     def left(self, s: int) -> np.ndarray:
         """Row s of the table: the id of s*x for every x."""
-        return self._perms.column("left", s) if self._table is None else self._table[s]
+        return self._source.column("left", s) if self._table is None else self._table[s]
 
     def mul(self, a: int, b: int) -> int:
         return int(self.right(b)[a])
@@ -350,7 +399,9 @@ class FiniteGroup:
         return int(self.left(self.inverse[a])[self.left(self.inverse[b])[self.right(b)[a]]])
 
     def element_order(self, a: int) -> int:
-        col = self.right(a)
+        if self._table is None:  # from the permutation or the digits, keeping no column
+            return self._source.element_order(a)
+        col = self._table[:, a]
         x, k = int(a), 1
         while x != 0:
             x = int(col[x])
@@ -367,11 +418,7 @@ class FiniteGroup:
         return self._abelian
 
     def exponent(self) -> int:
-        e = 1
-        for a in self.elements():
-            k = self.element_order(a)
-            e = e * k // np.gcd(e, k)
-        return int(e)
+        return math.lcm(*(self.element_order(a) for a in self.elements()))
 
     # -- subgroup helpers --------------------------------------------------
 
@@ -386,15 +433,15 @@ class FiniteGroup:
 
     def permutation_of(self, x: int) -> tuple[int, ...]:
         """Permutation realizing element x, for groups built from generators."""
-        if self.perm_generators is None or self._perms is None:
+        if self.perm_generators is None or self._source is None:
             raise ValidationError("group has no permutation presentation")
-        return tuple(self._perms.perms[x].tolist())
+        return tuple(self._source.perms[x].tolist())
 
     def _renamed(self, name: str) -> "FiniteGroup":
         """The same group under another name, sharing its read-only arrays, columns and memos.
 
         Like a group built from the table, it carries no permutation presentation;
-        the permutations behind its columns stay.
+        the permutations or factors behind its columns stay.
         """
         grp = copy.copy(self)
         grp.name = name
@@ -443,7 +490,9 @@ class Subgroup:
         arr = np.array(self.ids, dtype=np.int32)
         if not np.isin(g.inverse[arr], arr).all():
             raise ValidationError("subgroup not closed under inversion")
-        if not np.isin(g.table[np.ix_(arr, arr)], arr).all():
+        # the ids hold the closure of their greedy generators, so they are closed iff they are it
+        self._gens = tuple(_greedy_generators(g, arr))
+        if np.count_nonzero(_closure_mask(g, self._gens)) != len(arr):
             raise ValidationError("subgroup not closed under multiplication")
         if g.order % len(self.ids) != 0:
             raise GroupLabError("Lagrange violation, table is inconsistent")
@@ -621,15 +670,14 @@ def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
     """The group generated by permutations, kept as its permutations.
 
     It is checked in O(n k): the key index is a bijection, element 0 is the
-    identity, and the column of every generator permutes the ids.  Its table
-    is built here only when it fits one check block.
+    identity, and the column of every generator permutes the ids.
     """
     backing = _Perms(_perm_closure(gen_arrays, degree, caps))
     perms, keys = backing.perms, backing.keys
     if not (keys[1:] != keys[:-1]).all() or not np.array_equal(perms[0], np.arange(degree)):
         raise GroupLabError("the permutation index is not a bijection from the identity first")
     grp = FiniteGroup.__new__(FiniteGroup)
-    grp.name, grp._perms = name, backing
+    grp.name, grp._source = name, backing
     grp.inverse = backing.ids_of(np.argsort(perms, axis=1))  # argsort inverts a permutation
     grp.inverse.setflags(write=False)
     backing.gens = tuple(backing.ids_of(np.reshape(gen_arrays, (-1, degree))).tolist())
@@ -638,10 +686,16 @@ def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
         perms=tuple(tuple(int(v) for v in p) for p in gen_arrays),
         element_ids=backing.gens,
     )
-    for s in grp.perm_generators.element_ids:
-        if not (np.bincount(grp.right(s), minlength=perms.shape[0]) == 1).all():
+    return _checked_on_generators(grp, backing.gens)
+
+
+def _checked_on_generators(grp: FiniteGroup, gens: Sequence[int]) -> FiniteGroup:
+    """`grp` with a column source, once the column of every generator permutes the ids.
+    Its table is built now when it fits one check block."""
+    for s in gens:
+        if not (np.bincount(grp.right(s), minlength=grp.order) == 1).all():
             raise GroupLabError("a generator does not permute the elements")
-    if perms.shape[0] ** 2 <= _CHECK_BLOCK:
+    if grp.order ** 2 <= _CHECK_BLOCK:
         grp.table  # a table of one check block costs less than the columns read from it
     return grp
 
@@ -688,15 +742,22 @@ def cyclic_group(n: int, *, name: str | None = None, caps: Caps = DEFAULT_CAPS) 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, *, name: str | None = None,
                    caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
-    """Direct product with ids encoded as x*|b| + y (first factor most significant)."""
+    """Direct product with ids encoded as x*|b| + y (first factor most significant).
+
+    It keeps its factors and reads its columns from theirs.  It is checked in
+    O(n k), like a group built from generators: element 0 is the identity and
+    the column of every factor generator permutes the ids.
+    """
     na, nb = a.order, b.order
     caps.check("order", na * nb)
-    # x*nb for every product x of a, then the one n^2 array, built in the product's id
-    # dtype: (na-1)*nb + nb-1 < na*nb fits it
-    high = (np.arange(na) * nb).astype(_id_dtype(na * nb))[a.table]
-    t = high[:, None, :, None] + b.table[None, :, None, :]
-    table = t.reshape(na * nb, na * nb)
-    return FiniteGroup(table, name=name or f"{a.name}x{b.name}", validate="basic", caps=caps)
+    grp = FiniteGroup.__new__(FiniteGroup)
+    grp.name, grp.perm_generators, grp._source = name or f"{a.name}x{b.name}", None, _Product(a, b)
+    grp.inverse = (a.inverse.astype(_id_dtype(na * nb))[:, None] * nb + b.inverse).ravel()
+    grp.inverse.setflags(write=False)
+    ids = np.arange(na * nb)
+    if not (np.array_equal(grp.right(0), ids) and np.array_equal(grp.left(0), ids)):
+        raise ValidationError("element 0 must act as the identity")
+    return _checked_on_generators(grp, [x * nb for x in _greedy_generators(a)] + _greedy_generators(b))
 
 
 def direct_power(p: FiniteGroup, m: int, *, name: str | None = None,
@@ -849,7 +910,10 @@ def _coset_reps(h: Subgroup) -> np.ndarray:
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """Quotient by a normal subgroup; coset ids follow minimal representatives."""
+    """Quotient by a normal subgroup; coset ids follow minimal representatives.
+
+    Its table is built from the rows of the generators of G, not from G's table.
+    """
     if n.group is not g:
         raise ValidationError("subgroup belongs to a different group")
     if not n.is_normal():
@@ -863,8 +927,9 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     idx_of = np.full(g.order, -1, dtype=_id_dtype(reps.size))  # so the quotient's table is built in it
     idx_of[reps] = np.arange(reps.size)
     proj = idx_of[rep]
-    qtable = proj[g.table[np.ix_(reps, reps)]]
-    q = FiniteGroup(qtable, name=name, validate="basic")
+    # the images of the generators of G generate G/N; row c of image(s) is proj(s * rep c)
+    rows = [proj[g.left(s)[reps]] for s in _greedy_generators(g)]
+    q = FiniteGroup(_table_from_rows(rows, reps.size, proj.dtype), name=name, validate="basic")
     return q, GroupHom(g, q, proj, validate=False)
 
 

@@ -158,7 +158,7 @@ def coset_action_system(g: FiniteGroup, chain: Sequence[Subgroup],
         level = _group_from_perms([acting[x] for x in gens], acting.shape[1],
                                   name=f"{g.name}|X{n}", caps=caps)
         levels.append(level)
-        acting_map = level._perms.ids_of(acting)
+        acting_map = level._source.ids_of(acting)
         to_level.append(GroupHom(g, level, acting_map, validate=False))
         if n > 1:
             # g maps onto every level, and restricting to the first n-1 spaces

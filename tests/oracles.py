@@ -574,3 +574,46 @@ def group_rank_bound_of_quotients(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) 
         q, _ = quotient(h_grp, core_local)
         best = max(best, prufer_rank_of_subgroup_groups(q, caps=caps))
     return best
+
+
+def direct_product_table(a: FiniteGroup, b: FiniteGroup) -> np.ndarray:
+    """The table of A x B, ids x*|B| + y, as one broadcast sum of the factors' whole tables."""
+    na, nb = a.order, b.order
+    high = (np.arange(na, dtype=np.int64) * nb)[a.table]
+    return (high[:, None, :, None] + b.table[None, :, None, :]).reshape(na * nb, na * nb)
+
+
+def quotient_table_by_gather(table: np.ndarray, n_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The table of G/N and the projection, cosets numbered by their least id, the
+    representatives' products read off the whole table of G in one gather."""
+    reps = table[:, np.array(n_ids, dtype=np.intp)].min(axis=1)
+    least = np.unique(reps)
+    idx_of = np.full(table.shape[0], -1, dtype=np.int64)
+    idx_of[least] = np.arange(least.size)
+    proj = idx_of[reps]
+    return proj[table[np.ix_(least, least)]], proj
+
+
+def subgroup_error_by_isin(g: FiniteGroup, ids: Sequence[int]) -> str | None:
+    """The first subgroup-validation message for a sorted set of ids in range holding 0, or
+    None: inverses, then every product of two members looked up in the whole table."""
+    arr = np.array(ids, dtype=np.intp)
+    if not np.isin(g.inverse[arr], arr).all():
+        return "subgroup not closed under inversion"
+    if not np.isin(g.table[np.ix_(arr, arr)], arr).all():
+        return "subgroup not closed under multiplication"
+    return None
+
+
+def algebra_axioms_exhaustive(add: np.ndarray, mul: np.ndarray) -> None:
+    """Associativity of + and *, and distributivity, on every triple, one row a at a time."""
+    n = add.shape[0]
+    for a in range(n):
+        if not np.array_equal(add[add[a, :], :], add[a][add]):
+            raise ValidationError("addition is not associative")
+        if not np.array_equal(mul[mul[a, :], :], mul[a][mul]):
+            raise ValidationError("multiplication is not associative")
+        lhs = mul[a][add]  # a * (b + c)
+        rhs = add[mul[a][:, None], mul[a][None, :]]  # a*b + a*c
+        if not np.array_equal(lhs, rhs):
+            raise ValidationError("multiplication does not distribute over addition")

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from grouplab.algebras import (
+    FiniteCommutativeAlgebra,
     field_by_name,
     find_nilpotent,
     gf,
@@ -11,6 +13,7 @@ from grouplab.algebras import (
     zmod,
 )
 from grouplab.errors import NilpotentElementError, ValidationError
+from oracles import algebra_axioms_exhaustive
 
 
 @pytest.mark.parametrize("q,p", [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)])
@@ -79,3 +82,135 @@ def test_mr_decompose_product_of_fields():
     assert [f.field.size for f in decomp.factors] == [2, 2]
     for factor in decomp.factors:
         assert factor.field.is_field()
+
+
+_AXIOMS = ("addition is not associative", "multiplication is not associative",
+           "multiplication does not distribute over addition")
+
+
+def _suite_algebras(corpus) -> list:
+    """The algebras the suite builds: bundled fields, Z/n, filtered powers and module rings."""
+    from grouplab.boolean import build_boolean_ring
+    from grouplab.boolpower import filtered_power, filtered_power_spec
+    from grouplab.cli import _bundled_actions
+    from grouplab.config import DEFAULT_CAPS
+    from grouplab.modring import action_from_matrices, ring_construct
+
+    out = [gf(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)] + [zmod(n) for n in range(2, 17)]
+    for field, atoms, constraints in ((gf(2), 2, []), (gf(4), 2, []), (gf(4), 2, [(range(2), [0, 1])]),
+                                      (gf(4), 2, [([0], [0, 1])]), (gf(9), 3, [([0], range(3))])):
+        out.append(filtered_power(filtered_power_spec(field, build_boolean_ring(atoms), constraints)))
+    shift = [[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)]
+    actions = [*_bundled_actions(corpus, DEFAULT_CAPS).values(),
+               (action_from_matrices(corpus["Z4"], 3, 4, {1: shift}), (1, 0, 0, 0))]
+    for action, v in actions:
+        built = ring_construct(action, v)
+        if built.well_defined:
+            out.append(built.ring.to_algebra())
+    return out
+
+
+def _verdict(check, add, mul) -> str | None:
+    try:
+        check(add, mul)
+    except ValidationError as exc:
+        assert str(exc) in _AXIOMS
+        return str(exc)
+    return None
+
+
+def test_axioms_on_generators_accept_every_algebra_of_the_suite(corpus):
+    algebras = _suite_algebras(corpus)
+    assert {a.size for a in algebras} >= {2, 16, 81, 243}
+    for alg in algebras:
+        add, mul = np.array(alg.add_table), np.array(alg.mul_table)
+        assert _verdict(algebra_axioms_exhaustive, add, mul) is None, alg.name
+        assert _verdict(FiniteCommutativeAlgebra._axioms_on_generators, add, mul) is None, alg.name
+
+
+def _vector_algebra(products: dict[tuple[int, int], tuple[int, ...]], dim: int):
+    """Tables of the commutative GF(2)-algebra with basis vectors 1, e_1, ..., e_(dim-1) (bit i
+    of an id is the coefficient of e_i) and e_i e_j = products[i, j] for 0 < i <= j."""
+    n = 1 << dim
+    ids = np.arange(n)
+    basis = np.zeros((dim, dim), dtype=np.int64)  # basis[i, j]: e_i e_j as an id
+    basis[0] = basis[:, 0] = 1 << np.arange(dim)
+    for (i, j), bits in products.items():
+        basis[i, j] = basis[j, i] = sum(1 << b for b in bits)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for i in range(dim):
+        for j in range(dim):
+            both = ((ids[:, None] >> i) & (ids[None, :] >> j) & 1).astype(bool)
+            mul ^= np.where(both, basis[i, j], 0)
+    return ids[:, None] ^ ids[None, :], mul
+
+
+def _single_axiom_mutants():
+    """(add, mul, char, the one axiom that fails), each passing the constructor's earlier checks."""
+    f8 = gf(8)
+    add, mul = np.array(f8.add_table), np.array(f8.mul_table)
+    # swap 3 and 7 at (1,2), (5,6), (1,6), (5,2) and their mirrors: a commutative loop, not a group
+    loop = add.copy()
+    for x, y in ((1, 2), (5, 6), (1, 6), (5, 2)):
+        loop[x, y] = loop[y, x] = 10 - loop[x, y]
+    yield loop, mul, 2, "addition is not associative"
+    # the field's multiplication relabelled by an order-fixing permutation of the nonzero non-ones
+    perm = np.array([0, 1, 3, 2, 4, 5, 6, 7])
+    yield add, perm[mul[np.ix_(np.argsort(perm), np.argsort(perm))]], 2, \
+        "multiplication does not distribute over addition"
+    # 1, e, f over GF(2) with e^2 = f, ef = 1, f^2 = 0: bilinear, commutative, (ee)f != e(ef)
+    add3, mul3 = _vector_algebra({(1, 1): (2,), (1, 2): (0,), (2, 2): ()}, 3)
+    yield add3, mul3, 2, "multiplication is not associative"
+
+
+def test_single_axiom_mutants_fail_with_their_message():
+    for add, mul, char, message in _single_axiom_mutants():
+        assert _verdict(algebra_axioms_exhaustive, add, mul) == message
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FiniteCommutativeAlgebra(add, mul, char=char, one_id=1)
+
+
+def _corruptions(rng, count: int):
+    """Random corruptions of fields and Z/n that keep the constructor's earlier checks:
+    a relabelled addition or multiplication (fixing 0 and 1), one changed product, or a
+    symmetric swap of two sums u, v on the cells x+y, x'+y', x+y', x'+y (x' = x+d and
+    y' = y+d for an involution d), which leaves a commutative loop."""
+    bases = [gf(q) for q in (4, 5, 7, 8, 9)] + [zmod(n) for n in (4, 6, 8, 9, 10, 12)]
+    for _ in range(count):
+        alg = bases[rng.integers(len(bases))]
+        add, mul = np.array(alg.add_table), np.array(alg.mul_table)
+        n = alg.size
+        perm = np.concatenate([[0, 1], 2 + rng.permutation(n - 2)])
+        inv = np.argsort(perm)
+        kind = rng.integers(4)
+        involutions = np.flatnonzero((add[np.arange(n), np.arange(n)] == 0) & (np.arange(n) > 0))
+        if kind == 3 and involutions.size:
+            d = rng.choice(involutions)
+            x, y = rng.integers(1, n, size=2)
+            xs, ys = (x, add[x, d]), (y, add[y, d])
+            if 0 not in xs + ys and not set(xs) & set(ys):
+                u, v = add[x, y], add[x, ys[1]]
+                for a in xs:
+                    for b in ys:
+                        add[a, b] = add[b, a] = u + v - add[a, b]
+        elif kind == 0:
+            add = perm[add[np.ix_(inv, inv)]]
+        elif kind == 1:
+            mul = perm[mul[np.ix_(inv, inv)]]
+        else:
+            a, b = rng.choice(np.r_[0, 2:n], size=2)
+            mul[a, b] = mul[b, a] = rng.integers(n)
+        yield alg, add, mul
+
+
+def test_axioms_on_generators_agree_with_the_exhaustive_loop_on_random_corruptions():
+    rng = np.random.default_rng(2024)
+    seen = dict.fromkeys((None, *_AXIOMS), 0)
+    for alg, add, mul in _corruptions(rng, 1200):
+        want = _verdict(algebra_axioms_exhaustive, add, mul)
+        got = _verdict(FiniteCommutativeAlgebra._axioms_on_generators, add, mul)
+        assert (got is None) == (want is None), (alg.name, want, got)
+        if got is None:  # accepted: the whole constructor accepts it too
+            FiniteCommutativeAlgebra(add, mul, char=alg.char, one_id=1)
+        seen[want] += 1
+    assert min(seen.values()) >= 20, seen

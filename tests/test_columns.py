@@ -63,7 +63,7 @@ def test_layered_closure_keeps_the_queue_order_ids_and_inverses(corpus, perm_gro
         assert list(pg.element_ids) == [index[p.tobytes()] for p in _gen_arrays(g)], g.name
         degrees.append(pg.degree)
     assert {7, 37, 157, 300} <= set(degrees)  # int64 keys, byte keys, uint16 points
-    assert wide._perms.perms.dtype == np.uint16
+    assert wide._source.perms.dtype == np.uint16
 
 
 def _table_path(g: FiniteGroup) -> FiniteGroup:
@@ -112,7 +112,7 @@ def test_large_neumann_rows_build_no_table(tmp_path):
     assert [(r["name"], r["pairs"], r["neumann_value"]) for r in rows] == \
         [("A5xA5", 25 * 3600, 3600 ** 2), ("S7", 15 * 5040, 2520)]
     for _, g in corpus.items():
-        assert g._table is None and g._perms.table is None, g.name
+        assert g._table is None and g._source.table is None, g.name
     assert peak < _S7_TABLE_BYTES
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -269,20 +270,53 @@ def test_cli_boolean_power_materializes_the_power_once(tmp_path, monkeypatch):
         "8cf7b9e359e3839a74e6f756dffc2b6f625de96d7676ed28d9df0430348af978")
 
 
-def test_cli_boolean_power_builds_one_table_of_the_power_order(tmp_path, monkeypatch):
-    orders = []
+def _count_tables(monkeypatch) -> tuple[list[int], list[int]]:
+    """The orders of the groups `FiniteGroup.__init__` builds, and of every table checked:
+    each table given to `__init__` and each built lazily by `FiniteGroup.table`."""
+    inits, tables = [], []
 
-    def counted(self, table, **kwargs):
+    def counted_init(self, table, **kwargs):
         init(self, table, **kwargs)
-        orders.append(self.order)
+        inits.append(self.order)
 
-    init = groups.FiniteGroup.__init__
-    monkeypatch.setattr(groups.FiniteGroup, "__init__", counted)
+    def counted_inverse(table):
+        tables.append(table.shape[0])
+        return table_inverse(table)
+
+    init, table_inverse = groups.FiniteGroup.__init__, groups._table_inverse
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counted_init)
+    monkeypatch.setattr(groups, "_table_inverse", counted_inverse)
+    return inits, tables
+
+
+def test_cli_boolean_power_builds_no_table_of_the_power_order(tmp_path, monkeypatch):
+    inits, tables = _count_tables(monkeypatch)
     code = main(["boolean-power", "--base", "A5", "--atoms", "2", "--out", str(tmp_path / "out")])
-    # the empty ideal's quotient and target share the power's table
-    assert code == 0 and orders.count(3600) == 1
+    # A5^2 reads its columns from A5's; its quotients are built from the rows of their cosets
+    assert code == 0 and inits.count(3600) == 0 and tables.count(3600) == 0
+    assert 60 in inits  # the counters see the quotients' tables
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == (
         "592d42569b785d6016248c62c9cc24f31ce9b56d4b665f26fae41ca01e4fb6fb")
+
+
+def test_cli_bundled_towers_build_no_table_of_the_a5_square_order(tmp_path, monkeypatch):
+    inits, tables = _count_tables(monkeypatch)
+    code = main(["inverse-system", "--out", str(tmp_path / "out")])
+    rows = json.loads((tmp_path / "out").read_text())["items"]
+    assert code == 0 and [r["order"] for r in rows if r["tower"] == "a5-square"] == [60, 3600]
+    assert inits.count(3600) == 0 and tables.count(3600) == 0 and 60 in tables
+
+
+def test_cli_boolean_power_a5_square_stays_under_one_power_table(tmp_path):
+    """The whole `boolean-power --base A5 --atoms 2` flow allocates less than a third
+    of one int16 table of A5^2 (25.9 MB)."""
+    tracemalloc.start()
+    try:
+        code = main(["boolean-power", "--base", "A5", "--atoms", "2", "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 8 * 2**20
 
 
 def test_cli_boolean_power_spec_file(tmp_path):
