@@ -129,8 +129,9 @@ def test_axioms_on_generators_accept_every_algebra_of_the_suite(corpus):
 
 
 def _vector_algebra(products: dict[tuple[int, int], tuple[int, ...]], dim: int):
-    """Tables of the commutative GF(2)-algebra with basis vectors 1, e_1, ..., e_(dim-1) (bit i
-    of an id is the coefficient of e_i) and e_i e_j = products[i, j] for 0 < i <= j."""
+    """Tables of the commutative GF(2)-algebra with basis 1 = e_0, e_1, ..., e_(dim-1), where
+    bit i of an id is the coefficient of e_i and e_i e_j (0 < i <= j) is the sum of the
+    e_b for b in products[i, j]."""
     n = 1 << dim
     ids = np.arange(n)
     basis = np.zeros((dim, dim), dtype=np.int64)  # basis[i, j]: e_i e_j as an id
@@ -154,7 +155,8 @@ def _single_axiom_mutants():
     for x, y in ((1, 2), (5, 6), (1, 6), (5, 2)):
         loop[x, y] = loop[y, x] = 10 - loop[x, y]
     yield loop, mul, 2, "addition is not associative"
-    # the field's multiplication relabelled by an order-fixing permutation of the nonzero non-ones
+    # the field's multiplication relabelled by swapping 2 and 3 (an isomorphic ring on the
+    # same set, so still associative, but no longer distributive over the old addition)
     perm = np.array([0, 1, 3, 2, 4, 5, 6, 7])
     yield add, perm[mul[np.ix_(np.argsort(perm), np.argsort(perm))]], 2, \
         "multiplication does not distribute over addition"

@@ -292,7 +292,7 @@ def _count_tables(monkeypatch) -> tuple[list[int], list[int]]:
 def test_cli_boolean_power_builds_no_table_of_the_power_order(tmp_path, monkeypatch):
     inits, tables = _count_tables(monkeypatch)
     code = main(["boolean-power", "--base", "A5", "--atoms", "2", "--out", str(tmp_path / "out")])
-    # A5^2 reads its columns from A5's; its quotients are built from the rows of their cosets
+    # A5^2 reads its columns from A5's; its quotients' tables are filled from its generators' rows
     assert code == 0 and inits.count(3600) == 0 and tables.count(3600) == 0
     assert 60 in inits  # the counters see the quotients' tables
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == (

@@ -126,7 +126,7 @@ def test_element_order_keeps_no_columns(perm_group):
         assert len(g._source.columns) == before, name
     s6 = perm_group("S6")
     orders = [s6.element_order(x) for x in s6.elements()]
-    walked = FiniteGroup(s6.table, validate="basic")  # ids read off the table, walking columns
+    walked = FiniteGroup(s6.table, validate="basic")  # the same ids; orders by walking its table
     assert orders == [walked.element_order(x) for x in walked.elements()]
 
 
