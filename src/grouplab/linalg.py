@@ -12,8 +12,16 @@ import numpy as np
 from .errors import ValidationError
 
 
+def prime_power_base(n: int) -> int | None:
+    """The prime p with n = p**a for some a >= 1, or None when n is no prime power."""
+    if n < 2:
+        return None
+    p = next((q for q in range(2, int(n**0.5) + 1) if n % q == 0), n)  # the least prime factor
+    return p if split_prime_power(n, p)[1] == 1 else None
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+    return prime_power_base(p) == p
 
 
 def split_prime_power(n: int, p: int) -> tuple[int, int]:

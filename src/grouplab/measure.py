@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,15 +19,16 @@ from .errors import GroupLabError, ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _local_ids,
+    _greedy_generators,
     center,
     commutator_subgroup,
     commuting_pair_count,
     conjugacy_classes,
     core,
     quotient,
+    subgroup_closure,
 )
-from .linalg import rank_gfp, split_prime_power
+from .linalg import prime_power_base, split_prime_power
 from .structure import _relative_rank, _subgroup_classes, enumerate_normal_subgroups
 
 __all__ = [
@@ -99,47 +100,33 @@ class NeumannWitness:
         return Fraction(order * order, self.value)
 
 
-def _admissible_pairs(g: FiniteGroup, normals: Sequence[Subgroup]) -> Iterable[tuple[Subgroup, Subgroup]]:
-    """The pairs K <= N with N/K abelian, K != N unless N = 1, in the order of `normals`.
-
-    Containment is read from one membership matrix, a row per normal subgroup.
-    """
-    member = np.zeros((len(normals), g.order), dtype=bool)
-    for row, sub in zip(member, normals):
-        row[list(sub.ids)] = True
-    sizes = member.sum(axis=1)
-    for n_sub in normals:
-        comm = commutator_subgroup(n_sub, n_sub)
-        inside = member[:, list(n_sub.ids)].sum(axis=1) == sizes
-        above_comm = member[:, list(comm.ids)].all(axis=1)  # N/K abelian
-        for i in np.flatnonzero(inside & above_comm).tolist():
-            k_sub = normals[i]
-            if k_sub == n_sub and len(n_sub) != 1:
-                continue
-            yield k_sub, n_sub
-
-
 def neumann_search(g: FiniteGroup, *, name: str | None = None,
                    caps: Caps = DEFAULT_CAPS) -> NeumannWitness:
     """Minimize |K| * |L:N|^2 over admissible normal pairs.
 
     Ties break by smaller |K|, then larger |N|, then lexicographic element
-    tuples.  The returned witness is verified against the exact pair count.
+    tuples.  N/K abelian means [N, N] <= K, and [N, N] is normal in L, so for
+    each N the pair ([N, N], N) has the least key; a perfect N other than 1 has
+    no admissible pair.  N is visited by ascending index, and the search stops
+    once |L:N|^2 alone exceeds the best value: strictly, since a later pair with
+    |K| = 1 can tie the value and win on |K|.  The returned witness is verified
+    against the exact pair count.
     """
-    normals = enumerate_normal_subgroups(g, caps=caps)
     best: tuple | None = None
-    for k_sub, n_sub in _admissible_pairs(g, normals):
-        value = len(k_sub) * (g.order // len(n_sub)) ** 2
-        key = (value, len(k_sub), -len(n_sub), k_sub.ids, n_sub.ids)
+    for n_sub in sorted(enumerate_normal_subgroups(g, caps=caps), key=len, reverse=True):
+        index = g.order // len(n_sub)
+        if best is not None and index * index > best[0][0]:
+            break
+        k_sub = commutator_subgroup(n_sub, n_sub)
+        if k_sub == n_sub and len(n_sub) != 1:
+            continue
+        key = (len(k_sub) * index * index, len(k_sub), -len(n_sub), k_sub.ids, n_sub.ids)
         if best is None or key < best[0]:
-            best = (key, k_sub, n_sub, value)
-    if best is None:
-        raise GroupLabError("no admissible pair; the (1, 1) fallback should always exist")
-    _, k_sub, n_sub, value = best
+            best = (key, k_sub, n_sub)
+    (value, *_), k_sub, n_sub = best  # N = 1 is always visited, unless a pair was found before it
     pairs = commuting_pair_count(g)
     if pairs * value < g.order**2:
         raise GroupLabError("commuting-pair bound violated; tables are inconsistent")
-    comm = commutator_subgroup(n_sub, n_sub)
     return NeumannWitness(
         group_name=name or g.name,
         k=k_sub,
@@ -147,7 +134,7 @@ def neumann_search(g: FiniteGroup, *, name: str | None = None,
         value=value,
         k_size=len(k_sub),
         n_index=g.order // len(n_sub),
-        commutator_size=len(comm),
+        commutator_size=len(k_sub),
         abelian_quotient=True,
     )
 
@@ -224,31 +211,6 @@ class ExteriorReport:
     k: int | None                    # None is the infinity marker (u_dim == 0)
 
 
-def _elementary_abelian_coordinates(g: FiniteGroup, p: int) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Basis element ids and a full coordinate map for an elementary abelian group."""
-    basis: list[int] = []
-    span = {0: ()}
-    for x in range(1, g.order):
-        if x in span:
-            continue
-        new_span = dict(span)
-        for known, coords in span.items():
-            acc = known
-            for c in range(1, p):
-                acc = g.mul(acc, x)
-                new_span[acc] = coords + (c,)
-        # pad earlier coordinates with 0 for the new basis vector
-        span = {elem: coords + (0,) * (len(basis) + 1 - len(coords))
-                for elem, coords in new_span.items()}
-        basis.append(x)
-        if len(span) == g.order:
-            break
-    if len(span) != g.order:
-        raise GroupLabError("coordinate construction failed on an elementary abelian group")
-    width = len(basis)
-    return basis, {elem: coords + (0,) * (width - len(coords)) for elem, coords in span.items()}
-
-
 def rho_wedge(g: FiniteGroup, *, name: str | None = None,
               caps: Caps = DEFAULT_CAPS) -> ExteriorReport:
     """Build the wedge-to-commutator map over GF(p) and measure its kernel.
@@ -263,38 +225,29 @@ def rho_wedge(g: FiniteGroup, *, name: str | None = None,
     order = g.order
     if order == 1:
         raise ValidationError("need a nontrivial prime-power order")
-    p = min(q for q in range(2, order + 1) if order % q == 0)
-    if split_prime_power(order, p)[1] != 1:
+    p = prime_power_base(order)
+    if p is None:
         raise ValidationError(f"order {order} is not a power of a single prime")
 
     whole = g.whole_subgroup()
     w = commutator_subgroup(whole, whole)
     if not center(g).contains_subgroup(w):
         raise ValidationError("commutator subgroup is not central (class > 2)")
-    w_grp, _ = w.as_group()
-    if any(w_grp.element_order(x) != p for x in range(1, w_grp.order)):
+    if any(g.element_order(x) != p for x in w.ids[1:]):
         raise ValidationError("commutator subgroup is not elementary abelian")
     q, proj = quotient(g, w)
     if not q.is_abelian or any(q.element_order(x) != p for x in range(1, q.order)):
         raise ValidationError("central quotient is not elementary abelian")
 
-    u_basis, _ = _elementary_abelian_coordinates(q, p)
+    # the basis of L/W by ascending id; canonical lifts: the first, hence minimal, id in each coset
+    u_basis = _greedy_generators(q)
     u_dim = len(u_basis)
-    _, w_coords = _elementary_abelian_coordinates(w_grp, p)
-    w_dim = len(next(iter(w_coords.values()))) if w_grp.order > 1 else 0
-
-    # canonical lifts: the first, hence minimal, id in each coset
     _, lift = np.unique(proj.mapping, return_index=True)
-    rows = []
-    for i, j in itertools.combinations(range(u_dim), 2):
-        c = g.commutator(lift[u_basis[i]], lift[u_basis[j]])
-        rows.append(w_coords[int(_local_ids(w, c))] if w_dim else ())
+    # W is elementary abelian, so the image of the wedge map is the subgroup the commutators span
+    comms = [g.commutator(lift[u_basis[i]], lift[u_basis[j]])
+             for i, j in itertools.combinations(range(u_dim), 2)]
+    image_dim = split_prime_power(len(subgroup_closure(g, comms)), p)[0]
     wedge_dim = u_dim * (u_dim - 1) // 2
-    if wedge_dim and w_dim:
-        mat = np.array(rows, dtype=np.int64)
-        image_dim = rank_gfp(mat, p)
-    else:
-        image_dim = 0
     kernel_dim = wedge_dim - image_dim
     k = kernel_dim // u_dim if u_dim else None
     return ExteriorReport(

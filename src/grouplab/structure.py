@@ -28,7 +28,7 @@ from .groups import (
     is_nilpotent,
     subgroup_closure,
 )
-from .linalg import is_prime, split_prime_power
+from .linalg import is_prime, prime_power_base, split_prime_power
 
 __all__ = [
     "AutomorphismReport",
@@ -210,8 +210,8 @@ def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     index = len(sub) // len(base)
     if index == 1:
         return 0
-    p = next(q for q in range(2, index + 1) if index % q == 0)
-    if split_prime_power(index, p)[1] != 1:
+    p = prime_power_base(index)
+    if p is None:
         return _rank_by_search(g, base, sub)
     t, arr = g.table, np.array(sub.ids, dtype=np.intp)
     powers = arr

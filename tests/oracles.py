@@ -21,13 +21,22 @@ from grouplab.groups import (
     _greedy_generators,
     _local_ids,
     _normal_closure,
+    center,
+    commutator_subgroup,
     conjugacy_classes,
     core,
     quotient,
     subgroup_closure,
 )
-from grouplab.linalg import inv_gfp, is_prime, nullspace_gfp
-from grouplab.structure import SpreadReport, SpreadWitness, _record, enumerate_subgroups
+from grouplab.linalg import inv_gfp, is_prime, nullspace_gfp, rank_gfp, split_prime_power
+from grouplab.measure import ExteriorReport
+from grouplab.structure import (
+    SpreadReport,
+    SpreadWitness,
+    _record,
+    enumerate_normal_subgroups,
+    enumerate_subgroups,
+)
 
 
 def double_loop_commuting_count(g: FiniteGroup) -> int:
@@ -328,8 +337,6 @@ def conjugate_spread_per_element(g: FiniteGroup) -> SpreadReport:
 
 def sylow_subgroup_restarting(g: FiniteGroup, p: int) -> Subgroup:
     """A maximal p-subgroup, rescanning all elements after each one added."""
-    from grouplab.linalg import split_prime_power
-
     gens: tuple[int, ...] = ()
     current = g.trivial_subgroup()
     while True:
@@ -617,3 +624,94 @@ def algebra_axioms_exhaustive(add: np.ndarray, mul: np.ndarray) -> None:
         rhs = add[mul[a][:, None], mul[a][None, :]]  # a*b + a*c
         if not np.array_equal(lhs, rhs):
             raise ValidationError("multiplication does not distribute over addition")
+
+
+def neumann_search_all_pairs(g: FiniteGroup, *,
+                             caps: Caps = DEFAULT_CAPS) -> tuple[Subgroup, Subgroup, int, int]:
+    """(K, N, |K| |G:N|^2, |[N, N]|) for the least key (value, |K|, -|N|, K ids, N ids) over every
+    pair K <= N of normal subgroups with N/K abelian, K != N unless N = 1.
+
+    Containment is read from one membership matrix, a row per normal subgroup.
+    """
+    normals = enumerate_normal_subgroups(g, caps=caps)
+    member = np.zeros((len(normals), g.order), dtype=bool)
+    for row, sub in zip(member, normals):
+        row[list(sub.ids)] = True
+    sizes = member.sum(axis=1)
+    best = None
+    for n_sub in normals:
+        comm = commutator_subgroup(n_sub, n_sub)
+        inside = member[:, list(n_sub.ids)].sum(axis=1) == sizes
+        above_comm = member[:, list(comm.ids)].all(axis=1)  # N/K abelian
+        for i in np.flatnonzero(inside & above_comm).tolist():
+            k_sub = normals[i]
+            if k_sub == n_sub and len(n_sub) != 1:
+                continue
+            value = len(k_sub) * (g.order // len(n_sub)) ** 2
+            key = (value, len(k_sub), -len(n_sub), k_sub.ids, n_sub.ids)
+            if best is None or key < best[0]:
+                best = (key, k_sub, n_sub, value, len(comm))
+    return best[1:]
+
+
+def elementary_abelian_coordinates(g: FiniteGroup, p: int) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Basis element ids and a full coordinate map for an elementary abelian group."""
+    basis: list[int] = []
+    span = {0: ()}
+    for x in range(1, g.order):
+        if x in span:
+            continue
+        new_span = dict(span)
+        for known, coords in span.items():
+            acc = known
+            for c in range(1, p):
+                acc = g.mul(acc, x)
+                new_span[acc] = coords + (c,)
+        # pad earlier coordinates with 0 for the new basis vector
+        span = {elem: coords + (0,) * (len(basis) + 1 - len(coords))
+                for elem, coords in new_span.items()}
+        basis.append(x)
+        if len(span) == g.order:
+            break
+    if len(span) != g.order:
+        raise GroupLabError("coordinate construction failed on an elementary abelian group")
+    width = len(basis)
+    return basis, {elem: coords + (0,) * (width - len(coords)) for elem, coords in span.items()}
+
+
+def rho_wedge_by_coordinates(g: FiniteGroup) -> ExteriorReport:
+    """The wedge-to-commutator report with the map written out as a matrix over GF(p), one row
+    of W's coordinates per basis wedge, and its image dimension that matrix's rank.  Raises
+    the errors of `rho_wedge`, in the same order, from W's own table."""
+    order = g.order
+    if order == 1:
+        raise ValidationError("need a nontrivial prime-power order")
+    p = min(q for q in range(2, order + 1) if order % q == 0)
+    if split_prime_power(order, p)[1] != 1:
+        raise ValidationError(f"order {order} is not a power of a single prime")
+    whole = g.whole_subgroup()
+    w = commutator_subgroup(whole, whole)
+    if not center(g).contains_subgroup(w):
+        raise ValidationError("commutator subgroup is not central (class > 2)")
+    w_grp, _ = w.as_group()
+    if any(w_grp.element_order(x) != p for x in range(1, w_grp.order)):
+        raise ValidationError("commutator subgroup is not elementary abelian")
+    q, proj = quotient(g, w)
+    if not q.is_abelian or any(q.element_order(x) != p for x in range(1, q.order)):
+        raise ValidationError("central quotient is not elementary abelian")
+    u_basis, _ = elementary_abelian_coordinates(q, p)
+    u_dim = len(u_basis)
+    _, w_coords = elementary_abelian_coordinates(w_grp, p)
+    w_dim = len(next(iter(w_coords.values()))) if w_grp.order > 1 else 0
+    _, lift = np.unique(proj.mapping, return_index=True)  # the minimal id in each coset
+    rows = []
+    for i, j in itertools.combinations(range(u_dim), 2):
+        c = g.commutator(lift[u_basis[i]], lift[u_basis[j]])
+        rows.append(w_coords[int(_local_ids(w, c))] if w_dim else ())
+    wedge_dim = u_dim * (u_dim - 1) // 2
+    image_dim = rank_gfp(np.array(rows, dtype=np.int64), p) if wedge_dim and w_dim else 0
+    kernel_dim = wedge_dim - image_dim
+    return ExteriorReport(
+        name=g.name, prime=p, commutator_ids=w.ids, u_dim=u_dim, wedge_dim=wedge_dim,
+        image_dim=image_dim, kernel_dim=kernel_dim, k=kernel_dim // u_dim if u_dim else None,
+    )

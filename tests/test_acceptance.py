@@ -17,10 +17,10 @@ from grouplab.groups import commuting_pair_count, conjugacy_classes, direct_prod
 from grouplab.measure import neumann_search, rho_wedge, verify_inequalities
 from grouplab.modring import action_from_matrices, nilpotent_free_check, ring_construct
 from grouplab.algebras import mr_decompose
-from grouplab.structure import conjugate_spread, enumerate_normal_subgroups
+from grouplab.structure import conjugate_spread
 from grouplab.towers import commutator_level_check, cp_sequence
 
-from oracles import double_loop_commuting_count, spread_depth_bruteforce
+from oracles import double_loop_commuting_count, neumann_search_all_pairs, spread_depth_bruteforce
 
 CORPUS = bundled_corpus()
 TOWERS = bundled_towers(CORPUS)
@@ -46,18 +46,8 @@ def test_criterion_02_neumann_inequality_and_minimality():
         # the displayed bound, exactly: pairs >= |L|^2 / (|K| |L:N|^2)
         assert pairs * witness.value >= g.order**2
         # independent exhaustive re-search over all admissible pairs
-        normals = enumerate_normal_subgroups(g)
-        values = []
-        for n_sub in normals:
-            for k_sub in normals:
-                if not set(k_sub.ids) <= set(n_sub.ids):
-                    continue
-                if k_sub.ids == n_sub.ids and len(n_sub) != 1:
-                    continue
-                kset = set(k_sub.ids)
-                if all(g.commutator(x, y) in kset for x in n_sub.ids for y in n_sub.ids):
-                    values.append(len(k_sub) * (g.order // len(n_sub)) ** 2)
-        assert witness.value == min(values)
+        k_sub, n_sub, value, _ = neumann_search_all_pairs(g)
+        assert (witness.k, witness.n, witness.value) == (k_sub, n_sub, value)
     _verdict(2, "Neumann witness bound holds and is minimal, all bundled groups")
 
 

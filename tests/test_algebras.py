@@ -163,6 +163,9 @@ def _single_axiom_mutants():
     # 1, e, f over GF(2) with e^2 = f, ef = 1, f^2 = 0: bilinear, commutative, (ee)f != e(ef)
     add3, mul3 = _vector_algebra({(1, 1): (2,), (1, 2): (0,), (2, 2): ()}, 3)
     yield add3, mul3, 2, "multiplication is not associative"
+    # the same products among 512 elements: the axioms are checked at every size
+    add9, mul9 = _vector_algebra({(1, 1): (2,), (1, 2): (0,), (2, 2): ()}, 9)
+    yield add9, mul9, 2, "multiplication is not associative"
 
 
 def test_single_axiom_mutants_fail_with_their_message():

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from grouplab import groups
 from grouplab.errors import ValidationError
-from grouplab.groups import commuting_pair_count, direct_product
+from grouplab.groups import build_group, commuting_pair_count, direct_power, direct_product
 from grouplab.measure import (
     commuting_pairs,
     epsilon_evidence,
@@ -14,9 +15,15 @@ from grouplab.measure import (
     rho_wedge,
     verify_inequalities,
 )
-from grouplab.structure import enumerate_normal_subgroups, prufer_rank
+from grouplab.structure import prufer_rank
 
-from oracles import double_loop_commuting_count, group_rank_bound_of_quotients
+from oracles import (
+    double_loop_commuting_count,
+    elementary_abelian_coordinates,
+    group_rank_bound_of_quotients,
+    neumann_search_all_pairs,
+    rho_wedge_by_coordinates,
+)
 
 
 def test_commuting_pairs_examples(corpus):
@@ -56,31 +63,46 @@ def test_neumann_a5_degenerate(corpus):
     assert w.bound == Fraction(1)
 
 
-def test_neumann_exhaustive_minimality(corpus):
-    # independent re-enumeration of admissible pairs
-    for name in ("S3", "D4", "Q8", "A4", "Z8", "A5"):
-        g = corpus[name]
+@pytest.fixture(scope="module")
+def witness_family(corpus, perm_group):
+    """The bundled corpus, the benchmark's lattice and large groups, products with rich
+    normal lattices, and D8, whose witness (k 1, index 2) ties N = G on value."""
+    family = list(corpus) + [(f"Z2^{m}", direct_power(corpus["Z2"], m)) for m in (5, 6)]
+    family += [(name, perm_group(name)) for name in ("D4xQ8", "S5", "A5xA5", "S7")]
+    for a, b in (("D4", "D4"), ("Q8", "Q8"), ("S3", "S3"), ("A4", "V4"), ("S4", "Z2"),
+                 ("Heis27", "Z3"), ("M27", "Z3"), ("Heis27", "Heis27"), ("Z4", "Z2")):
+        family.append((f"{a}x{b}", direct_product(corpus[a], corpus[b])))
+    family.append(("D4xQ8xZ2", direct_product(perm_group("D4xQ8"), corpus["Z2"])))
+    d8 = [[1, 2, 3, 4, 5, 6, 7, 0], [7, 6, 5, 4, 3, 2, 1, 0]]
+    family.append(("D8", build_group(generators=d8, degree=8, name="D8")))
+    assert len(family) == 42
+    return family
+
+
+def test_neumann_exhaustive_minimality(witness_family):
+    # the witness over ([N, N], N) only is the least over every admissible pair
+    for name, g in witness_family:
         w = neumann_search(g)
-        normals = enumerate_normal_subgroups(g)
-        best = None
-        for n_sub in normals:
-            for k_sub in normals:
-                if not set(k_sub.ids) <= set(n_sub.ids):
-                    continue
-                if k_sub.ids == n_sub.ids and len(n_sub) != 1:
-                    continue
-                # N/K abelian iff all commutators of N land in K
-                members = set(k_sub.ids)
-                abelian = all(
-                    g.commutator(x, y) in members for x in n_sub.ids for y in n_sub.ids
-                )
-                if not abelian:
-                    continue
-                value = len(k_sub) * (g.order // len(n_sub)) ** 2
-                if best is None or value < best:
-                    best = value
-        assert w.value == best
+        k_sub, n_sub, value, comm_size = neumann_search_all_pairs(g)
+        got = (w.k.ids, w.n.ids, w.value, w.commutator_size)
+        assert got == (k_sub.ids, n_sub.ids, value, comm_size), name
         assert commuting_pair_count(g) * w.value >= g.order**2
+    w = neumann_search(dict(witness_family)["D8"])
+    assert (w.k_size, w.n_index, w.value) == (1, 2, 4)
+
+
+def test_rho_wedge_matches_the_coordinate_rank(witness_family):
+    reports = 0
+    for name, g in witness_family:
+        try:
+            want = rho_wedge_by_coordinates(g)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                rho_wedge(g)
+            continue
+        assert rho_wedge(g) == want, name
+        reports += 1
+    assert reports == 20
 
 
 def test_rho_com_table(corpus):
@@ -221,7 +243,6 @@ def test_wedge_diagram_commutes(corpus):
     import numpy as np
 
     from grouplab.groups import quotient
-    from grouplab.measure import _elementary_abelian_coordinates
 
     for name in ("Heis27", "M27", "D4", "Q8"):
         g = corpus[name]
@@ -229,9 +250,9 @@ def test_wedge_diagram_commutes(corpus):
         p = rep.prime
         w = g.subgroup(rep.commutator_ids, validate=False)
         q, proj = quotient(g, w)
-        u_basis, u_coords = _elementary_abelian_coordinates(q, p)
+        u_basis, u_coords = elementary_abelian_coordinates(q, p)
         w_grp, _ = w.as_group()
-        _, w_coords = _elementary_abelian_coordinates(w_grp, p)
+        _, w_coords = elementary_abelian_coordinates(w_grp, p)
         w_local = {x: i for i, x in enumerate(w.ids)}
         lift = {}
         for x in g.elements():
