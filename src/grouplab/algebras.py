@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, NilpotentElementError, ValidationError
-from .groups import FiniteGroup, _block_rows, _greedy_generators
+from .groups import FiniteGroup, _block_rows, _greedy_generators, _is_latin
 from .linalg import is_prime
 
 __all__ = [
@@ -62,7 +62,7 @@ class FiniteCommutativeAlgebra:
                 raise ValidationError("algebra is not commutative")
             if not np.array_equal(mul[one_id], ids):
                 raise ValidationError("designated one is not a multiplicative identity")
-            if not np.array_equal(np.sort(add, axis=1), np.broadcast_to(ids, add.shape)):
+            if add.min() < 0 or add.max() >= n or not _is_latin(add):
                 raise ValidationError("addition rows are not permutations")
             acc = np.zeros(n, dtype=np.int32)
             for _ in range(self.char):

@@ -10,9 +10,10 @@ repeated runs produce identical output regardless of platform.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,18 +49,29 @@ __all__ = [
 def _closure_mask(g: FiniteGroup, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
     """Boolean mask of the closure of `start` under right multiplication by `gens`.
 
-    Each step marks the products of the frontier straight into the mask; the
-    next frontier is what the step newly marked, read off the mask, so no sort.
+    Batched, with `gens` an m x k array padded with the identity 0 and `start` an
+    m x n mask: row r is the closure of start[r] under gens[r], all rows in one
+    search of the flattened mask.  Each step marks the products of the frontier
+    straight into the mask; the next frontier is what it newly marked, so no sort.
     """
-    seen = np.zeros(g.order, dtype=bool)
-    frontier = np.asarray(start, dtype=np.intp)
-    seen[frontier] = True
-    if len(gens):
-        cols = np.array([g.right(s) for s in gens])  # row i: the products x*gens[i]
-        while frontier.size:
-            before = seen.copy()
-            seen[cols[:, frontier]] = True
-            frontier = np.flatnonzero(seen != before)
+    if getattr(gens, "ndim", 1) == 1:  # one closure; row j of the targets: the products x*gens[j]
+        seen = np.zeros(g.order, dtype=bool)
+        frontier = np.asarray(start, dtype=np.intp)
+        seen[frontier] = True
+        targets = np.array([g.right(s) for s in gens])
+    else:  # row j: the cell of x*gens[r, j] in row r of the flattened mask, for every (r, x)
+        seen = np.array(start, dtype=bool)
+        m, n = seen.shape
+        frontier = np.flatnonzero(seen)
+        used, slot = np.unique(gens, return_inverse=True)  # each column read once
+        cols = np.array([g.right(s) for s in used.tolist()])
+        offsets = np.arange(0, m * n, n, dtype=np.int32)[:, None]
+        targets = (cols[slot.reshape(m, -1).T] + offsets).reshape(-1, m * n)
+    flat = seen.reshape(-1)
+    while len(gens) and frontier.size:
+        before = flat.copy()
+        flat[targets[:, frontier]] = True
+        frontier = np.flatnonzero(flat != before)
     return seen
 
 
@@ -795,6 +807,31 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
                                  start.gens + tuple(x for x in gens if x not in start))
 
 
+def _closures(g: FiniteGroup, rows: Iterable[tuple[Subgroup, Sequence[int]]], width: int) -> Iterator[tuple]:
+    """Each (start, gens) of `rows`, in order, with the sorted ids of start*<gens>.
+
+    No row has more than `width` gens.  One batched `_closure_mask` closes a block of
+    rows whose int32 targets (rows x |G| x width) take at most `_CHECK_BLOCK` bytes;
+    each distinct mask, told apart by its packed bytes, becomes an ids tuple once.
+    """
+    rows, n, ids = iter(rows), g.order, {}
+    while block := list(itertools.islice(rows, _block_rows(4 * n * width))):
+        gens = np.zeros((len(block), width), dtype=np.intp)
+        start = np.zeros((len(block), n), dtype=bool)
+        for i, (sub, row_gens) in enumerate(block):
+            gens[i, :len(row_gens)] = row_gens
+            if i and sub is block[i - 1][0]:
+                start[i] = start[i - 1]
+            else:
+                start[i, sub.ids] = True
+        seen = _closure_mask(g, gens, start)
+        for row, mask, packed in zip(block, seen, np.packbits(seen, axis=1)):
+            key = packed.tobytes()
+            if key not in ids:
+                ids[key] = tuple(np.flatnonzero(mask).tolist())
+            yield row, ids[key]
+
+
 def _class_labels(g: FiniteGroup) -> np.ndarray:
     """The conjugacy class number of every element, as a read-only int32 array made once per group.
 
@@ -909,6 +946,11 @@ def _coset_reps(h: Subgroup) -> np.ndarray:
     return _orbit_minima([g.right(s) for s in h.gens], g.order)
 
 
+def _distinct_reps(rep: np.ndarray) -> np.ndarray:
+    """The distinct least coset representatives of a `_coset_reps` array, ascending: its fixed points."""
+    return np.flatnonzero(rep == np.arange(rep.size))
+
+
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Quotient by a normal subgroup; coset ids follow minimal representatives.
 
@@ -923,7 +965,7 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         q = g._renamed(name)
         return q, GroupHom(g, q, np.arange(g.order), validate=False)
     rep = _coset_reps(n)
-    reps = np.unique(rep)
+    reps = _distinct_reps(rep)
     idx_of = np.full(g.order, -1, dtype=_id_dtype(reps.size))  # so the quotient's table is built in it
     idx_of[reps] = np.arange(reps.size)
     proj = idx_of[rep]

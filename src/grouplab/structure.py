@@ -21,7 +21,9 @@ from .groups import (
     _class_labels,
     _class_reps,
     _closure_mask,
+    _closures,
     _coset_reps,
+    _distinct_reps,
     _greedy_generators,
     _normal_closure,
     commutator_subgroup,
@@ -95,12 +97,13 @@ def _subgroup_classes(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
         classes.append(conjugates)
 
     add_class(g.trivial_subgroup())
-    for cls in classes:
-        h = cls[0]
-        for x in np.unique(_coset_reps(h))[1:].tolist():
-            sub = subgroup_closure(g, h.gens + (x,), start=h)
-            if sub.ids not in found:
-                add_class(sub)
+    done = 0
+    while done < len(classes):  # by levels: a block is closed before it is walked, so reads no later class
+        level, done = [cls[0] for cls in classes[done:]], len(classes)
+        rows = ((h, h.gens + (x,)) for h in level for x in _distinct_reps(_coset_reps(h))[1:].tolist())
+        for (_, gens), ids in _closures(g, rows, 1 + max(len(h.gens) for h in level)):
+            if ids not in found:
+                add_class(Subgroup._from_sorted(g, ids, gens))
     return classes
 
 
@@ -129,20 +132,26 @@ def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> 
     closures = ((x, _normal_closure(g, (x,), gens)) for x in _class_reps(g)[1:])
     principals = {p.ids: (x, p) for x, p in closures}
     worklist = [p for _, p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
+    xs = np.array([x for x, _ in principals.values()], dtype=np.intp)
+    ps = [p for _, p in principals.values()]
     labels = _class_labels(g)
-    class_count = int(labels.max()) + 1
-    for n in worklist:
-        outside = [(x, p) for x, p in principals.values() if x not in n]  # P <= N iff x in N
-        if len(outside) > 1:
-            key = np.full(class_count, g.order)
-            np.minimum.at(key, labels, _coset_reps(n))
-            keyed: dict[int, tuple[int, Subgroup]] = {}
-            for x, p in outside:
-                keyed.setdefault(int(key[labels[x]]), (x, p))
-            outside = list(keyed.values())
-        for _, p in outside:
-            join = subgroup_closure(g, p.gens, start=n)
-            if _record(found, join, "normal_subgroup_count", caps):
+
+    def joins(n: Subgroup) -> list[Subgroup]:
+        rep, key = _coset_reps(n), np.full(int(labels.max()) + 1, g.order)
+        np.minimum.at(key, labels, rep)
+        outside = np.flatnonzero(rep[xs])  # P <= N iff x in N, iff xN = N
+        key = key[labels[xs[outside]]]
+        return [ps[i] for i in np.sort(outside[np.unique(key, return_index=True)[1]]).tolist()]
+
+    width = max((len(p.gens) for p in ps), default=1)
+    done = 0
+    while done < len(worklist):  # by levels: a block is closed before it is walked, so reads no later N
+        level, done = worklist[done:], len(worklist)
+        rows = ((n, p.gens) for n in level for p in joins(n))
+        for (n, gens), ids in _closures(g, rows, width):
+            if ids not in found:
+                join = Subgroup._from_sorted(g, ids, n.gens + tuple(x for x in gens if x not in n))
+                _record(found, join, "normal_subgroup_count", caps)
                 worklist.append(join)
     return _canonical(found.values())
 
@@ -217,7 +226,8 @@ def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     powers = arr
     for _ in range(p - 1):
         powers = t[powers, arr]
-    gens = np.unique(powers).tolist() + list(commutator_subgroup(sub, sub).gens)
+    # the distinct powers; a plain np.unique would import numpy.ma, about 1.2 MB
+    gens = np.flatnonzero(np.bincount(powers)).tolist() + list(commutator_subgroup(sub, sub).gens)
     m_order = np.count_nonzero(_closure_mask(g, gens, base.ids))
     return split_prime_power(len(sub) // m_order, p)[0]
 
@@ -227,7 +237,7 @@ def _rank_by_search(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     candidates are the minimal representatives of the cosets of `base` in `sub`
     other than `base` itself, and each unordered k-subset of them is tried once.
     """
-    reps = np.unique(_coset_reps(base)[list(sub.ids)])[1:].tolist()
+    reps = [x for x in _distinct_reps(_coset_reps(base)).tolist() if x in sub][1:]
     for k in range(1, (len(sub) // len(base)).bit_length() + 1):
         for combo in itertools.combinations(reps, k):
             if np.count_nonzero(_closure_mask(g, combo, base.ids)) == len(sub):
@@ -292,16 +302,10 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
     caps.check("automorphism_order", n)
     gens = _greedy_generators(g)
     orders = [g.element_order(x) for x in range(n)]
-
-    # Precompute the subgroup chain <gens[:i+1]> with BFS words over it.
-    chains: list[np.ndarray] = []
-    for i in range(len(gens)):
-        chains.append(np.flatnonzero(_closure_mask(g, gens[: i + 1])))
-
     autos: list[np.ndarray] = []
 
-    def build_partial(images: list[int], level: int) -> np.ndarray | None:
-        """Map on <gens[:level+1]> determined by the generator images, or None."""
+    def build_partial(images: list[int]) -> np.ndarray | None:
+        """Map on the subgroup the first len(images) gens generate, fixed by their images, or None."""
         mapping = np.full(n, -1, dtype=np.int32)
         mapping[0] = 0
         frontier = [0]
@@ -317,10 +321,9 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
                     elif mapping[y] != fy:
                         return None
             frontier = new_frontier
-        # f(xs) = f(x)f(s) on every edge makes f a homomorphism on the domain; need it injective
-        dom = chains[level]
-        vals = mapping[dom]
-        if np.unique(vals).size != dom.size:
+        # f(xs) = f(x)f(s) on every edge: a homomorphism on the elements reached; need it injective
+        vals = mapping[mapping >= 0]
+        if np.unique(vals).size != vals.size:
             return None
         return mapping
 
@@ -334,7 +337,7 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
             if orders[b] != want:
                 continue
             trial = images + [b]
-            extended = build_partial(trial, level)
+            extended = build_partial(trial)
             if extended is not None:
                 search(level + 1, trial, extended)
 

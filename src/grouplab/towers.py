@@ -19,6 +19,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _coset_reps,
+    _distinct_reps,
     _greedy_generators,
     _group_from_perms,
     _local_ids,
@@ -102,9 +103,8 @@ class CosetSpace:
 
     @classmethod
     def build(cls, subgroup: Subgroup) -> "CosetSpace":
-        g = subgroup.group
-        reps = np.unique(_coset_reps(subgroup))
-        return cls(group=g, subgroup=subgroup, reps=tuple(int(r) for r in reps))
+        reps = tuple(_distinct_reps(_coset_reps(subgroup)).tolist())
+        return cls(group=subgroup.group, subgroup=subgroup, reps=reps)
 
     def __len__(self) -> int:
         return len(self.reps)

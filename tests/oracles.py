@@ -16,8 +16,10 @@ from grouplab.errors import CapExceeded, GroupLabError, ValidationError
 from grouplab.groups import (
     FiniteGroup,
     Subgroup,
+    _class_labels,
     _class_reps,
     _closure_mask,
+    _coset_reps,
     _greedy_generators,
     _local_ids,
     _normal_closure,
@@ -33,6 +35,7 @@ from grouplab.measure import ExteriorReport
 from grouplab.structure import (
     SpreadReport,
     SpreadWitness,
+    _conjugates,
     _record,
     enumerate_normal_subgroups,
     enumerate_subgroups,
@@ -264,6 +267,70 @@ def enumerate_normal_subgroups_all_principals(g: FiniteGroup, *, caps: Caps = DE
                 if _record(found, join, "normal_subgroup_count", caps):
                     worklist.append(join)
     return _canonical(found)
+
+
+def subgroup_classes_one_at_a_time(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
+    """Every subgroup, one conjugacy class per list with its representative first.
+
+    Cyclic extension (Neubüser) of one representative H per class: as
+    <H, x> = <H, xh> for h in H, x ranges over the minimal representatives of
+    the left cosets xH other than H, each closure grown from H.  That reaches a
+    member of every class, as <H^h, x> = <H, x^(h^-1)>^h.  A new subgroup brings
+    its whole class, and each conjugate is recorded against `subgroup_count`.
+    """
+    caps.check("subgroup_order", g.order)
+    found: dict[tuple[int, ...], Subgroup] = {}
+    classes: list[list[Subgroup]] = []
+
+    def add_class(sub: Subgroup) -> None:
+        conjugates = _conjugates(g, sub)
+        for c in conjugates:
+            _record(found, c, "subgroup_count", caps)
+        classes.append(conjugates)
+
+    add_class(g.trivial_subgroup())
+    for cls in classes:
+        h = cls[0]
+        for x in np.unique(_coset_reps(h))[1:].tolist():
+            sub = subgroup_closure(g, h.gens + (x,), start=h)
+            if sub.ids not in found:
+                add_class(sub)
+    return classes
+
+
+def enumerate_normal_subgroups_one_at_a_time(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:
+    """All normal subgroups, as joins of principal normal subgroups from a worklist.
+
+    The principals are the normal closures <x^G>, one per class, deduped by ids.
+    Every normal N is the join of the principals inside it, so joining each newly
+    found N with each principal P = <x^G> not inside N reaches them all.  N*P
+    depends only on the class of xN in G/N, so the principals outside N are keyed
+    by the least coset representative over the class of x and joined once per
+    key.  N*P grows from N under P.gens.
+    """
+    caps.check("order", g.order)
+    found: dict[tuple[int, ...], Subgroup] = {}
+    _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
+    gens = _greedy_generators(g)
+    closures = ((x, _normal_closure(g, (x,), gens)) for x in _class_reps(g)[1:])
+    principals = {p.ids: (x, p) for x, p in closures}
+    worklist = [p for _, p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
+    labels = _class_labels(g)
+    class_count = int(labels.max()) + 1
+    for n in worklist:
+        outside = [(x, p) for x, p in principals.values() if x not in n]  # P <= N iff x in N
+        if len(outside) > 1:
+            key = np.full(class_count, g.order)
+            np.minimum.at(key, labels, _coset_reps(n))
+            keyed: dict[int, tuple[int, Subgroup]] = {}
+            for x, p in outside:
+                keyed.setdefault(int(key[labels[x]]), (x, p))
+            outside = list(keyed.values())
+        for _, p in outside:
+            join = subgroup_closure(g, p.gens, start=n)
+            if _record(found, join, "normal_subgroup_count", caps):
+                worklist.append(join)
+    return sorted(found.values(), key=lambda sub: (len(sub), sub.ids))
 
 
 def closure_mask_by_unique(table: np.ndarray, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:

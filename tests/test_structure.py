@@ -5,7 +5,7 @@ import pytest
 
 import grouplab.groups
 
-from grouplab.config import Caps
+from grouplab.config import DEFAULT_CAPS, Caps
 from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import (
     Subgroup,
@@ -25,6 +25,7 @@ from grouplab.groups import (
 from grouplab.linalg import split_prime_power
 from grouplab.structure import (
     _rank_by_search,
+    _subgroup_classes,
     _relative_rank,
     automorphism_group,
     conjugate_spread,
@@ -43,6 +44,7 @@ from oracles import (
     commutator_subgroup_all_pairs,
     conjugate_spread_per_element,
     enumerate_normal_subgroups_all_principals,
+    enumerate_normal_subgroups_one_at_a_time,
     enumerate_normal_subgroups_pairwise,
     enumerate_subgroups_all_x,
     enumerate_subgroups_per_subgroup,
@@ -50,6 +52,7 @@ from oracles import (
     minimal_generator_count_from_class_reps,
     prufer_rank_of_subgroup_groups,
     spread_depth_bruteforce,
+    subgroup_classes_one_at_a_time,
     sylow_subgroup_restarting,
 )
 
@@ -95,6 +98,49 @@ def test_lattice_closure_counts(corpus, perm_group, monkeypatch, enumerate_, gro
                         lambda *args: calls.append(1) or closure_mask(*args))
     assert len(enumerate_(g)) == count
     assert 0 < len(calls) <= limit
+
+
+def test_batched_enumerators_match_one_at_a_time_oracles(corpus, perm_group):
+    # the same subgroups, found from the same (H, x) or (N, P) first, in the same order
+    groups = list(corpus) + [("Z2^5", direct_power(corpus["Z2"], 5)), ("Z4^3", direct_power(corpus["Z4"], 3))]
+    groups += [(name, perm_group(name)) for name in ("D4xQ8", "S5")]
+    for name, g in groups:
+        assert [[(s.ids, s.gens) for s in cls] for cls in _subgroup_classes(g, DEFAULT_CAPS)] == \
+            [[(s.ids, s.gens) for s in cls] for cls in subgroup_classes_one_at_a_time(g, DEFAULT_CAPS)], name
+    for name, g in groups + [(name, perm_group(name)) for name in ("A5xA5", "S7")]:
+        assert [(s.ids, s.gens) for s in enumerate_normal_subgroups(g)] == \
+            [(s.ids, s.gens) for s in enumerate_normal_subgroups_one_at_a_time(g)], name
+
+
+def test_batched_closure_rows_match_unique_oracle(corpus, perm_group):
+    rng = np.random.default_rng(11)
+    for g in (corpus["S4"], corpus["Q8"], corpus["Heis27"], perm_group("S5")):
+        rows = 9
+        gens = np.zeros((rows, 3), dtype=np.intp)  # rows padded with the identity
+        start = np.zeros((rows, g.order), dtype=bool)
+        wanted = []
+        for r in range(rows):
+            row_gens = rng.integers(1, g.order, size=r % 4).tolist()
+            row_start = rng.integers(0, g.order, size=1 + r % 3).tolist()
+            gens[r, :len(row_gens)] = row_gens
+            start[r, row_start] = True
+            wanted.append(closure_mask_by_unique(g.table, row_gens, row_start))
+        assert np.array_equal(_closure_mask(g, gens, start), np.array(wanted)), g.name
+
+
+@pytest.mark.parametrize("enumerate_, group, count", [
+    (enumerate_normal_subgroups, "Z2^5", 374),
+    (enumerate_subgroups, "S5", 156),
+])
+def test_batched_extension_needs_fewer_closures_than_subgroups(corpus, perm_group, monkeypatch,
+                                                              enumerate_, group, count):
+    g = direct_power(corpus["Z2"], 5) if group == "Z2^5" else perm_group(group)
+    calls = []
+    closure_mask = grouplab.groups._closure_mask
+    monkeypatch.setattr(grouplab.groups, "_closure_mask",
+                        lambda *args: calls.append(1) or closure_mask(*args))
+    assert len(enumerate_(g)) == count
+    assert 0 < len(calls) < count
 
 
 def test_greedy_class_closure_matches_plain_closure(corpus):
