@@ -6,7 +6,8 @@ import pytest
 from grouplab import groups, measure
 from grouplab.config import Caps
 from grouplab.errors import CapExceeded, ValidationError
-from grouplab.groups import build_group, commutator_subgroup, commuting_pair_count, direct_power, direct_product
+from grouplab.groups import (build_group, commutator_subgroup, commuting_pair_count, direct_power,
+                             direct_product)
 from grouplab.measure import (
     commuting_pairs,
     epsilon_evidence,
