@@ -153,7 +153,9 @@ def _cmd_neumann(args, corpus: Corpus, caps: Caps):
 
 
 def _cmd_rho(args, corpus: Corpus, caps: Caps):
-    orders = list(range(1, args.max_order + 1)) if args.max_order is not None else None
+    orders = None
+    if args.max_order is not None:
+        orders = list(range(1, args.max_order + 1))
     table = rho_table(corpus.items(), args.kind, orders=orders,
                       family_mode=args.mode, caps=caps)
     items = [

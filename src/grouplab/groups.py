@@ -46,32 +46,21 @@ __all__ = [
 ]
 
 
-def _closure_mask(g: FiniteGroup, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
-    """Boolean mask of the closure of `start` under right multiplication by `gens`.
+def _close(seen: np.ndarray, targets: np.ndarray) -> None:
+    """Close the flat mask `seen`, in place, under the maps x -> targets[j, x]: each step marks the
+    products of the frontier straight into the mask, and the next frontier is what it newly marked."""
+    frontier = np.flatnonzero(seen)
+    while targets.size and frontier.size:
+        before = seen.copy()
+        seen[targets[:, frontier]] = True
+        frontier = np.flatnonzero(seen != before)
 
-    Batched, with `gens` an m x k array padded with the identity 0 and `start` an
-    m x n mask: row r is the closure of start[r] under gens[r], all rows in one
-    search of the flattened mask.  Each step marks the products of the frontier
-    straight into the mask; the next frontier is what it newly marked, so no sort.
-    """
-    if getattr(gens, "ndim", 1) == 1:  # one closure; row j of the targets: the products x*gens[j]
-        seen = np.zeros(g.order, dtype=bool)
-        frontier = np.asarray(start, dtype=np.intp)
-        seen[frontier] = True
-        targets = np.array([g.right(s) for s in gens])
-    else:  # row j: the cell of x*gens[r, j] in row r of the flattened mask, for every (r, x)
-        seen = np.array(start, dtype=bool)
-        m, n = seen.shape
-        frontier = np.flatnonzero(seen)
-        used, slot = np.unique(gens, return_inverse=True)  # each column read once
-        cols = np.array([g.right(s) for s in used.tolist()])
-        offsets = np.arange(0, m * n, n, dtype=np.int32)[:, None]
-        targets = (cols[slot.reshape(m, -1).T] + offsets).reshape(-1, m * n)
-    flat = seen.reshape(-1)
-    while len(gens) and frontier.size:
-        before = flat.copy()
-        flat[targets[:, frontier]] = True
-        frontier = np.flatnonzero(flat != before)
+
+def _closure_mask(g: FiniteGroup, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
+    """Boolean mask of the closure of `start` under right multiplication by `gens`."""
+    seen = np.zeros(g.order, dtype=bool)
+    seen[np.asarray(start, dtype=np.intp)] = True
+    _close(seen, np.array([g.right(s) for s in gens]))  # row i: the products x*gens[i]
     return seen
 
 
@@ -807,29 +796,26 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
                                  start.gens + tuple(x for x in gens if x not in start))
 
 
-def _closures(g: FiniteGroup, rows: Iterable[tuple[Subgroup, Sequence[int]]], width: int) -> Iterator[tuple]:
-    """Each (start, gens) of `rows`, in order, with the sorted ids of start*<gens>.
-
-    No row has more than `width` gens.  One batched `_closure_mask` closes a block of
-    rows whose int32 targets (rows x |G| x width) take at most `_CHECK_BLOCK` bytes;
-    each distinct mask, told apart by its packed bytes, becomes an ids tuple once.
-    """
-    rows, n, ids = iter(rows), g.order, {}
+def _closures(g: FiniteGroup, rows: Iterable[tuple[Subgroup, tuple]], width: int) -> Iterator[tuple]:
+    """The (start, gens) rows whose start*<gens> no earlier row reached, in order, with its sorted ids.
+    Rows of at most `width` gens, padded with the identity 0, are closed in blocks whose int32 targets
+    (rows x |G| x width) take at most `_CHECK_BLOCK` bytes, each in one search of the flattened masks."""
+    rows, n, reached = iter(rows), g.order, set()
     while block := list(itertools.islice(rows, _block_rows(4 * n * width))):
-        gens = np.zeros((len(block), width), dtype=np.intp)
-        start = np.zeros((len(block), n), dtype=bool)
-        for i, (sub, row_gens) in enumerate(block):
-            gens[i, :len(row_gens)] = row_gens
-            if i and sub is block[i - 1][0]:
-                start[i] = start[i - 1]
-            else:
-                start[i, sub.ids] = True
-        seen = _closure_mask(g, gens, start)
-        for row, mask, packed in zip(block, seen, np.packbits(seen, axis=1)):
-            key = packed.tobytes()
-            if key not in ids:
-                ids[key] = tuple(np.flatnonzero(mask).tolist())
-            yield row, ids[key]
+        gens = np.array([row + (0,) * (width - len(row)) for _, row in block], dtype=np.intp)
+        firsts = [i for i, (sub, _) in enumerate(block) if not i or sub is not block[i - 1][0]]
+        seen = np.zeros((len(firsts), n), dtype=bool)
+        for j, i in enumerate(firsts):
+            seen[j, block[i][0].ids] = True
+        seen = np.repeat(seen, np.diff(firsts + [len(block)]), axis=0)  # each start's mask on its rows
+        used, slot = np.unique(gens, return_inverse=True)  # each column read once
+        cols = np.array([g.right(s) for s in used.tolist()])
+        offsets = np.arange(0, seen.size, n, dtype=np.int32)[:, None]  # row r's cells start at r*n
+        _close(seen.reshape(-1), (cols[slot.reshape(gens.shape).T] + offsets).reshape(width, -1))
+        for row, mask, key in zip(block, seen, map(bytes, np.packbits(seen, axis=1))):
+            if key not in reached:
+                reached.add(key)
+                yield row, tuple(np.flatnonzero(mask).tolist())
 
 
 def _class_labels(g: FiniteGroup) -> np.ndarray:

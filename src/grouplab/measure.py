@@ -20,7 +20,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _greedy_generators,
-    _normal_closure,
     center,
     commutator_subgroup,
     commuting_pair_count,
@@ -111,16 +110,10 @@ def neumann_search(g: FiniteGroup, *, name: str | None = None,
     no admissible pair.  N is visited by ascending index, and the search stops
     once |L:N|^2 alone exceeds the best value: strictly, since a later pair with
     |K| = 1 can tie the value and win on |K|.  The returned witness is verified
-    against the exact pair count.  N = L comes first, with value |L'|, so when
-    |L'| < 4 the stop fires at the next N, and the lattice is not enumerated.
+    against the exact pair count.
     """
-    caps.check("order", g.order)
-    gens = _greedy_generators(g)
-    derived_order = len(_normal_closure(g, [g.commutator(x, y) for x in gens for y in gens], gens))
-    normals = [g.whole_subgroup()] if derived_order < 4 else \
-        sorted(enumerate_normal_subgroups(g, caps=caps), key=len, reverse=True)
     best: tuple | None = None
-    for n_sub in normals:
+    for n_sub in sorted(enumerate_normal_subgroups(g, caps=caps), key=len, reverse=True):
         index = g.order // len(n_sub)
         if best is not None and index * index > best[0][0]:
             break
@@ -171,7 +164,10 @@ class RhoTables:
     entries: tuple[tuple[int, int | None], ...]
 
     def value(self, order: int) -> int | None:
-        return dict(self.entries).get(order)
+        for o, v in self.entries:
+            if o == order:
+                return v
+        return None
 
 
 def rho_table(corpus: Corpus, kind: str, *, orders: Sequence[int] | None = None,
@@ -179,17 +175,24 @@ def rho_table(corpus: Corpus, kind: str, *, orders: Sequence[int] | None = None,
     if kind not in ("com", "r"):
         raise ValidationError("kind must be 'com' or 'r'")
     wanted = set(orders) if orders is not None else None
-    agg = min if kind == "com" else max
     per_order: dict[int, int] = {}
     for member_name, g in corpus:
         if wanted is not None and g.order not in wanted:
             continue
         if kind == "com":
             val = commuting_pairs(g, name=member_name, caps=caps).pairs
+            agg = min
         else:
             val = group_rank_bound(g, caps=caps)
-        per_order[g.order] = agg(per_order.get(g.order, val), val)
-    order_list = sorted(per_order) if orders is None else list(orders)
+            agg = max
+        if g.order in per_order:
+            per_order[g.order] = agg(per_order[g.order], val)
+        else:
+            per_order[g.order] = val
+    if orders is None:
+        order_list = sorted(per_order)
+    else:
+        order_list = list(orders)
     entries = tuple((o, per_order.get(o)) for o in order_list)
     return RhoTables(kind=kind, family_mode=family_mode, entries=entries)
 

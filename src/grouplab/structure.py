@@ -135,12 +135,13 @@ def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> 
     xs = np.array([x for x, _ in principals.values()], dtype=np.intp)
     ps = [p for _, p in principals.values()]
     labels = _class_labels(g)
+    by_class = np.argsort(labels, kind="stable")
+    class_starts = np.flatnonzero(np.diff(labels[by_class], prepend=-1))
 
     def joins(n: Subgroup) -> list[Subgroup]:
-        rep, key = _coset_reps(n), np.full(int(labels.max()) + 1, g.order)
-        np.minimum.at(key, labels, rep)
+        rep = _coset_reps(n)
         outside = np.flatnonzero(rep[xs])  # P <= N iff x in N, iff xN = N
-        key = key[labels[xs[outside]]]
+        key = np.minimum.reduceat(rep[by_class], class_starts)[labels[xs[outside]]]
         return [ps[i] for i in np.sort(outside[np.unique(key, return_index=True)[1]]).tolist()]
 
     width = max((len(p.gens) for p in ps), default=1)
@@ -302,10 +303,16 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
     caps.check("automorphism_order", n)
     gens = _greedy_generators(g)
     orders = [g.element_order(x) for x in range(n)]
+
+    # Precompute the subgroup chain <gens[:i+1]> with BFS words over it.
+    chains: list[np.ndarray] = []
+    for i in range(len(gens)):
+        chains.append(np.flatnonzero(_closure_mask(g, gens[: i + 1])))
+
     autos: list[np.ndarray] = []
 
-    def build_partial(images: list[int]) -> np.ndarray | None:
-        """Map on the subgroup the first len(images) gens generate, fixed by their images, or None."""
+    def build_partial(images: list[int], level: int) -> np.ndarray | None:
+        """Map on <gens[:level+1]> determined by the generator images, or None."""
         mapping = np.full(n, -1, dtype=np.int32)
         mapping[0] = 0
         frontier = [0]
@@ -321,9 +328,10 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
                     elif mapping[y] != fy:
                         return None
             frontier = new_frontier
-        # f(xs) = f(x)f(s) on every edge: a homomorphism on the elements reached; need it injective
-        vals = mapping[mapping >= 0]
-        if np.unique(vals).size != vals.size:
+        # f(xs) = f(x)f(s) on every edge makes f a homomorphism on the domain; need it injective
+        dom = chains[level]
+        vals = mapping[dom]
+        if np.unique(vals).size != dom.size:
             return None
         return mapping
 
@@ -337,7 +345,7 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
             if orders[b] != want:
                 continue
             trial = images + [b]
-            extended = build_partial(trial)
+            extended = build_partial(trial, level)
             if extended is not None:
                 search(level + 1, trial, extended)
 

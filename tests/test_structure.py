@@ -10,6 +10,7 @@ from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import (
     Subgroup,
     _closure_mask,
+    _closures,
     _greedy_generators,
     _local_ids,
     _normal_closure,
@@ -112,20 +113,21 @@ def test_batched_enumerators_match_one_at_a_time_oracles(corpus, perm_group):
             [(s.ids, s.gens) for s in enumerate_normal_subgroups_one_at_a_time(g)], name
 
 
-def test_batched_closure_rows_match_unique_oracle(corpus, perm_group):
+def test_batched_closure_rows_match_unique_oracle(corpus, perm_group, monkeypatch):
+    # rows of 0 to 3 gens padded to width 3, blocks of a few rows, repeated closures skipped across blocks
     rng = np.random.default_rng(11)
+    monkeypatch.setattr(grouplab.groups, "_CHECK_BLOCK", 1 << 10)
     for g in (corpus["S4"], corpus["Q8"], corpus["Heis27"], perm_group("S5")):
-        rows = 9
-        gens = np.zeros((rows, 3), dtype=np.intp)  # rows padded with the identity
-        start = np.zeros((rows, g.order), dtype=bool)
-        wanted = []
-        for r in range(rows):
-            row_gens = rng.integers(1, g.order, size=r % 4).tolist()
-            row_start = rng.integers(0, g.order, size=1 + r % 3).tolist()
-            gens[r, :len(row_gens)] = row_gens
-            start[r, row_start] = True
-            wanted.append(closure_mask_by_unique(g.table, row_gens, row_start))
-        assert np.array_equal(_closure_mask(g, gens, start), np.array(wanted)), g.name
+        starts = [subgroup_closure(g, rng.integers(0, g.order, size=r % 3).tolist()) for r in range(4)]
+        rows = [(starts[r % 4], tuple(rng.integers(0, g.order, size=r % 4).tolist())) for r in range(24)]
+        wanted, reached = [], set()
+        for start, gens in rows:  # each closure with the first row that reaches it
+            ids = tuple(np.flatnonzero(closure_mask_by_unique(g.table, gens, start.ids)).tolist())
+            if ids not in reached:
+                reached.add(ids)
+                wanted.append(((start, gens), ids))
+        assert list(_closures(g, rows, 3)) == wanted, g.name
+        assert len(wanted) < len(rows), g.name
 
 
 @pytest.mark.parametrize("enumerate_, group, count", [
@@ -135,10 +137,10 @@ def test_batched_closure_rows_match_unique_oracle(corpus, perm_group):
 def test_batched_extension_needs_fewer_closures_than_subgroups(corpus, perm_group, monkeypatch,
                                                               enumerate_, group, count):
     g = direct_power(corpus["Z2"], 5) if group == "Z2^5" else perm_group(group)
-    calls = []
-    closure_mask = grouplab.groups._closure_mask
-    monkeypatch.setattr(grouplab.groups, "_closure_mask",
-                        lambda *args: calls.append(1) or closure_mask(*args))
+    calls = []  # closure searches, one-row and batched
+    close = grouplab.groups._close
+    monkeypatch.setattr(grouplab.groups, "_close",
+                        lambda *args: calls.append(1) or close(*args))
     assert len(enumerate_(g)) == count
     assert 0 < len(calls) < count
 
