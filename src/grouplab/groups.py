@@ -49,11 +49,11 @@ __all__ = [
 def _close(seen: np.ndarray, targets: np.ndarray) -> None:
     """Close the flat mask `seen`, in place, under the maps x -> targets[j, x]: each step marks the
     products of the frontier straight into the mask, and the next frontier is what it newly marked."""
-    frontier = np.flatnonzero(seen)
+    frontier = seen.nonzero()[0]
     while targets.size and frontier.size:
         before = seen.copy()
         seen[targets[:, frontier]] = True
-        frontier = np.flatnonzero(seen != before)
+        frontier = (seen != before).nonzero()[0]
 
 
 def _closure_mask(g: FiniteGroup, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
