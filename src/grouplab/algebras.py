@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, NilpotentElementError, ValidationError
-from .groups import FiniteGroup, _block_rows, _greedy_generators, _is_latin
+from .groups import FiniteGroup, _block_rows, _distinct, _greedy_generators, _is_latin
 from .linalg import is_prime
 
 __all__ = [
@@ -280,7 +280,7 @@ def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -
     factors = []
     locals_per_factor = []
     for e in primitive:
-        member_ids = np.unique(ring.mul_table[e]).astype(np.int32)
+        member_ids = _distinct(ring.mul_table[e], n).astype(np.int32)
         local = {int(x): i for i, x in enumerate(member_ids)}
         sub_add = np.array([[local[ring.add(a, b)] for b in member_ids] for a in member_ids],
                            dtype=np.int32)

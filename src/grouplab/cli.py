@@ -3,6 +3,9 @@
 Reports are byte-deterministic: sorted keys, compact separators, no floats,
 rationals rendered as "num/den" strings.  Exit codes: 0 all items succeeded,
 2 partial failure, 1 invalid job or total failure.
+
+Each handler imports the layers it runs when it starts, so a job loads only
+the modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -14,33 +17,17 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .boolean import BooleanIdeal, build_boolean_ring
-from .boolpower import bp_quotient_iso, materialize_bp_group, verify_ideal_correspondence
 from .config import DEFAULT_CAPS, Caps
 from .corpus import Corpus, bundled_corpus, bundled_towers, load_corpus
 from .errors import GroupLabError, ValidationError, integer_key, integers, parsing
 from .groups import FiniteGroup, GroupHom, Subgroup
-from .measure import (
-    commuting_pairs,
-    group_rank_bound,
-    neumann_search,
-    rho_table,
-    rho_wedge,
-    verify_inequalities,
-)
-from .modring import (
-    GModuleAction,
-    action_from_matrices,
-    mr_factor_sizes_for_report,
-    nilpotent_free_check,
-    orbit_span_check,
-    ring_construct,
-    sum_zero_action,
-)
-from .towers import InverseSystem, commutator_level_check, coset_action_system, cp_sequence
+
+if TYPE_CHECKING:
+    from .modring import GModuleAction
+    from .towers import InverseSystem
 
 REPORT_COLUMNS_V1 = (
     "name", "order", "pairs", "fraction",
@@ -108,6 +95,8 @@ def _select_groups(corpus: Corpus, names: list[str] | None
 
 
 def _canonical_row(name: str, g: FiniteGroup, caps: Caps, *, full: bool) -> dict:
+    from .measure import commuting_pairs, group_rank_bound, neumann_search, rho_wedge
+
     stats = commuting_pairs(g, name=name, caps=caps)
     witness = neumann_search(g, name=name, caps=caps)
     row = {
@@ -153,6 +142,8 @@ def _cmd_neumann(args, corpus: Corpus, caps: Caps):
 
 
 def _cmd_rho(args, corpus: Corpus, caps: Caps):
+    from .measure import rho_table
+
     orders = None
     if args.max_order is not None:
         orders = list(range(1, args.max_order + 1))
@@ -171,6 +162,9 @@ def _cmd_rho(args, corpus: Corpus, caps: Caps):
 
 
 def _cmd_boolean_power(args, corpus: Corpus, caps: Caps):
+    from .boolean import BooleanIdeal, build_boolean_ring
+    from .boolpower import bp_quotient_iso, materialize_bp_group, verify_ideal_correspondence
+
     if args.spec:
         with parsing(args.spec):
             payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
@@ -211,6 +205,7 @@ def _cmd_boolean_power(args, corpus: Corpus, caps: Caps):
 
 def _filtered_power_rows(payload: dict, caps: Caps):
     from .algebras import field_by_name, mr_decompose, prime_subfield_ids
+    from .boolean import build_boolean_ring
     from .boolpower import filtered_power, filtered_power_spec
 
     field = field_by_name(payload["field"])
@@ -242,6 +237,8 @@ def _filtered_power_rows(payload: dict, caps: Caps):
 
 
 def _tower_from_file(path: str, corpus: Corpus, caps: Caps) -> InverseSystem:
+    from .towers import InverseSystem, coset_action_system
+
     with parsing(path):
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if "group" in payload:
@@ -258,6 +255,8 @@ def _tower_from_file(path: str, corpus: Corpus, caps: Caps) -> InverseSystem:
 
 
 def _cmd_inverse_system(args, corpus: Corpus, caps: Caps):
+    from .towers import commutator_level_check, cp_sequence
+
     towers: dict[str, InverseSystem] = {}
     if args.tower_file:
         towers[Path(args.tower_file).stem] = _tower_from_file(args.tower_file, corpus, caps)
@@ -294,6 +293,8 @@ def _cmd_inverse_system(args, corpus: Corpus, caps: Caps):
 
 
 def _bundled_actions(corpus: Corpus, caps: Caps) -> dict[str, tuple[GModuleAction, tuple[int, ...]]]:
+    from .modring import action_from_matrices, sum_zero_action
+
     z2 = corpus["Z2"]
     swap = {1: [[0, 1], [1, 0]]}
     out = {
@@ -305,6 +306,8 @@ def _bundled_actions(corpus: Corpus, caps: Caps) -> dict[str, tuple[GModuleActio
 
 
 def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAction, tuple[int, ...]]:
+    from .modring import action_from_matrices, orbit_span_check
+
     with parsing(path):
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         g = corpus[payload["group"]]
@@ -325,6 +328,8 @@ def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAct
 
 
 def _cmd_ring_from_module(args, corpus: Corpus, caps: Caps):
+    from .modring import mr_factor_sizes_for_report, nilpotent_free_check, ring_construct
+
     jobs: dict[str, tuple[GModuleAction, tuple[int, ...]]] = {}
     if args.action_file:
         jobs[Path(args.action_file).stem] = _action_from_file(args.action_file, corpus, caps)
@@ -366,6 +371,8 @@ def _cmd_ring_from_module(args, corpus: Corpus, caps: Caps):
 
 
 def _cmd_verify_inequalities(args, corpus: Corpus, caps: Caps):
+    from .measure import verify_inequalities
+
     beta = None
     if args.beta_table:
         with parsing(args.beta_table):

@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import ValidationError, integers, parsing
 from .groups import FiniteGroup, Subgroup, build_group, subgroup_closure
-from .towers import InverseSystem, coset_action_system, direct_power_system
+
+if TYPE_CHECKING:
+    from .towers import InverseSystem
 
 __all__ = [
     "Corpus",
@@ -243,6 +245,8 @@ def load_corpus(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> Corpus:
 def bundled_towers(corpus: Corpus | None = None, *, caps: Caps = DEFAULT_CAPS
                    ) -> dict[str, InverseSystem]:
     """The three reference towers used by the verification suite."""
+    from .towers import coset_action_system, direct_power_system
+
     corpus = corpus or bundled_corpus(caps=caps)
     out: dict[str, InverseSystem] = {}
 

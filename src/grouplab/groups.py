@@ -46,6 +46,14 @@ __all__ = [
 ]
 
 
+def _distinct(ids: np.ndarray, n: int) -> np.ndarray:
+    """The sorted distinct values of `ids`, all in range(n), with the dtype np.unique gives.
+    Read through a mask: a plain np.unique imports numpy.ma, about 1.2 MB."""
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    return seen.nonzero()[0].astype(ids.dtype, copy=False)
+
+
 def _close(seen: np.ndarray, targets: np.ndarray) -> None:
     """Close the flat mask `seen`, in place, under the maps x -> targets[j, x]: each step marks the
     products of the frontier straight into the mask, and the next frontier is what it newly marked."""
@@ -489,7 +497,7 @@ class Subgroup:
         if self.ids[-1] >= g.order:
             raise ValidationError("subgroup id out of range")
         arr = np.array(self.ids, dtype=np.int32)
-        if not np.isin(g.inverse[arr], arr).all():
+        if not np.array_equal(_distinct(g.inverse[arr], g.order), arr):
             raise ValidationError("subgroup not closed under inversion")
         # the ids hold the closure of their greedy generators, so they are closed iff they are it
         self._gens = tuple(_greedy_generators(g, arr))
@@ -599,7 +607,7 @@ class GroupHom:
         return int(self.mapping[x])
 
     def image_ids(self) -> np.ndarray:
-        return np.unique(self.mapping)
+        return _distinct(self.mapping, self.target.order)
 
     def image(self) -> Subgroup:
         return Subgroup(self.target, self.image_ids().tolist(), validate=False)
@@ -611,7 +619,7 @@ class GroupHom:
         return self.image_ids().size == self.target.order
 
     def is_injective(self) -> bool:
-        return np.unique(self.mapping).size == self.source.order
+        return self.image_ids().size == self.source.order
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner, mapping inner.source into self.target."""
@@ -622,7 +630,7 @@ class GroupHom:
     def map_subgroup(self, sub: Subgroup) -> Subgroup:
         if sub.group is not self.source:
             raise ValidationError("subgroup belongs to a different group")
-        ids = np.unique(self.mapping[np.array(sub.ids, dtype=np.int32)])
+        ids = _distinct(self.mapping[np.array(sub.ids, dtype=np.int32)], self.target.order)
         return Subgroup(self.target, ids.tolist(), validate=False)
 
     def __repr__(self) -> str:

@@ -23,6 +23,7 @@ from .groups import (
     _closure_mask,
     _closures,
     _coset_reps,
+    _distinct,
     _distinct_reps,
     _greedy_generators,
     _normal_closure,
@@ -190,13 +191,13 @@ def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadRepo
         # The same generators for every x in the class pair {C, C^-1}: one search per pair.
         key = frozenset(pair)
         if key not in searched:
-            gens = np.flatnonzero(np.isin(labels, pair))
+            gens = np.flatnonzero((labels == pair[0]) | (labels == pair[1]))
             depth = np.full(g.order, -1, dtype=np.int32)
             depth[0] = 0
             frontier = np.array([0], dtype=np.int32)
             d = 0
             while frontier.size:
-                prods = np.unique(t[np.ix_(frontier, gens)])
+                prods = _distinct(t[np.ix_(frontier, gens)], g.order)
                 new = prods[depth[prods] < 0]
                 d += 1
                 depth[new] = d
@@ -227,8 +228,7 @@ def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     powers = arr
     for _ in range(p - 1):
         powers = t[powers, arr]
-    # the distinct powers; a plain np.unique would import numpy.ma, about 1.2 MB
-    gens = np.flatnonzero(np.bincount(powers)).tolist() + list(commutator_subgroup(sub, sub).gens)
+    gens = _distinct(powers, g.order).tolist() + list(commutator_subgroup(sub, sub).gens)
     m_order = np.count_nonzero(_closure_mask(g, gens, base.ids))
     return split_prime_power(len(sub) // m_order, p)[0]
 
@@ -331,7 +331,7 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
         # f(xs) = f(x)f(s) on every edge makes f a homomorphism on the domain; need it injective
         dom = chains[level]
         vals = mapping[dom]
-        if np.unique(vals).size != dom.size:
+        if _distinct(vals, n).size != dom.size:
             return None
         return mapping
 
@@ -357,6 +357,6 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
     flags = []
     for sub in normals:
         arr = np.array(sub.ids, dtype=np.int32)
-        flags.append(all(np.array_equal(np.unique(m[arr]), arr) for m in autos))
+        flags.append(all(np.array_equal(_distinct(m[arr], n), arr) for m in autos))
     return AutomorphismReport(automorphisms=homs, normal_subgroups=normals,
                               characteristic=tuple(flags))

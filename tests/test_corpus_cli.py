@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from grouplab import boolpower, cli, groups
+from grouplab import boolpower, groups
 from grouplab.cli import main
 from grouplab.corpus import Corpus, bundled_corpus, load_corpus, load_group_file, save_corpus
 from grouplab.errors import ValidationError
@@ -261,7 +261,7 @@ def test_cli_boolean_power_materializes_the_power_once(tmp_path, monkeypatch):
         return materialize(*args, **kwargs)
 
     materialize = boolpower.materialize_bp_group
-    monkeypatch.setattr(cli, "materialize_bp_group", counted)
+    # the CLI imports it from boolpower when the handler runs
     monkeypatch.setattr(boolpower, "materialize_bp_group", counted)
     code = main(["boolean-power", "--base", "S3", "--atoms", "2", "--out", str(tmp_path / "out")])
     assert code == 0 and len(calls) == 1

@@ -587,3 +587,14 @@ def test_direct_product_allocates_no_table_wider_than_its_own(corpus, monkeypatc
         tracemalloc.stop()
     assert g.table.dtype == np.int16
     assert peak <= 1.25 * g.table.nbytes
+
+
+def test_distinct_matches_np_unique_in_values_and_dtype():
+    rng = np.random.default_rng(29)
+    for dtype in (np.uint8, np.int16, np.int32, np.intp):
+        for shape in ((0,), (1,), (40,), (6, 9), (0, 3)):
+            n = int(rng.integers(1, 100))
+            ids = rng.integers(0, n, size=shape).astype(dtype)
+            want, got = np.unique(ids), groups._distinct(ids, n)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (dtype, shape)
+

@@ -40,6 +40,20 @@ def _suite_homs(corpus):
         yield from automorphism_group(corpus[name]).automorphisms
 
 
+def test_image_queries_match_np_unique(corpus):
+    homs = 0
+    for hom in _suite_homs(corpus):
+        src, image = hom.source, np.unique(hom.mapping)
+        got = hom.image_ids()
+        assert got.dtype == image.dtype and np.array_equal(got, image), hom
+        assert hom.is_injective() == (image.size == src.order), hom
+        for sub in (src.whole_subgroup(), subgroup_closure(src, groups._greedy_generators(src)[:1])):
+            want = np.unique(hom.mapping[np.array(sub.ids)]).tolist()
+            assert list(hom.map_subgroup(sub).ids) == want, hom
+        homs += 1
+    assert homs == 129
+
+
 def _mutants(hom):
     """The mapping with one image changed, with two images swapped, and a constant map."""
     f, n, m = hom.mapping, hom.source.order, hom.target.order
