@@ -61,7 +61,8 @@ _EXPORTED = [
 
 
 def _child(code: str, *args: str, cwd: Path) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.Popen([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
