@@ -42,7 +42,6 @@ class FiniteCommutativeAlgebra:
         char: int,
         one_id: int,
         name: str = "R",
-        validate: bool = True,
     ):
         add = np.ascontiguousarray(np.asarray(add_table, dtype=np.int32))
         mul = np.ascontiguousarray(np.asarray(mul_table, dtype=np.int32))
@@ -54,22 +53,21 @@ class FiniteCommutativeAlgebra:
         self.one = int(one_id)
         self.zero = 0
         self.name = name
-        if validate:
-            ids = np.arange(n, dtype=np.int32)
-            if not np.array_equal(add[0], ids):
-                raise ValidationError("element 0 must be the additive identity")
-            if not np.array_equal(add, add.T) or not np.array_equal(mul, mul.T):
-                raise ValidationError("algebra is not commutative")
-            if not np.array_equal(mul[one_id], ids):
-                raise ValidationError("designated one is not a multiplicative identity")
-            if add.min() < 0 or add.max() >= n or not _is_latin(add):
-                raise ValidationError("addition rows are not permutations")
-            acc = np.zeros(n, dtype=np.int32)
-            for _ in range(self.char):
-                acc = add[acc, ids]
-            if acc.any():
-                raise ValidationError("characteristic does not annihilate the ring")
-            self._axioms_on_generators(add, mul)
+        ids = np.arange(n, dtype=np.int32)
+        if not np.array_equal(add[0], ids):
+            raise ValidationError("element 0 must be the additive identity")
+        if not np.array_equal(add, add.T) or not np.array_equal(mul, mul.T):
+            raise ValidationError("algebra is not commutative")
+        if not np.array_equal(mul[one_id], ids):
+            raise ValidationError("designated one is not a multiplicative identity")
+        if add.min() < 0 or add.max() >= n or not _is_latin(add):
+            raise ValidationError("addition rows are not permutations")
+        acc = np.zeros(n, dtype=np.int32)
+        for _ in range(self.char):
+            acc = add[acc, ids]
+        if acc.any():
+            raise ValidationError("characteristic does not annihilate the ring")
+        self._axioms_on_generators(add, mul)
         add.setflags(write=False)
         mul.setflags(write=False)
         self.add_table = add
@@ -278,39 +276,32 @@ def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -
         raise GroupLabError("primitive idempotents do not sum to one")
 
     factors = []
-    locals_per_factor = []
+    projections = []  # per factor, the local id of e*x for every x
     for e in primitive:
-        member_ids = _distinct(ring.mul_table[e], n).astype(np.int32)
-        local = {int(x): i for i, x in enumerate(member_ids)}
-        sub_add = np.array([[local[ring.add(a, b)] for b in member_ids] for a in member_ids],
-                           dtype=np.int32)
-        sub_mul = np.array([[local[ring.mul(a, b)] for b in member_ids] for a in member_ids],
-                           dtype=np.int32)
+        member_ids = _distinct(ring.mul_table[e], n)
+        local = np.full(n, -1, dtype=np.int32)
+        local[member_ids] = np.arange(member_ids.size)
+        block = np.ix_(member_ids, member_ids)
         field = FiniteCommutativeAlgebra(
-            sub_add, sub_mul, char=ring.char if is_prime(ring.char) else _additive_order(ring, e),
-            one_id=local[e], name=f"{ring.name}.e{e}",
+            local[ring.add_table[block]], local[ring.mul_table[block]],
+            char=ring.char if is_prime(ring.char) else _additive_order(ring, e),
+            one_id=int(local[e]), name=f"{ring.name}.e{e}",
         )
         if not field.is_field():
             raise GroupLabError("a factor of a nilpotent-free ring is not a field")
-        factors.append(AlgebraFactor(idempotent=e, element_ids=tuple(int(x) for x in member_ids),
+        factors.append(AlgebraFactor(idempotent=e, element_ids=tuple(member_ids.tolist()),
                                      field=field))
-        locals_per_factor.append(local)
+        projections.append(local[ring.mul_table[e]])
 
-    components = []
-    seen = set()
-    for x in ring.elements():
-        comp = tuple(locals_per_factor[i][ring.mul(f.idempotent, x)]
-                     for i, f in enumerate(factors))
-        if comp in seen:
-            raise GroupLabError("componentwise projection is not injective")
-        seen.add(comp)
-        components.append(comp)
+    components = tuple(map(tuple, np.array(projections).reshape(len(factors), n).T.tolist()))
+    if len(set(components)) != n:
+        raise GroupLabError("componentwise projection is not injective")
     sizes = 1
     for f in factors:
         sizes *= f.field.size
     if sizes != n:
         raise GroupLabError("factor sizes do not multiply to the ring size")
-    return MRDecomposition(factors=tuple(factors), component_ids=tuple(components))
+    return MRDecomposition(factors=tuple(factors), component_ids=components)
 
 
 def _additive_order(ring: FiniteCommutativeAlgebra, x: int) -> int:

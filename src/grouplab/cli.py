@@ -203,8 +203,15 @@ def _cmd_boolean_power(args, corpus: Corpus, caps: Caps):
     return items, errors, BP_COLUMNS_V1
 
 
+def _factor_sizes(algebra, caps: Caps) -> str:
+    """The sizes of the field factors of a nilpotent-free commutative algebra, comma-separated."""
+    from .algebras import mr_decompose
+
+    return ",".join(str(f.field.size) for f in mr_decompose(algebra, caps=caps).factors)
+
+
 def _filtered_power_rows(payload: dict, caps: Caps):
-    from .algebras import field_by_name, mr_decompose, prime_subfield_ids
+    from .algebras import field_by_name, prime_subfield_ids
     from .boolean import build_boolean_ring
     from .boolpower import filtered_power, filtered_power_spec
 
@@ -224,13 +231,12 @@ def _filtered_power_rows(payload: dict, caps: Caps):
         described.append(f"{','.join(str(p) for p in points)}:{entry['subfield']}")
     spec = filtered_power_spec(field, ring, constraints)
     algebra = filtered_power(spec, caps=caps)
-    decomp = mr_decompose(algebra, caps=caps)
     row = {
         "field": payload["field"],
         "atoms": ring.atom_count,
         "constraints": ";".join(described),
         "size": algebra.size,
-        "factor_sizes": ",".join(str(f.field.size) for f in decomp.factors),
+        "factor_sizes": _factor_sizes(algebra, caps),
         "nilpotent_free": True,
     }
     return [row], [], FILTERED_COLUMNS_V1
@@ -328,7 +334,7 @@ def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAct
 
 
 def _cmd_ring_from_module(args, corpus: Corpus, caps: Caps):
-    from .modring import mr_factor_sizes_for_report, nilpotent_free_check, ring_construct
+    from .modring import nilpotent_free_check, ring_construct
 
     jobs: dict[str, tuple[GModuleAction, tuple[int, ...]]] = {}
     if args.action_file:
@@ -363,7 +369,8 @@ def _cmd_ring_from_module(args, corpus: Corpus, caps: Caps):
                 row["nilpotent_free"] = ok
                 if witness is not None:
                     row["nilpotent_witness"] = ",".join(str(c) for c in ring.to_vector(witness))
-                row["mr_factor_sizes"] = mr_factor_sizes_for_report(ring, ok, caps=caps)
+                if ok and row["commutative"]:
+                    row["mr_factor_sizes"] = _factor_sizes(ring.to_algebra(caps=caps), caps)
             items.append(row)
         except GroupLabError as exc:
             errors.append({"item": name, "error": str(exc)})

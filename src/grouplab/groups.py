@@ -185,22 +185,32 @@ def _table_inverse(table: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _table_from_rows(rows: Sequence[np.ndarray], n: int, dtype: type) -> np.ndarray:
-    """The table of the group of order n generated by elements whose rows (s*x for every x)
-    are `rows`, breadth-first from the identity 0: an element j first reached as s*p has
-    row j = row s read at row p, as (s p) x = s (p x)."""
-    table = np.empty((n, n), dtype=dtype)
-    table[0] = np.arange(n)
-    queue, reached = [0], {0}
+def _tree(maps: Sequence[np.ndarray]) -> list[tuple[int, int, int]]:
+    """The breadth-first tree from point 0 under the maps x -> maps[k][x]: every other point
+    reached, as (point, the point it was first reached from, k), in the order a queue reaches them."""
+    lists = [m.tolist() for m in maps]
+    queue, reached, edges = [0], {0}, []
     for p in queue:
-        for row in rows:
-            j = int(row[p])
+        for k, m in enumerate(lists):
+            j = m[p]
             if j not in reached:
                 reached.add(j)
                 queue.append(j)
-                np.take(row, table[p], out=table[j])
-    if len(queue) != n:
+                edges.append((j, p, k))
+    return edges
+
+
+def _table_from_rows(rows: Sequence[np.ndarray], n: int, dtype: type) -> np.ndarray:
+    """The table of the group of order n generated by elements whose rows (s*x for every x)
+    are `rows`, along the breadth-first tree from the identity 0: an element j first reached
+    as s*p has row j = row s read at row p, as (s p) x = s (p x)."""
+    table = np.empty((n, n), dtype=dtype)
+    table[0] = np.arange(n)
+    edges = _tree(rows)
+    if len(edges) != n - 1:
         raise GroupLabError("the generators do not generate the group")
+    for j, p, k in edges:
+        np.take(rows[k], table[p], out=table[j])
     return table
 
 
@@ -549,11 +559,15 @@ class Subgroup:
         return len(core(self.group, self)) == len(self)
 
     def as_group(self, *, name: str | None = None) -> tuple[FiniteGroup, "GroupHom"]:
-        """Reindexed copy of this subgroup plus the embedding hom into the parent."""
-        arr = np.array(self.ids, dtype=np.int32)
-        table = _local_ids(self, self.group.table[np.ix_(arr, arr)])  # in the subgroup's id dtype
-        grp = FiniteGroup(table, name=name or f"{self.group.name}-sub{len(arr)}", validate="basic")
-        embed = GroupHom(grp, self.group, arr, validate=False)
+        """Reindexed copy of this subgroup plus the embedding hom into the parent.
+
+        Its table is built from the rows of its generators, not from the parent's table.
+        """
+        g, arr = self.group, np.array(self.ids, dtype=np.int32)
+        rows = [_local_ids(self, g.left(s)[arr]) for s in self.gens]  # in the subgroup's id dtype
+        table = _table_from_rows(rows, len(arr), _id_dtype(len(arr)))
+        grp = FiniteGroup(table, name=name or f"{g.name}-sub{len(arr)}", validate="basic")
+        embed = GroupHom(grp, g, arr, validate=False)
         return grp, embed
 
     def __repr__(self) -> str:

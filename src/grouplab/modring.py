@@ -17,7 +17,7 @@ import numpy as np
 from .algebras import FiniteCommutativeAlgebra
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError, integers
-from .groups import FiniteGroup, _greedy_generators
+from .groups import FiniteGroup, _greedy_generators, _tree
 from .linalg import inv_gfp, is_prime, nullspace_gfp
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "TranslateDecomposition",
     "action_from_matrices",
     "faithfulness_report",
-    "mr_factor_sizes_for_report",
     "nilpotent_free_check",
     "orbit_span_check",
     "permutation_module_action",
@@ -67,15 +66,16 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
                          *, caps: Caps = DEFAULT_CAPS) -> GModuleAction:
     """Build and validate an action from matrices on (at least) a generating set.
 
-    Missing elements are filled by a breadth-first search from the identity,
-    f(xs) = f(x)f(s) over generators s among the supplied ids.  The law is then
-    checked on every (element, generator) pair, which implies it on the full
-    table: the s satisfying it for every x are closed under products.
+    Missing elements are filled along the breadth-first tree from the identity,
+    f(xs) = f(x)f(s) over generators s among the supplied ids; supplied elements
+    keep their matrices.  The law is then checked on every (element, generator)
+    pair, which implies it on the full table: the s satisfying it for every x
+    are closed under products.
     """
     if not is_prime(prime):
         raise ValidationError(f"{prime} is not prime")
     caps.check("materialized_order", prime**dim)
-    n, table = group.order, group.table
+    n = group.order
     stack = np.zeros((n, dim, dim), dtype=np.int64)
     stack[0] = np.eye(dim, dtype=np.int64)
     known = np.arange(n) == 0
@@ -88,23 +88,17 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
             raise ValidationError(f"matrix for element {eid} has wrong shape")
         stack[int(eid)] = m
         known[int(eid)] = True
-    gens = np.array(_greedy_generators(group, np.flatnonzero(known)), dtype=np.intp)
-    seen, frontier = np.arange(n) == 0, np.zeros(1, dtype=np.intp)
-    while frontier.size and gens.size:
-        # each new y = x*s; supplied elements are expanded too, and keep their matrices
-        ys, first = np.unique(table[frontier[:, None], gens], return_index=True)
-        fresh = ~seen[ys]
-        ys, (xs, ss) = ys[fresh], np.divmod(first[fresh], gens.size)
-        seen[ys] = True
-        fill = ~known[ys]
-        stack[ys[fill]] = (stack[frontier[xs[fill]]] @ stack[gens[ss[fill]]]) % prime
-        frontier = ys
-    if not seen.all():
+    gens = _greedy_generators(group, np.flatnonzero(known))
+    edges = _tree([group.right(s) for s in gens])
+    if len(edges) != n - 1:
         raise ValidationError("matrices do not cover a generating set")
+    for y, x, k in edges:  # y = x * gens[k]
+        if not known[y]:
+            stack[y] = (stack[x] @ stack[gens[k]]) % prime
     for a in range(n):
         inv_gfp(stack[a], prime)  # raises if singular
     for s in gens:
-        if not np.array_equal(stack[table[:, s]], (stack @ stack[s]) % prime):
+        if not np.array_equal(stack[group.right(s)], (stack @ stack[s]) % prime):
             raise ValidationError("matrix assignment is not a homomorphism")
     stack.setflags(write=False)
     return GModuleAction(group=group, prime=prime, dim=dim, matrices=stack)
@@ -292,6 +286,7 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     span = orbit_span_check(action, vt)
     if not span.spans:
         raise ValidationError("translates of v do not span the space")
+    bound = translate_decomposition(action, vt, vt, caps=caps).bound
     n = action.group.order
     translate_rows = (np.array(vt, dtype=np.int64) @ action.matrices) % p
     kernel = nullspace_gfp(translate_rows.T, p)  # rows c with c @ translate_rows == 0
@@ -308,7 +303,7 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
                         multiplier=h,
                         product_value=tuple(int(x) for x in value),
                     ),
-                    translate_bound=translate_decomposition(action, vt, vt, caps=caps).bound,
+                    translate_bound=bound,
                 )
     # the right check is automatic; assert it on the first basis row anyway
     for row in kernel[:1]:
@@ -317,10 +312,8 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
                 raise GroupLabError("annihilator is not a right ideal; action tables broken")
 
     ring = _translate_ring(action, vt, span)
-    decomp = translate_decomposition(action, vt, vt, caps=caps)
     _verify_translate_products(ring, translate_rows)
-    return RingConstruction(well_defined=True, ring=ring, witness=None,
-                            translate_bound=decomp.bound)
+    return RingConstruction(well_defined=True, ring=ring, witness=None, translate_bound=bound)
 
 
 def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) -> ModuleRing:
@@ -391,6 +384,7 @@ def sum_zero_action(group: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) ->
     """Restriction of the permutation module to the sum-zero subspace.
 
     Basis: f_i = e_i - e_(i+1); the classic (degree-1)-dimensional summand.
+    Only the generators' matrices are solved for; the others are their products.
     """
     from .linalg import solve_gfp
 
@@ -403,7 +397,8 @@ def sum_zero_action(group: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) ->
         basis[i, i] = 1
         basis[i, i + 1] = (p - 1) % p
     mats = {}
-    for eid in range(group.order):
+    # invariance under the generators is invariance under the group they generate
+    for eid in group.perm_generators.element_ids:
         rows = []
         for i in range(degree - 1):
             image = (basis[i] @ full.matrices[eid]) % p
@@ -413,17 +408,6 @@ def sum_zero_action(group: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) ->
             rows.append(coeffs)
         mats[eid] = np.array(rows, dtype=np.int64)
     return action_from_matrices(group, p, degree - 1, mats, caps=caps)
-
-
-def mr_factor_sizes_for_report(ring: ModuleRing, nilpotent_free: bool,
-                               *, caps: Caps = DEFAULT_CAPS) -> str | None:
-    """Field-factor sizes of a commutative nilpotent-free ring, for reports."""
-    if not nilpotent_free or not ring.is_commutative():
-        return None
-    from .algebras import mr_decompose
-
-    decomp = mr_decompose(ring.to_algebra(caps=caps), caps=caps)
-    return ",".join(str(f.field.size) for f in decomp.factors)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .groups import (
     _distinct_reps,
     _greedy_generators,
     _normal_closure,
+    _tree,
     commutator_subgroup,
     is_nilpotent,
     subgroup_closure,
@@ -304,33 +305,24 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
     gens = _greedy_generators(g)
     orders = [g.element_order(x) for x in range(n)]
 
-    # Precompute the subgroup chain <gens[:i+1]> with BFS words over it.
-    chains: list[np.ndarray] = []
-    for i in range(len(gens)):
-        chains.append(np.flatnonzero(_closure_mask(g, gens[: i + 1])))
-
+    # one breadth-first tree per prefix <gens[:i+1]>, and its points, the domain of a partial map
+    trees = [_tree([g.right(s) for s in gens[: i + 1]]) for i in range(len(gens))]
+    domains = [np.array([0] + [j for j, _, _ in tree], dtype=np.intp) for tree in trees]
+    table = g.table
     autos: list[np.ndarray] = []
 
     def build_partial(images: list[int], level: int) -> np.ndarray | None:
         """Map on <gens[:level+1]> determined by the generator images, or None."""
         mapping = np.full(n, -1, dtype=np.int32)
         mapping[0] = 0
-        frontier = [0]
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                for ggen, gimg in zip(gens, images):
-                    y = int(g.table[x, ggen])
-                    fy = int(g.table[mapping[x], gimg])
-                    if mapping[y] == -1:
-                        mapping[y] = fy
-                        new_frontier.append(y)
-                    elif mapping[y] != fy:
-                        return None
-            frontier = new_frontier
+        for j, p, k in trees[level]:  # j = p * gens[k]
+            mapping[j] = table[mapping[p], images[k]]
         # f(xs) = f(x)f(s) on every edge makes f a homomorphism on the domain; need it injective
-        dom = chains[level]
+        dom = domains[level]
         vals = mapping[dom]
+        for s, b in zip(gens, images):
+            if not np.array_equal(mapping[table[dom, s]], table[vals, b]):
+                return None
         if _distinct(vals, n).size != dom.size:
             return None
         return mapping

@@ -50,7 +50,7 @@ class InverseSystem:
     """levels[i+1] --projections[i]--> levels[i]; the top level is levels[-1]."""
 
     def __init__(self, levels: Sequence[FiniteGroup], projections: Sequence[GroupHom],
-                 *, caps: Caps = DEFAULT_CAPS, validate: bool = True):
+                 *, caps: Caps = DEFAULT_CAPS):
         levels = list(levels)
         projections = list(projections)
         if not levels:
@@ -58,12 +58,11 @@ class InverseSystem:
         caps.check("tower_length", len(levels))
         if len(projections) != len(levels) - 1:
             raise ValidationError("need exactly one projection per adjacent pair")
-        if validate:
-            for i, hom in enumerate(projections):
-                if hom.source is not levels[i + 1] or hom.target is not levels[i]:
-                    raise ValidationError(f"projection {i} does not connect its levels")
-                if not hom.is_surjective():
-                    raise ValidationError(f"projection {i} is not surjective")
+        for i, hom in enumerate(projections):
+            if hom.source is not levels[i + 1] or hom.target is not levels[i]:
+                raise ValidationError(f"projection {i} does not connect its levels")
+            if not hom.is_surjective():
+                raise ValidationError(f"projection {i} is not surjective")
         self.levels = tuple(levels)
         self.projections = tuple(projections)
 

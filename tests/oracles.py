@@ -668,6 +668,13 @@ def quotient_table_by_gather(table: np.ndarray, n_ids: Sequence[int]) -> tuple[n
     return proj[table[np.ix_(least, least)]], proj
 
 
+def subgroup_table_by_gather(sub: Subgroup) -> np.ndarray:
+    """The table of `sub.as_group()`: the parent's whole table read at the subgroup's ids
+    in one gather, relabelled by position in the sorted ids."""
+    arr = np.array(sub.ids, dtype=np.intp)
+    return _local_ids(sub, sub.group.table[np.ix_(arr, arr)])
+
+
 def subgroup_error_by_isin(g: FiniteGroup, ids: Sequence[int]) -> str | None:
     """The first subgroup-validation message for a sorted set of ids in range holding 0, or
     None: inverses, then every product of two members looked up in the whole table."""

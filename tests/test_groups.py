@@ -24,6 +24,7 @@ from grouplab.groups import (
     series,
     subgroup_closure,
 )
+from grouplab.structure import enumerate_subgroups
 
 from grouplab import groups
 from grouplab.corpus import bundled_towers
@@ -35,6 +36,7 @@ from oracles import (
     double_loop_commuting_count,
     naive_is_associative,
     rows_and_columns_are_permutations,
+    subgroup_table_by_gather,
     table_by_columns,
 )
 
@@ -598,3 +600,48 @@ def test_distinct_matches_np_unique_in_values_and_dtype():
             want, got = np.unique(ids), groups._distinct(ids, n)
             assert got.dtype == want.dtype and np.array_equal(got, want), (dtype, shape)
 
+
+
+def _reached(maps: list[np.ndarray]) -> set[int]:
+    """Every point reachable from 0 under the maps, by a plain fixpoint."""
+    reached, changed = {0}, True
+    while changed:
+        grown = reached | {int(m[x]) for m in maps for x in reached}
+        reached, changed = grown, grown != reached
+    return reached
+
+
+def test_tree_reaches_each_point_once_from_an_earlier_parent(corpus, perm_group):
+    cases = [[g.right(s) for s in groups._greedy_generators(g)] for _, g in corpus.items()]
+    s4 = corpus["S4"]
+    cases.append([s4.right(3)])  # one element: it generates a proper subgroup
+    cases.append([np.array([1, 2, 2, 0, 4]), np.array([0, 0, 1, 1, 1])])  # not permutations
+    d4xq8 = perm_group("D4xQ8")
+    cases.append([d4xq8.left(s) for s in d4xq8._source.gens])
+    for maps in cases:
+        edges = groups._tree(maps)
+        points = [j for j, _, _ in edges]
+        assert len(set(points)) == len(points) and 0 not in points
+        assert set(points) | {0} == _reached(maps)
+        position = {0: -1, **{j: i for i, j in enumerate(points)}}
+        for i, (j, p, k) in enumerate(edges):
+            assert int(maps[k][p]) == j
+            assert position[p] < i  # the parent comes first
+        # a queue takes parents in the order it reached them, and each one's maps in turn
+        order = [(position[p], k) for _, p, k in edges]
+        assert order == sorted(order)
+    assert groups._tree([]) == []
+
+
+def test_subgroup_as_group_reads_generator_rows_not_the_parent_table(corpus, perm_group):
+    s7 = perm_group("S7")
+    gens = s7._source.ids_of(np.array([[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 0, 5, 6],
+                                       [0, 1, 2, 3, 4, 6, 5]]))  # S5 x S2
+    h = subgroup_closure(s7, gens.tolist())
+    built = [(h, h.as_group())]
+    assert len(h) == 240 and s7._table is None  # the gather would build S7's 5040^2 table
+    built += [(sub, sub.as_group()) for sub in enumerate_subgroups(corpus["S4"])]
+    for sub, (grp, embed) in built:
+        assert np.array_equal(embed.mapping, sub.ids)
+        assert np.array_equal(grp.table, subgroup_table_by_gather(sub)), sub
+        assert grp.table.dtype == grp.inverse.dtype

@@ -301,6 +301,20 @@ def test_permutation_module_action_is_hom(corpus):
     assert np.array_equal(lhs, rhs)
 
 
+def test_s6_module_actions_are_filled_from_generators_without_a_table(perm_group):
+    s6 = perm_group("S6")
+    perm = permutation_module_action(s6, 2)
+    std = sum_zero_action(s6, 3)
+    assert s6.order == 720 and s6._table is None
+    basis = np.eye(6, dtype=np.int64)[:-1] - np.eye(6, k=1, dtype=np.int64)[:-1]  # e_i - e_(i+1)
+    for x in s6.elements():
+        expected = np.zeros((6, 6), dtype=np.int64)
+        expected[list(s6.permutation_of(x)), range(6)] = 1
+        assert np.array_equal(perm.matrices[x], expected % 2), x
+        # the restriction: f_i^x written in the basis f
+        assert np.array_equal((std.matrices[x] @ basis) % 3, (basis @ expected) % 3), x
+
+
 @pytest.mark.parametrize("name", ["swap-gf3", "regular-gf2", "s3-std-gf5"])
 def test_translate_product_check_matches_pairwise_oracle(corpus, name):
     # the ring the translate basis would carry, built even where it is ill defined
