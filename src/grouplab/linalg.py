@@ -82,21 +82,6 @@ def nullspace_gfp(mat: np.ndarray, p: int) -> np.ndarray:
     return basis % p
 
 
-def solve_gfp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of x @ a == b (row-vector convention), or None."""
-    a = np.asarray(a) % p
-    b = np.asarray(b) % p
-    aug = np.concatenate([a.T, b.reshape(-1, 1)], axis=1)
-    rref, pivots = rref_gfp(aug, p)
-    n = a.shape[0]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r, -1]
-    return x % p
-
-
 def inv_gfp(a: np.ndarray, p: int) -> np.ndarray:
     a = np.asarray(a) % p
     n = a.shape[0]

@@ -17,8 +17,8 @@ import numpy as np
 from .algebras import FiniteCommutativeAlgebra
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError, integers
-from .groups import FiniteGroup, _greedy_generators, _tree
-from .linalg import inv_gfp, is_prime, nullspace_gfp
+from .groups import FiniteGroup, _block_rows, _greedy_generators, _tree
+from .linalg import inv_gfp, is_prime, nullspace_gfp, rref_gfp
 
 __all__ = [
     "FaithfulnessReport",
@@ -72,9 +72,14 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
     pair, which implies it on the full table: the s satisfying it for every x
     are closed under products.
     """
+    if dim < 1:
+        raise ValidationError("dim must be positive")
+    # p**dim up to just past the cap: a p >= 2 passes it by the power bit_length(limit),
+    # so no larger power is formed; a p below 2 is left to the primality test
+    limit = caps.materialized_order
+    caps.check("materialized_order", min(max(prime, 1) ** min(dim, limit.bit_length()), limit + 1))
     if not is_prime(prime):
         raise ValidationError(f"{prime} is not prime")
-    caps.check("materialized_order", prime**dim)
     n = group.order
     stack = np.zeros((n, dim, dim), dtype=np.int64)
     stack[0] = np.eye(dim, dtype=np.int64)
@@ -111,26 +116,21 @@ class OrbitSpan:
     basis_vectors: tuple[tuple[int, ...], ...]
 
 
+def _translates(action: GModuleAction, v: Sequence[int]) -> np.ndarray:
+    """The matrix whose row h is the translate v^h."""
+    return (np.asarray(v, dtype=np.int64) @ action.matrices) % action.prime
+
+
+def _span(rows: np.ndarray, p: int, d: int) -> OrbitSpan:
+    """The rows outside the span of the earlier ones, which are the pivot columns of the transpose."""
+    pivots = rref_gfp(rows.T, p)[1]
+    return OrbitSpan(spans=len(pivots) == d, basis_elements=tuple(pivots),
+                     basis_vectors=tuple(tuple(int(x) for x in rows[h]) for h in pivots))
+
+
 def orbit_span_check(action: GModuleAction, v: Sequence[int]) -> OrbitSpan:
     """Do the translates of v span the space?  Greedy translate basis if so."""
-    p, d = action.prime, action.dim
-    chosen_ids: list[int] = []
-    chosen_vecs: list[tuple[int, ...]] = []
-    current = np.zeros((0, d), dtype=np.int64)
-    from .linalg import rank_gfp
-
-    for h in range(action.group.order):
-        w = action.translate(v, h)
-        trial = np.vstack([current, np.asarray(w, dtype=np.int64)])
-        if rank_gfp(trial, p) > current.shape[0]:
-            current = trial
-            chosen_ids.append(h)
-            chosen_vecs.append(w)
-        if current.shape[0] == d:
-            break
-    return OrbitSpan(spans=current.shape[0] == d,
-                     basis_elements=tuple(chosen_ids),
-                     basis_vectors=tuple(chosen_vecs))
+    return _span(_translates(action, v), action.prime, action.dim)
 
 
 @dataclass(frozen=True)
@@ -148,38 +148,37 @@ def translate_decomposition(action: GModuleAction, v: Sequence[int], w: Sequence
     """
     p, d = action.prime, action.dim
     caps.check("materialized_order", p**d)
-    span = orbit_span_check(action, v)
-    if not span.spans:
+    rows = _translates(action, v)
+    if not _span(rows, p, d).spans:
         raise ValidationError("translates of v do not span the space")
-    translates = [action.translate(v, h) for h in range(action.group.order)]
-    zero = tuple([0] * d)
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {zero: None}
-    frontier = [zero]
-    depth = 0
-    max_depth = 0
-    target = tuple(int(x) % p for x in w)
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            arr = np.asarray(state, dtype=np.int64)
-            for h, t in enumerate(translates):
-                new = tuple(int(x) for x in (arr + np.asarray(t, dtype=np.int64)) % p)
-                if new not in parent:
-                    parent[new] = (state, h)
-                    next_frontier.append(new)
-        if next_frontier:
-            depth += 1
-            max_depth = depth
-        frontier = next_frontier
-    if target not in parent:
+    return _shortest_sums(rows, p, w)
+
+
+def _shortest_sums(rows: np.ndarray, p: int, w: Sequence[int]) -> TranslateDecomposition:
+    """The decomposition of w into the spanning rows, and the depth of the last vector reached,
+    read off the breadth-first tree from 0 over the vector ids (little-endian digits) under
+    x -> x + t, one map per distinct row t at its least index h: the tree a queue of partial
+    sums builds trying every h in order."""
+    d = rows.shape[1]
+    radix = p ** np.arange(d, dtype=np.int64)
+    coords = np.arange(p**d, dtype=np.int64)[:, None] // radix % p
+    hs = np.sort(np.unique(rows @ radix, return_index=True)[1])
+    edges = _tree([((coords + rows[h]) % p) @ radix for h in hs])
+    if len(w) != d or len(edges) != p**d - 1:
         raise GroupLabError("spanning translates failed to reach a vector")
-    path = []
-    cur = target
-    while parent[cur] is not None:
-        prev, h = parent[cur]
-        path.append(h)
-        cur = prev
-    return TranslateDecomposition(elements=tuple(sorted(path)), bound=max_depth)
+    parent, via = np.zeros((2, p**d), dtype=np.int64)  # the vector each came from, and its h
+    tree = np.array(edges, dtype=np.int64)
+    parent[tree[:, 0]], via[tree[:, 0]] = tree[:, 1], hs[tree[:, 2]]
+
+    def path(x: int) -> list[int]:
+        out = []
+        while x:
+            out.append(int(via[x]))
+            x = parent[x]
+        return out
+
+    target = sum(int(x) % p * p**i for i, x in enumerate(w))
+    return TranslateDecomposition(elements=tuple(sorted(path(target))), bound=len(path(edges[-1][0])))
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,8 @@ class ModuleRing:
         return self.element_id(self._products(self.coords(a), self.coords(b)))
 
     def _products(self, ca: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Coordinates of a * b for the coordinates `ca` of a and each row of `coords`."""
+        """Coordinates of a * b for the coordinates `ca` of a and each row of `coords`;
+        a stack of `ca` rows gives one such array per row."""
         return (coords @ np.tensordot(ca, self._structure, 1)) % self.p
 
     def is_commutative(self) -> bool:
@@ -255,9 +255,11 @@ class ModuleRing:
         coords = self.coords(np.arange(self.size))
         add = np.empty((self.size, self.size), dtype=np.int32)
         mul = np.empty((self.size, self.size), dtype=np.int32)
-        for a in range(self.size):
-            add[a] = ((coords[a] + coords) % self.p) @ self._radix
-            mul[a] = self._products(coords[a], coords) @ self._radix
+        rows = _block_rows(self.size * self.dim)  # a block's products stay near `_CHECK_BLOCK` cells
+        for a in range(0, self.size, rows):
+            block = coords[a:a + rows]
+            add[a:a + rows] = ((block[:, None] + coords) % self.p) @ self._radix
+            mul[a:a + rows] = self._products(block, coords) @ self._radix
         return FiniteCommutativeAlgebra(add, mul, char=self.p, one_id=self.one,
                                         name=name or "module-ring")
 
@@ -281,20 +283,20 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     of translates, which is exact: the product is bilinear and the
     translates span.
     """
-    p = action.prime
+    p, d = action.prime, action.dim
     vt = tuple(int(x) % p for x in v)
-    span = orbit_span_check(action, vt)
+    translate_rows = _translates(action, vt)
+    span = _span(translate_rows, p, d)
     if not span.spans:
         raise ValidationError("translates of v do not span the space")
-    bound = translate_decomposition(action, vt, vt, caps=caps).bound
-    n = action.group.order
-    translate_rows = (np.array(vt, dtype=np.int64) @ action.matrices) % p
+    caps.check("materialized_order", p**d)
+    bound = _shortest_sums(translate_rows, p, vt).bound
+    group = action.group
     kernel = nullspace_gfp(translate_rows.T, p)  # rows c with c @ translate_rows == 0
-    table = action.group.table
     for row in kernel:
-        for h in range(n):
+        for h in group.elements():
             # h * (sum c_g g) has coefficient c_g at position h*g
-            value = (row @ translate_rows[table[h]]) % p
+            value = (row @ translate_rows[group.left(h)]) % p
             if value.any():
                 return RingConstruction(
                     well_defined=False, ring=None,
@@ -307,8 +309,8 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
                 )
     # the right check is automatic; assert it on the first basis row anyway
     for row in kernel[:1]:
-        for h in range(n):
-            if ((row @ translate_rows[table[:, h]]) % p).any():
+        for h in group.elements():
+            if ((row @ translate_rows[group.right(h)]) % p).any():
                 raise GroupLabError("annihilator is not a right ideal; action tables broken")
 
     ring = _translate_ring(action, vt, span)
@@ -321,7 +323,7 @@ def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) 
     p = action.prime
     basis = np.array(span.basis_vectors, dtype=np.int64)
     hs = np.array(span.basis_elements, dtype=np.intp)
-    prods = action.matrices[action.group.table[np.ix_(hs, hs)]]  # matrix of h_i h_j
+    prods = action.matrices[[action.group.left(h)[hs] for h in hs]]  # matrix of h_i h_j
     structure = (((np.array(v, dtype=np.int64) @ prods) % p) @ inv_gfp(basis, p)) % p
     return ModuleRing(action, v, span.basis_elements, basis, structure)
 
@@ -329,9 +331,9 @@ def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) 
 def _verify_translate_products(ring: ModuleRing, translate_rows: np.ndarray) -> None:
     """Check v^h * v^k = v^(hk) for all translates, one row of products per h."""
     coords = (translate_rows @ ring._basis_inv) % ring.p
-    table = ring.action.group.table
+    group = ring.action.group
     for h in range(len(coords)):
-        if not np.array_equal(ring._products(coords[h], coords), coords[table[h]]):
+        if not np.array_equal(ring._products(coords[h], coords), coords[group.left(h)]):
             raise GroupLabError("ring product disagrees with the translate-sum formula")
 
 
@@ -372,10 +374,8 @@ def permutation_module_action(group: FiniteGroup, p: int,
     degree = group.perm_generators.degree
     mats = {}
     for eid in group.perm_generators.element_ids:
-        perm = group.permutation_of(eid)
         m = np.zeros((degree, degree), dtype=np.int64)
-        for j in range(degree):
-            m[perm[j], j] = 1
+        m[list(group.permutation_of(eid)), range(degree)] = 1
         mats[eid] = m
     return action_from_matrices(group, p, degree, mats, caps=caps)
 
@@ -384,29 +384,21 @@ def sum_zero_action(group: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) ->
     """Restriction of the permutation module to the sum-zero subspace.
 
     Basis: f_i = e_i - e_(i+1); the classic (degree-1)-dimensional summand.
-    Only the generators' matrices are solved for; the others are their products.
+    A sum-zero u is sum c_i f_i with c_i = u_0 + ... + u_i.  Only the generators'
+    matrices are solved for; the others are their products.
     """
-    from .linalg import solve_gfp
-
     full = permutation_module_action(group, p, caps=caps)
     degree = full.dim
     if degree < 2:
         raise ValidationError("need degree at least 2")
-    basis = np.zeros((degree - 1, degree), dtype=np.int64)
-    for i in range(degree - 1):
-        basis[i, i] = 1
-        basis[i, i + 1] = (p - 1) % p
+    basis = (np.eye(degree - 1, degree, dtype=np.int64) - np.eye(degree - 1, degree, 1, dtype=np.int64)) % p
     mats = {}
     # invariance under the generators is invariance under the group they generate
     for eid in group.perm_generators.element_ids:
-        rows = []
-        for i in range(degree - 1):
-            image = (basis[i] @ full.matrices[eid]) % p
-            coeffs = solve_gfp(basis, image, p)
-            if coeffs is None:
-                raise GroupLabError("sum-zero subspace is not invariant")
-            rows.append(coeffs)
-        mats[eid] = np.array(rows, dtype=np.int64)
+        images = (basis @ full.matrices[eid]) % p
+        if (images.sum(axis=1) % p).any():
+            raise GroupLabError("sum-zero subspace is not invariant")
+        mats[eid] = np.cumsum(images, axis=1)[:, :-1] % p
     return action_from_matrices(group, p, degree - 1, mats, caps=caps)
 
 

@@ -599,6 +599,75 @@ def ideal_witness_by_scatter(action, v: tuple[int, ...]):
     return None
 
 
+def orbit_span_by_rank(action, v: Sequence[int]):
+    """The greedy translate basis of v, one rank computation per translate in id order:
+    a translate joins when it raises the rank of those chosen so far."""
+    from grouplab.modring import OrbitSpan
+
+    p, d = action.prime, action.dim
+    chosen_ids: list[int] = []
+    chosen_vecs: list[tuple[int, ...]] = []
+    current = np.zeros((0, d), dtype=np.int64)
+    for h in range(action.group.order):
+        w = action.translate(v, h)
+        trial = np.vstack([current, np.asarray(w, dtype=np.int64)])
+        if rank_gfp(trial, p) > current.shape[0]:
+            current = trial
+            chosen_ids.append(h)
+            chosen_vecs.append(w)
+        if current.shape[0] == d:
+            break
+    return OrbitSpan(spans=current.shape[0] == d,
+                     basis_elements=tuple(chosen_ids),
+                     basis_vectors=tuple(chosen_vecs))
+
+
+def translate_decompositions_by_search(action, v: Sequence[int], targets: Iterable[Sequence[int]],
+                                       *, caps: Caps = DEFAULT_CAPS) -> list:
+    """Minimal sums of translates of v equal to each target, with the bound, by a
+    breadth-first search over partial sums kept as tuples in a dict; each state tries
+    every translate in id order.  The search runs once for all targets."""
+    from grouplab.modring import TranslateDecomposition
+
+    p, d = action.prime, action.dim
+    caps.check("materialized_order", p**d)
+    span = orbit_span_by_rank(action, v)
+    if not span.spans:
+        raise ValidationError("translates of v do not span the space")
+    translates = [action.translate(v, h) for h in range(action.group.order)]
+    zero = tuple([0] * d)
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {zero: None}
+    frontier = [zero]
+    depth = 0
+    max_depth = 0
+    while frontier:
+        next_frontier = []
+        for state in frontier:
+            arr = np.asarray(state, dtype=np.int64)
+            for h, t in enumerate(translates):
+                new = tuple(int(x) for x in (arr + np.asarray(t, dtype=np.int64)) % p)
+                if new not in parent:
+                    parent[new] = (state, h)
+                    next_frontier.append(new)
+        if next_frontier:
+            depth += 1
+            max_depth = depth
+        frontier = next_frontier
+    out = []
+    for w in targets:
+        target = tuple(int(x) % p for x in w)
+        if target not in parent:
+            raise GroupLabError("spanning translates failed to reach a vector")
+        path = []
+        cur = target
+        while parent[cur] is not None:
+            prev, h = parent[cur]
+            path.append(h)
+            cur = prev
+        out.append(TranslateDecomposition(elements=tuple(sorted(path)), bound=max_depth))
+    return out
+
+
 def minimal_generator_count_from_class_reps(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
     """Smallest k such that some k elements generate g.
 

@@ -404,6 +404,9 @@ def test_cli_filtered_power_rejects_non_subfield(tmp_path):
      [{"name": "S3", "order": 6.5, "file": "S3.json"}]),
     ("analyze-group", "--corpus", "S3.json",
      {"name": "S3", "degree": 3.5, "generators": [[1, 0, 2], [1, 2, 0]]}),
+    *(("ring-from-module", "--action-file", "action.json",
+       {"group": "Z2", "p": 3, "dim": dim, "matrices": {"1": [[0, 1], [1, 0]]}})
+      for dim in (0, -1)),
 ])
 def test_cli_malformed_file_is_one_error_line(tmp_path, capsys, corpus,
                                               subcommand, flag, fname, payload):
@@ -417,6 +420,20 @@ def test_cli_malformed_file_is_one_error_line(tmp_path, capsys, corpus,
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {fname}: ")
+
+
+@pytest.mark.parametrize("p, dim", [
+    (4611686018427387847, 2),  # a prime near 2**62: its trial division would take hours
+    (1000000000000037, 2),     # a prime near 10**15: seconds of trial division
+    (3, 30_000_000),           # p**dim would have millions of digits
+    (4, 7),                    # a composite p above the cap reports the cap
+])
+def test_cli_oversized_action_file_hits_the_cap_before_the_primality_test(tmp_path, capsys, p, dim):
+    (tmp_path / "action.json").write_text(json.dumps(
+        {"group": "Z2", "p": p, "dim": dim, "matrices": {"1": [[0, 1], [1, 0]]}}))
+    argv = ["ring-from-module", "--action-file", str(tmp_path / "action.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: cap 'materialized_order' exceeded: 10001 > 10000"]
 
 
 @pytest.mark.parametrize("payload", [

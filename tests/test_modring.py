@@ -21,7 +21,9 @@ from grouplab.modring import (
 from oracles import (
     action_matrices_all_pairs,
     ideal_witness_by_scatter,
+    orbit_span_by_rank,
     ring_tables_pairwise,
+    translate_decompositions_by_search,
     translate_formula_agrees,
 )
 
@@ -151,6 +153,54 @@ def test_translate_decomposition(swap_gf3):
     assert pair.bound == 4  # (2, 2) needs four translates
     with pytest.raises(ValidationError):
         translate_decomposition(swap_gf3, (1, 1), (1, 0))
+
+
+def _assert_span_and_search_match_oracles(action, v, targets):
+    span = orbit_span_check(action, v)
+    assert span == orbit_span_by_rank(action, v), (action.group.name, v)
+    if not span.spans:
+        with pytest.raises(ValidationError, match="do not span"):
+            translate_decomposition(action, v, v)
+        return
+    expected = translate_decompositions_by_search(action, v, targets)
+    for w, want in zip(targets, expected):
+        assert translate_decomposition(action, v, w) == want, (action.group.name, v, w)
+
+
+def test_span_and_search_match_oracles_on_every_pair(corpus):
+    actions = [a for a, _ in _bundled_actions(corpus, DEFAULT_CAPS).values()]
+    actions.append(action_from_matrices(corpus["Z2"], 3, 2, {1: [[1, 0], [0, 1]]}))  # trivial
+    actions.append(action_from_matrices(corpus["Z4"], 3, 4, {1: _shift(4)}))
+    for action in actions:
+        vectors = action.vectors()
+        for v in vectors:
+            _assert_span_and_search_match_oracles(action, v, vectors)
+
+
+def test_span_and_search_match_oracles_on_larger_modules(corpus, perm_group):
+    s6 = perm_group("S6")
+    for action in (action_from_matrices(corpus["Z4"], 5, 4, {1: _shift(4)}),
+                   sum_zero_action(corpus["S4"], 5), permutation_module_action(s6, 2)):
+        p, d = action.prime, action.dim
+        # the vector the CLI takes for an action file without one: the first that spans
+        v = next(vec for vec in action.vectors() if orbit_span_check(action, vec).spans)
+        targets = [(0,) * d, v, (p - 1,) * d, tuple(i % p for i in range(d)), (1,) + (0,) * (d - 1)]
+        _assert_span_and_search_match_oracles(action, v, targets)
+        assert not orbit_span_check(action, (0,) * d).spans
+    assert s6._table is None
+
+
+def test_ring_construct_on_s6_modules_reads_columns_and_matches_scatter_oracle(perm_group):
+    s6 = perm_group("S6")
+    cases = [(permutation_module_action(s6, 2), (1, 0, 0, 0, 0, 0), 1, (0, 1, 0, 0, 0, 1), 6),
+             (sum_zero_action(s6, 3), (1, 0, 0, 0, 0), 2, (2, 1, 1, 1, 1), 4)]
+    for action, v, multiplier, value, bound in cases:
+        built = ring_construct(action, v)
+        assert s6._table is None
+        assert not built.well_defined and built.translate_bound == bound
+        w = built.witness
+        assert (w.multiplier, w.product_value) == (multiplier, value)
+        assert (w.annihilator_coeffs, w.multiplier, w.product_value) == ideal_witness_by_scatter(action, v)
 
 
 def test_ring_construct_trivial_action_is_prime_field(corpus):
