@@ -217,19 +217,18 @@ def prime_subfield_ids(field: FiniteCommutativeAlgebra) -> frozenset[int]:
     return frozenset(range(field.char))
 
 
-def find_nilpotent(size: int, mul_table: np.ndarray) -> int | None:
-    """Smallest id of a nonzero nilpotent element, or None.
+def find_nilpotent(square: np.ndarray) -> int | None:
+    """Smallest id of a nonzero nilpotent element, or None, given the squaring map
+    x -> x*x as the id of every square.
 
     Uses repeated squaring: x is nilpotent iff x^(2^k) = 0 once 2^k covers
     the ring size.
     """
-    ids = np.arange(size, dtype=np.int32)
-    cur = ids.copy()
-    steps = max(1, int(size).bit_length())
-    for _ in range(steps):
-        cur = mul_table[cur, cur]
-    hits = np.flatnonzero((cur == 0) & (ids != 0))
-    return int(hits[0]) if hits.size else None
+    cur = np.arange(square.size)
+    for _ in range(max(1, square.size.bit_length())):
+        cur = square[cur]
+    hits = np.flatnonzero(cur[1:] == 0)
+    return int(hits[0]) + 1 if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -257,7 +256,7 @@ def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -
     """
     n = ring.size
     caps.check("materialized_order", n)
-    witness = find_nilpotent(n, ring.mul_table)
+    witness = find_nilpotent(np.diagonal(ring.mul_table))
     if witness is not None:
         raise NilpotentElementError(witness, f"ring {ring.name}")
     idem = [e for e in ring.idempotents() if e != 0]

@@ -493,6 +493,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if flag is not None and not 1 <= flag <= _HARD_CAP:
             sys.stderr.write(f"error: cap overrides must be in 1..{_HARD_CAP}\n")
             return 1
+    if getattr(args, "max_order", None) is not None and not 1 <= args.max_order <= _HARD_CAP:
+        sys.stderr.write(f"error: --max-order must be in 1..{_HARD_CAP}\n")
+        return 1
     caps = DEFAULT_CAPS.with_overrides(order=args.cap_order, subgroup_order=args.cap_subgroups)
     try:
         corpus = load_corpus(args.corpus, caps=caps) if args.corpus else bundled_corpus(caps=caps)

@@ -54,14 +54,20 @@ def _distinct(ids: np.ndarray, n: int) -> np.ndarray:
     return seen.nonzero()[0].astype(ids.dtype, copy=False)
 
 
-def _close(seen: np.ndarray, targets: np.ndarray) -> None:
+def _close(seen: np.ndarray, targets: np.ndarray) -> tuple[int, np.ndarray]:
     """Close the flat mask `seen`, in place, under the maps x -> targets[j, x]: each step marks the
-    products of the frontier straight into the mask, and the next frontier is what it newly marked."""
-    frontier = seen.nonzero()[0]
+    products of the frontier straight into the mask, and the next frontier is what it newly marked.
+    Returns the number of steps that marked a point and the points the last of them marked (the
+    starting points if none did), ascending."""
+    frontier = last = seen.nonzero()[0]
+    depth = 0
     while targets.size and frontier.size:
         before = seen.copy()
         seen[targets[:, frontier]] = True
         frontier = (seen != before).nonzero()[0]
+        if frontier.size:
+            depth, last = depth + 1, frontier
+    return depth, last
 
 
 def _closure_mask(g: FiniteGroup, gens: Sequence[int], start: Sequence[int] = (0,)) -> np.ndarray:
@@ -344,7 +350,6 @@ class FiniteGroup:
         table: np.ndarray | Sequence[Sequence[int]],
         *,
         name: str = "G",
-        perm_generators: PermGenerators | None = None,
         validate: str = "full",
         caps: Caps = DEFAULT_CAPS,
     ) -> None:
@@ -364,10 +369,12 @@ class FiniteGroup:
         arr = np.ascontiguousarray(raw, dtype=_id_dtype(n))  # no copy of a table built in its dtype
         self.inverse = _table_inverse(arr)
         arr.setflags(write=False)
-        self.name, self.perm_generators, self._table = name, perm_generators, arr
+        self.name, self._table = name, arr
         if validate == "full":
             _light_associativity(self)
 
+    # the permutation generators of a group built from them, which its `_source` holds
+    perm_generators: PermGenerators | None = None
     # the table, for a group with a column source once some consumer reads it whole
     _table: np.ndarray | None = None
     # the permutations of a group built from generators, or the factors of a direct product
@@ -452,7 +459,7 @@ class FiniteGroup:
 
     def permutation_of(self, x: int) -> tuple[int, ...]:
         """Permutation realizing element x, for groups built from generators."""
-        if self.perm_generators is None or self._source is None:
+        if self.perm_generators is None:
             raise ValidationError("group has no permutation presentation")
         return tuple(self._source.perms[x].tolist())
 
@@ -774,7 +781,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *, name: str | None = None,
     na, nb = a.order, b.order
     caps.check("order", na * nb)
     grp = FiniteGroup.__new__(FiniteGroup)
-    grp.name, grp.perm_generators, grp._source = name or f"{a.name}x{b.name}", None, _Product(a, b)
+    grp.name, grp._source = name or f"{a.name}x{b.name}", _Product(a, b)
     grp.inverse = (a.inverse.astype(_id_dtype(na * nb))[:, None] * nb + b.inverse).ravel()
     grp.inverse.setflags(write=False)
     ids = np.arange(na * nb)

@@ -233,14 +233,15 @@ def rho_wedge(g: FiniteGroup, *, name: str | None = None,
     w = commutator_subgroup(whole, whole)
     if not center(g).contains_subgroup(w):
         raise ValidationError("commutator subgroup is not central (class > 2)")
-    if any(g.element_order(x) != p for x in w.ids[1:]):
+    # both layers are abelian, so each has exponent p when its generators do
+    if any(g.element_order(x) != p for x in w.gens):
         raise ValidationError("commutator subgroup is not elementary abelian")
     q, proj = quotient(g, w)
-    if not q.is_abelian or any(q.element_order(x) != p for x in range(1, q.order)):
-        raise ValidationError("central quotient is not elementary abelian")
-
     # the basis of L/W by ascending id; canonical lifts: the first, hence minimal, id in each coset
     u_basis = _greedy_generators(q)
+    if not q.is_abelian or any(q.element_order(x) != p for x in u_basis):
+        raise ValidationError("central quotient is not elementary abelian")
+
     u_dim = len(u_basis)
     _, lift = np.unique(proj.mapping, return_index=True)
     # W is elementary abelian, so the image of the wedge map is the subgroup the commutators span

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebras import FiniteCommutativeAlgebra
+from .algebras import FiniteCommutativeAlgebra, find_nilpotent
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError, integers
 from .groups import FiniteGroup, _block_rows, _greedy_generators, _tree
@@ -70,7 +70,8 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
     f(xs) = f(x)f(s) over generators s among the supplied ids; supplied elements
     keep their matrices.  The law is then checked on every (element, generator)
     pair, which implies it on the full table: the s satisfying it for every x
-    are closed under products.
+    are closed under products.  So only the generators' matrices are inverted:
+    every other matrix is a product of theirs.
     """
     if dim < 1:
         raise ValidationError("dim must be positive")
@@ -100,11 +101,12 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
     for y, x, k in edges:  # y = x * gens[k]
         if not known[y]:
             stack[y] = (stack[x] @ stack[gens[k]]) % prime
-    for a in range(n):
-        inv_gfp(stack[a], prime)  # raises if singular
     for s in gens:
-        if not np.array_equal(stack[group.right(s)], (stack @ stack[s]) % prime):
-            raise ValidationError("matrix assignment is not a homomorphism")
+        inv_gfp(stack[s], prime)  # raises if singular
+    # f(1) = 1, checked apart for the trivial group, which has no generator
+    if not np.array_equal(stack[0], np.eye(dim)) or any(
+            not np.array_equal(stack[group.right(s)], (stack @ stack[s]) % prime) for s in gens):
+        raise ValidationError("matrix assignment is not a homomorphism")
     stack.setflags(write=False)
     return GModuleAction(group=group, prime=prime, dim=dim, matrices=stack)
 
@@ -277,11 +279,12 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     """Quotient the group algebra by the annihilator of v, if two-sided.
 
     The annihilator is always a right ideal; the left check is exhaustive
-    over a kernel basis.  On failure the first offending (kernel element,
-    multiplier) pair becomes the witness.  On success the product is
-    verified against the translate formula v^h * v^k = v^(hk) on every pair
-    of translates, which is exact: the product is bilinear and the
-    translates span.
+    over a kernel basis, each row shifted by every multiplier at once through
+    the columns of its support.  On failure the first offending (kernel
+    element, multiplier) pair becomes the witness.  On success the product is
+    verified against the translate formula v^h * v^k = v^(hk) for every
+    basis translate v^h and every translate v^k, which is exact: both sides
+    are linear in v^h, and the basis spans.
     """
     p, d = action.prime, action.dim
     vt = tuple(int(x) % p for x in v)
@@ -294,28 +297,33 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     group = action.group
     kernel = nullspace_gfp(translate_rows.T, p)  # rows c with c @ translate_rows == 0
     for row in kernel:
-        for h in group.elements():
-            # h * (sum c_g g) has coefficient c_g at position h*g
-            value = (row @ translate_rows[group.left(h)]) % p
-            if value.any():
-                return RingConstruction(
-                    well_defined=False, ring=None,
-                    witness=IllDefinedWitness(
-                        annihilator_coeffs=tuple(int(x) for x in row),
-                        multiplier=h,
-                        product_value=tuple(int(x) for x in value),
-                    ),
-                    translate_bound=bound,
-                )
+        # row h of `values` is h * (sum c_g g), which has coefficient c_g at h*g, applied to v
+        values = _shifted(row, translate_rows, group.right, p)
+        hits = np.flatnonzero(values.any(axis=1))
+        if hits.size:
+            h = int(hits[0])
+            return RingConstruction(
+                well_defined=False, ring=None,
+                witness=IllDefinedWitness(
+                    annihilator_coeffs=tuple(int(x) for x in row),
+                    multiplier=h,
+                    product_value=tuple(int(x) for x in values[h]),
+                ),
+                translate_bound=bound,
+            )
     # the right check is automatic; assert it on the first basis row anyway
-    for row in kernel[:1]:
-        for h in group.elements():
-            if ((row @ translate_rows[group.right(h)]) % p).any():
-                raise GroupLabError("annihilator is not a right ideal; action tables broken")
+    if len(kernel) and _shifted(kernel[0], translate_rows, group.left, p).any():
+        raise GroupLabError("annihilator is not a right ideal; action tables broken")
 
     ring = _translate_ring(action, vt, span)
     _verify_translate_products(ring, translate_rows)
     return RingConstruction(well_defined=True, ring=ring, witness=None, translate_bound=bound)
+
+
+def _shifted(row: np.ndarray, translate_rows: np.ndarray, column, p: int) -> np.ndarray:
+    """The image of v under h * (sum c_x x) for `column` = right, or under (sum c_x x) * h for left,
+    as row h: the sum over the support of the coefficients `row` of c_x * translate_rows[column(x)]."""
+    return sum(int(row[x]) * translate_rows[column(x)] for x in np.flatnonzero(row).tolist()) % p
 
 
 def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) -> ModuleRing:
@@ -329,37 +337,26 @@ def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) 
 
 
 def _verify_translate_products(ring: ModuleRing, translate_rows: np.ndarray) -> None:
-    """Check v^h * v^k = v^(hk) for all translates, one row of products per h."""
+    """Check v^h * v^k = v^(hk) for all translates, one row of products per basis element h:
+    both sides are linear in v^h (v^(hk) is v^h times the matrix of k), and the basis spans."""
     coords = (translate_rows @ ring._basis_inv) % ring.p
     group = ring.action.group
-    for h in range(len(coords)):
+    for h in ring.basis_elements:
         if not np.array_equal(ring._products(coords[h], coords), coords[group.left(h)]):
             raise GroupLabError("ring product disagrees with the translate-sum formula")
 
 
 def nilpotent_free_check(ring: ModuleRing | FiniteCommutativeAlgebra,
                          *, caps: Caps = DEFAULT_CAPS) -> tuple[bool, int | None]:
-    """Exhaustive nilpotence scan via repeated squaring; returns (ok, witness id)."""
+    """Exhaustive nilpotence scan over the squaring map; returns (ok, witness id)."""
+    caps.check("materialized_order", ring.size)
     if isinstance(ring, FiniteCommutativeAlgebra):
-        size = ring.size
-        caps.check("materialized_order", size)
-        from .algebras import find_nilpotent
-
-        witness = find_nilpotent(size, ring.mul_table)
-        return witness is None, witness
-    size = ring.size
-    caps.check("materialized_order", size)
-    p = ring.p
-    ids = np.arange(size, dtype=np.int64)
-    cur = ring.coords(ids)
-    steps = max(1, int(size).bit_length())
-    for _ in range(steps):
-        cur = np.einsum("ni,nj,ijk->nk", cur, cur, ring._structure) % p
-    flat = cur @ ring._radix
-    hits = np.flatnonzero((flat == 0) & (ids != 0))
-    if hits.size:
-        return False, int(hits[0])
-    return True, None
+        square = np.diagonal(ring.mul_table)
+    else:
+        coords = ring.coords(np.arange(ring.size))
+        square = (np.einsum("ni,nj,ijk->nk", coords, coords, ring._structure) % ring.p) @ ring._radix
+    witness = find_nilpotent(square)
+    return witness is None, witness
 
 
 def permutation_module_action(group: FiniteGroup, p: int,

@@ -20,6 +20,7 @@ from .groups import (
     Subgroup,
     _class_labels,
     _class_reps,
+    _close,
     _closure_mask,
     _closures,
     _coset_reps,
@@ -185,7 +186,7 @@ def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadRepo
     """Least m such that every element of every <x>^G is a product of at most
     m conjugates of x or x^-1.  The empty product covers the identity."""
     caps.check("spread_order", g.order)
-    t, labels = g.table, _class_labels(g)
+    labels = _class_labels(g)
     searched: dict[frozenset[int], tuple[int, int]] = {}  # class pair -> (depth, worst)
     witnesses = []
     for x, pair in enumerate(zip(labels.tolist(), labels[g.inverse].tolist())):
@@ -193,21 +194,9 @@ def conjugate_spread(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> SpreadRepo
         key = frozenset(pair)
         if key not in searched:
             gens = np.flatnonzero((labels == pair[0]) | (labels == pair[1]))
-            depth = np.full(g.order, -1, dtype=np.int32)
-            depth[0] = 0
-            frontier = np.array([0], dtype=np.int32)
-            d = 0
-            while frontier.size:
-                prods = _distinct(t[np.ix_(frontier, gens)], g.order)
-                new = prods[depth[prods] < 0]
-                d += 1
-                depth[new] = d
-                frontier = new
-            reached = depth >= 0
-            m_x = int(depth[reached].max())
-            searched[key] = (m_x, int(np.flatnonzero(reached & (depth == m_x))[0]))
-        m_x, worst = searched[key]
-        witnesses.append(SpreadWitness(element=x, depth=m_x, worst=worst))
+            depth, last = _close(np.arange(g.order) == 0, np.array([g.right(s) for s in gens.tolist()]))
+            searched[key] = (depth, int(last[0]))
+        witnesses.append(SpreadWitness(x, *searched[key]))
     return SpreadReport(m=max(w.depth for w in witnesses), witnesses=tuple(witnesses))
 
 
@@ -216,8 +205,9 @@ def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
 
     `base` is normal in `sub`.  When sub/base is a p-group this is log_p |sub : M|
     by the Burnside basis theorem, where M/base is its Frattini subgroup: M is
-    grown from `base` under the p-th powers of `sub` and the generators of
-    [sub, sub].  Otherwise it is `_rank_by_search`.
+    grown from `base` under the p-th powers of the generators of `sub` and the
+    generators of [sub, sub].  Modulo [sub, sub], x -> x^p is a homomorphism, so
+    those powers suffice.  Otherwise it is `_rank_by_search`.
     """
     index = len(sub) // len(base)
     if index == 1:
@@ -225,12 +215,13 @@ def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     p = prime_power_base(index)
     if p is None:
         return _rank_by_search(g, base, sub)
-    t, arr = g.table, np.array(sub.ids, dtype=np.intp)
-    powers = arr
-    for _ in range(p - 1):
-        powers = t[powers, arr]
-    gens = _distinct(powers, g.order).tolist() + list(commutator_subgroup(sub, sub).gens)
-    m_order = np.count_nonzero(_closure_mask(g, gens, base.ids))
+    powers = []
+    for x in sub.gens:  # x^p, walked along the column of x
+        col, y = g.right(x), x
+        for _ in range(p - 1):
+            y = int(col[y])
+        powers.append(y)
+    m_order = np.count_nonzero(_closure_mask(g, powers + list(commutator_subgroup(sub, sub).gens), base.ids))
     return split_prime_power(len(sub) // m_order, p)[0]
 
 

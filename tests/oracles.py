@@ -30,7 +30,7 @@ from grouplab.groups import (
     quotient,
     subgroup_closure,
 )
-from grouplab.linalg import inv_gfp, is_prime, nullspace_gfp, rank_gfp, split_prime_power
+from grouplab.linalg import inv_gfp, is_prime, nullspace_gfp, prime_power_base, rank_gfp, split_prime_power
 from grouplab.measure import ExteriorReport
 from grouplab.structure import (
     SpreadReport,
@@ -858,3 +858,42 @@ def rho_wedge_by_coordinates(g: FiniteGroup) -> ExteriorReport:
         name=g.name, prime=p, commutator_ids=w.ids, u_dim=u_dim, wedge_dim=wedge_dim,
         image_dim=image_dim, kernel_dim=kernel_dim, k=kernel_dim // u_dim if u_dim else None,
     )
+
+
+def relative_rank_by_all_powers(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
+    """d(sub/base) for a p-group sub/base by the Burnside basis theorem, with M grown from
+    `base` under the p-th power of every element of `sub`, each taken through the table, and
+    the generators of [sub, sub]."""
+    index = len(sub) // len(base)
+    if index == 1:
+        return 0
+    p = prime_power_base(index)
+    if p is None:
+        raise ValueError(f"index {index} is not a prime power")
+    t, arr = g.table, np.array(sub.ids, dtype=np.intp)
+    powers = arr
+    for _ in range(p - 1):
+        powers = t[powers, arr]
+    gens = np.unique(powers).tolist() + list(commutator_subgroup(sub, sub).gens)
+    m_order = np.count_nonzero(_closure_mask(g, gens, base.ids))
+    return split_prime_power(len(sub) // m_order, p)[0]
+
+
+def nilpotent_scan_by_repeated_products(ring) -> tuple[bool, int | None]:
+    """Nilpotence scan by squaring every element bit_length(size) times: through the
+    multiplication table of an algebra, or, for a module ring, through one einsum of every
+    element's coordinates with the structure constants per squaring."""
+    size = ring.size
+    ids = np.arange(size, dtype=np.int64)
+    steps = max(1, int(size).bit_length())
+    if hasattr(ring, "mul_table"):
+        cur = ids.copy()
+        for _ in range(steps):
+            cur = ring.mul_table[cur, cur]
+    else:
+        coords = ring.coords(ids)
+        for _ in range(steps):
+            coords = np.einsum("ni,nj,ijk->nk", coords, coords, ring._structure) % ring.p
+        cur = coords @ ring._radix
+    hits = np.flatnonzero((cur == 0) & (ids != 0))
+    return (False, int(hits[0])) if hits.size else (True, None)

@@ -44,6 +44,13 @@ def test_corpus_roundtrip(tmp_path, corpus):
         assert commuting_pair_count(loaded[name]) == commuting_pair_count(g)
 
 
+def test_corpus_roundtrip_of_a_table_group(tmp_path, corpus):
+    table = corpus["S3"].table.tolist()
+    save_corpus(Corpus({"T6": groups.FiniteGroup(table, name="T6")}), tmp_path / "corpus")
+    assert set(json.loads((tmp_path / "corpus" / "T6.json").read_text())) == {"name", "order", "table"}
+    assert load_corpus(tmp_path / "corpus")["T6"].table.tolist() == table
+
+
 def test_load_table_form(tmp_path, corpus):
     payload = {"name": "S3copy", "order": 6, "table": corpus["S3"].table.tolist()}
     path = tmp_path / "S3copy.json"
@@ -159,6 +166,13 @@ def test_cli_rho_r_golden(tmp_path, corpus):
     assert got == {order: golden.get(order, "inf") for order in range(1, 25)}
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "100001", "2000000"])
+def test_cli_rho_max_order_out_of_range_is_rejected(tmp_path, capsys, value):
+    code = main(["rho", "--kind", "com", "--max-order", value, "--out", str(tmp_path / "out")])
+    assert code == 1 and not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == "error: --max-order must be in 1..100000\n"
+
+
 def test_cli_no_floats_anywhere(tmp_path):
     for args in (["analyze-group"], ["rho", "--kind", "com"], ["inverse-system"]):
         code, text = _run(tmp_path, args)
@@ -209,6 +223,52 @@ def test_cli_action_file(tmp_path):
     item = json.loads(text)["items"][0]
     assert item["well_defined"] is True
     assert item["mr_factor_sizes"] == "3,3"
+
+
+@pytest.mark.parametrize("subcommand, flag, name, key", [
+    ("inverse-system", "--tower", "z8-chain", "tower"),
+    ("ring-from-module", "--example", "swap-gf3", "action"),
+])
+def test_cli_one_bundled_item_gives_its_rows_of_the_full_run(tmp_path, subcommand, flag, name, key):
+    code, full = _run(tmp_path, [subcommand], "full")
+    assert code == 0
+    code, one = _run(tmp_path, [subcommand, flag, name], "one")
+    assert code == 0
+    rows = [row for row in json.loads(full)["items"] if row[key] == name]
+    assert rows and json.loads(one)["items"] == rows
+
+
+@pytest.mark.parametrize("subcommand, flag, kind, names", [
+    ("inverse-system", "--tower", "tower", ["a5-square", "s3-cosets", "z8-chain"]),
+    ("ring-from-module", "--example", "example", ["regular-gf2", "s3-std-gf5", "swap-gf3"]),
+])
+def test_cli_unknown_bundled_item_is_one_error_line(tmp_path, capsys, subcommand, flag, kind, names):
+    assert main([subcommand, flag, "nope", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: unknown {kind} 'nope'; bundled: {names}\n"
+
+
+def test_cli_action_file_without_v_takes_the_first_spanning_vector(tmp_path, corpus):
+    from grouplab.modring import action_from_matrices
+    from oracles import orbit_span_by_rank
+
+    rotate = {"1": [[0, 1], [2, 0]]}
+    action = action_from_matrices(corpus["Z4"], 3, 2, {1: rotate["1"]})
+    v = next(vec for vec in action.vectors() if orbit_span_by_rank(action, vec).spans)
+    reports = []
+    for payload in ({}, {"v": list(v)}):
+        spec = tmp_path / "rotate.json"
+        spec.write_text(json.dumps({"group": "Z4", "p": 3, "dim": 2, "matrices": rotate, **payload}))
+        code, text = _run(tmp_path, ["ring-from-module", "--action-file", str(spec)])
+        assert code == 0
+        reports.append(json.loads(text)["items"])
+    assert v == (0, 1) and reports[0] == reports[1]
+
+
+def test_cli_action_file_with_no_spanning_vector_is_one_error_line(tmp_path, capsys):
+    spec = tmp_path / "trivial.json"
+    spec.write_text(json.dumps({"group": "Z2", "p": 3, "dim": 2, "matrices": {"1": [[1, 0], [0, 1]]}}))
+    assert main(["ring-from-module", "--action-file", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: no vector has spanning translates\n"
 
 
 def test_cli_tower_file_chain_form(tmp_path, corpus):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from grouplab.algebras import mr_decompose
+from grouplab.algebras import gf, mr_decompose, zmod
 from grouplab.cli import _bundled_actions
 from grouplab.config import DEFAULT_CAPS
 from grouplab.errors import GroupLabError, ValidationError
-from grouplab.groups import build_group
+from grouplab.groups import build_group, direct_power
 from grouplab.modring import (
     _translate_ring,
     _verify_translate_products,
@@ -21,6 +21,7 @@ from grouplab.modring import (
 from oracles import (
     action_matrices_all_pairs,
     ideal_witness_by_scatter,
+    nilpotent_scan_by_repeated_products,
     orbit_span_by_rank,
     ring_tables_pairwise,
     translate_decompositions_by_search,
@@ -95,12 +96,72 @@ def test_action_fill_matches_all_pairs_oracle(corpus):
     ("Z4", 5, 2, {0: [[2, 0], [0, 2]], 1: [[0, 1], [4, 0]]}, "not a homomorphism"),
     # the generators commute and 1 squares to the identity, but 2 does not
     ("V4", 5, 1, {1: [[4]], 2: [[2]]}, "not a homomorphism"),
+    # the trivial group has no generator, but the identity must still map to 1
+    ("Z1", 3, 1, {0: [[2]]}, "not a homomorphism"),
 ])
 def test_action_rejects_bad_matrices_like_all_pairs_oracle(corpus, name, p, dim, mats, message):
     with pytest.raises(ValidationError, match=message):
         action_matrices_all_pairs(corpus[name], p, dim, mats)
     with pytest.raises(ValidationError, match=message):
         action_from_matrices(corpus[name], p, dim, mats)
+
+
+@pytest.mark.parametrize("name, p, mats", [
+    ("Z4", 3, {1: [[2]], 2: [[0]]}),  # 2 = 1 * 1 is no generator
+    ("Z1", 3, {0: [[0]]}),            # nor is the identity
+])
+def test_action_rejects_singular_non_generator_matrix_as_no_homomorphism(corpus, name, p, mats):
+    # only the generators' matrices are inverted; a singular matrix elsewhere breaks the law
+    with pytest.raises(ValidationError):
+        action_matrices_all_pairs(corpus[name], p, 1, mats)
+    with pytest.raises(ValidationError, match="^matrix assignment is not a homomorphism$"):
+        action_from_matrices(corpus[name], p, 1, mats)
+
+
+def test_ring_construct_on_z2_9_sign_module(corpus):
+    g = direct_power(corpus["Z2"], 9)  # the unit vectors are the ids 2**i
+    action = action_from_matrices(g, 3, 1, {1 << i: [[2]] for i in range(9)})
+    built = ring_construct(action, (1,))
+    assert (built.well_defined, built.translate_bound) == (True, 1)
+    assert built.ring.size == 3 and g._table is None
+
+
+def _s3_group_algebra(corpus):
+    """The regular module of S3 over GF(2) and e_0, which carry the group algebra GF(2)[S3]."""
+    s3 = corpus["S3"]
+    regular = build_group(generators=[s3.table[:, s].tolist() for s in (1, 2)], degree=6)
+    return permutation_module_action(regular, 2), (1, 0, 0, 0, 0, 0)
+
+
+def _module_rings(corpus):
+    """Every well-defined ring the tests here construct, by name."""
+    rings = {name: ring_construct(action, v).ring
+             for name, (action, v) in _bundled_actions(corpus, DEFAULT_CAPS).items()}
+    rings["z1-gf5"] = ring_construct(action_from_matrices(corpus["Z1"], 5, 1, {}), (1,)).ring
+    rotate = action_from_matrices(corpus["Z4"], 3, 2, {1: [[0, 1], [2, 0]]})
+    rings["z4-rotate-gf3"] = ring_construct(rotate, (1, 0)).ring
+    for p in (3, 5):
+        shift = action_from_matrices(corpus["Z4"], p, 4, {1: _shift(4)})
+        rings[f"z4-regular-gf{p}"] = ring_construct(shift, (1, 0, 0, 0)).ring
+    rings["s3-group-algebra-gf2"] = ring_construct(*_s3_group_algebra(corpus)).ring
+    return {name: ring for name, ring in rings.items() if ring is not None}  # s3-std-gf5 is ill defined
+
+
+def test_nilpotent_check_matches_repeated_product_oracle(corpus):
+    rings = _module_rings(corpus)
+    assert len(rings) == 7
+    nilpotent = 0
+    for name, ring in rings.items():
+        got = nilpotent_free_check(ring)
+        assert got == nilpotent_scan_by_repeated_products(ring), name
+        nilpotent += not got[0]
+        if ring.is_commutative():  # the same ids in its table form
+            alg = ring.to_algebra()
+            assert nilpotent_free_check(alg) == nilpotent_scan_by_repeated_products(alg) == got, name
+    assert nilpotent >= 2
+    for alg in (zmod(4), zmod(12), zmod(7), gf(4), gf(9)):
+        assert nilpotent_free_check(alg) == nilpotent_scan_by_repeated_products(alg), alg.name
+    assert nilpotent_free_check(zmod(12)) == (False, 6)
 
 
 def test_ring_construct_witness_matches_scatter_oracle(corpus):
@@ -365,10 +426,15 @@ def test_s6_module_actions_are_filled_from_generators_without_a_table(perm_group
         assert np.array_equal((std.matrices[x] @ basis) % 3, (basis @ expected) % 3), x
 
 
-@pytest.mark.parametrize("name", ["swap-gf3", "regular-gf2", "s3-std-gf5"])
+@pytest.mark.parametrize("name", ["swap-gf3", "regular-gf2", "s3-std-gf5", "s4-std-gf3", "s3-regular-gf2"])
 def test_translate_product_check_matches_pairwise_oracle(corpus, name):
     # the ring the translate basis would carry, built even where it is ill defined
-    action, v = _bundled_actions(corpus, DEFAULT_CAPS)[name]
+    if name == "s4-std-gf3":  # 27 elements, ill defined
+        action, v = sum_zero_action(corpus["S4"], 3), (1, 0, 0)
+    elif name == "s3-regular-gf2":  # 64 elements, not commutative
+        action, v = _s3_group_algebra(corpus)
+    else:
+        action, v = _bundled_actions(corpus, DEFAULT_CAPS)[name]
     ring = _translate_ring(action, v, orbit_span_check(action, v))
     rows = np.array([action.translate(v, h) for h in range(action.group.order)])
     try:

@@ -23,7 +23,7 @@ from grouplab.groups import (
     quotient,
     subgroup_closure,
 )
-from grouplab.linalg import split_prime_power
+from grouplab.linalg import prime_power_base, split_prime_power
 from grouplab.structure import (
     _rank_by_search,
     _subgroup_classes,
@@ -52,6 +52,7 @@ from oracles import (
     is_automorphism_all_pairs,
     minimal_generator_count_from_class_reps,
     prufer_rank_of_subgroup_groups,
+    relative_rank_by_all_powers,
     spread_depth_bruteforce,
     subgroup_classes_one_at_a_time,
     sylow_subgroup_restarting,
@@ -267,6 +268,13 @@ def test_spread_matches_per_element_oracle(corpus, perm_group):
         assert conjugate_spread(g) == conjugate_spread_per_element(g), name
 
 
+def test_spread_of_s4_x_z16_reads_columns_and_matches_per_element_oracle(corpus):
+    g = direct_product(corpus["S4"], corpus["Z16"])  # order 384, above the size built with its table
+    report = conjugate_spread(g)
+    assert g._table is None and report.m == 8
+    assert report == conjugate_spread_per_element(g)
+
+
 def test_spread_exponent_two_abelian(corpus):
     report = conjugate_spread(corpus["V4"])
     assert report.m == 1
@@ -344,6 +352,28 @@ def test_relative_rank_is_rank_of_quotient(corpus, name):
                 k_grp, _ = k.as_group()
                 q, _ = quotient(k_grp, Subgroup(k_grp, _local_ids(k, n.ids)))
                 assert _relative_rank(g, n, k) == minimal_generator_count_from_class_reps(q)
+
+
+def test_minimal_generator_count_of_z2_9_builds_no_table(corpus):
+    g = direct_power(corpus["Z2"], 9)
+    assert minimal_generator_count(g) == 9 and g._table is None
+
+
+def test_relative_rank_matches_all_powers_oracle(corpus, perm_group):
+    groups = [(g, DEFAULT_CAPS) for _, g in corpus]
+    groups += [(perm_group(name), DEFAULT_CAPS) for name in ("S5", "D4xQ8")]
+    groups.append((perm_group("S6"), Caps(subgroup_order=1000)))
+    groups += [(direct_power(corpus["Z2"], 5), DEFAULT_CAPS), (direct_power(corpus["Z3"], 4), DEFAULT_CAPS),
+               (direct_product(corpus["Q8"], corpus["Z4"]), DEFAULT_CAPS),
+               (direct_product(corpus["D4"], corpus["S3"]), DEFAULT_CAPS)]
+    checked = 0
+    for g, caps in groups:
+        for k, *_ in _subgroup_classes(g, caps):
+            for base in (g.trivial_subgroup(), core(g, k)):
+                if prime_power_base(len(k) // len(base)) is not None:
+                    assert _relative_rank(g, base, k) == relative_rank_by_all_powers(g, base, k), (g.name, k, base)
+                    checked += 1
+    assert checked == 1022  # of 2,014 (class representative, base) pairs
 
 
 def test_burnside_rank_matches_search_on_p_quotients(corpus):
