@@ -384,9 +384,12 @@ def _cmd_verify_inequalities(args, corpus: Corpus, caps: Caps):
     if args.beta_table:
         with parsing(args.beta_table):
             raw = json.loads(Path(args.beta_table).read_text(encoding="utf-8"))
-            beta = {integer_key(k, f"beta table key {k!r} is not a rank"):
-                    int(integers(v, f"beta for rank {k} must be an integer", 0))
-                    for k, v in raw.items()}
+            beta = {}
+            for k, v in raw.items():
+                rank = integer_key(k, f"beta table key {k!r} is not a rank")
+                beta[rank] = int(integers(v, f"beta for rank {k} must be an integer", 0))
+                if beta[rank] < 1:  # beta divides in the bound: 0 would divide by zero
+                    raise ValidationError(f"beta for rank {k} must be a positive integer")
     members, select_errors = _select_groups(corpus, args.group)
     report = verify_inequalities(members, beta_table=beta, caps=caps)
     items = []

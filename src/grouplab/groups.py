@@ -258,17 +258,6 @@ class _Perms:
             raise GroupLabError("a permutation outside the group")
         return self.ids[pos]
 
-    def cayley_table(self, inverse: np.ndarray) -> np.ndarray:
-        """The whole table, made once, from the rows of the generators `gens`."""
-        if self.table is None:
-            rows = [self.column("left", s) for s in self.gens]
-            table = _table_from_rows(rows, self.perms.shape[0], inverse.dtype)
-            if not np.array_equal(_table_inverse(table), inverse):
-                raise GroupLabError("the table and the permutations disagree on inverses")
-            table.setflags(write=False)
-            self.table = table
-        return self.table
-
     def column(self, side: str, s: int) -> np.ndarray:
         """The ids of x*s ("right") or of s*x ("left") for every x, made once."""
         key = (side, int(s))
@@ -286,28 +275,17 @@ class _Perms:
 
 
 class _Product:
-    """The factors behind a direct product A x B, whose element x*|B| + y is the pair (x, y).
+    """The factors behind a direct product A x B, whose element x*|B| + y is the pair (x, y),
+    generated by the generators of A paired with 1 and those of B paired with 1 (`gens`).
     Columns are read digit-wise from the factors' columns and not kept; the table,
     once built, is kept here, where a renamed copy of the group shares it."""
 
-    __slots__ = ("a", "b", "table")
+    __slots__ = ("a", "b", "gens", "table")
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup) -> None:
         self.a, self.b = a, b
+        self.gens = tuple(x * b.order for x in _greedy_generators(a)) + tuple(_greedy_generators(b))
         self.table: np.ndarray | None = None
-
-    def cayley_table(self, inverse: np.ndarray) -> np.ndarray:
-        """The whole table, made once: x*nb for every product x of A, plus the table of B."""
-        if self.table is None:
-            na, nb = self.a.order, self.b.order
-            # built in the product's id dtype: (na-1)*nb + nb-1 < na*nb fits it
-            high = (np.arange(na) * nb).astype(inverse.dtype)[self.a.table]
-            table = (high[:, None, :, None] + self.b.table[None, :, None, :]).reshape(na * nb, na * nb)
-            if not np.array_equal(_table_inverse(table), inverse):
-                raise GroupLabError("the table and the factors disagree on inverses")
-            table.setflags(write=False)
-            self.table = table
-        return self.table
 
     def column(self, side: str, s: int) -> np.ndarray:
         """The ids of x*s ("right") or of s*x ("left") for every x, digit by digit."""
@@ -388,9 +366,18 @@ class FiniteGroup:
     @property
     def table(self) -> np.ndarray:
         """The whole table: `table[a, b]` is the id of a*b.  A group with a column
-        source builds it on first use, checked like a table given as input."""
+        source builds it on first use from the rows of the source's generators,
+        checked like a table given as input, and keeps it on the source."""
         if self._table is None:
-            self._table = self._source.cayley_table(self.inverse)
+            source = self._source
+            if source.table is None:
+                rows = [source.column("left", s) for s in source.gens]
+                table = _table_from_rows(rows, self.order, self.inverse.dtype)
+                if not np.array_equal(_table_inverse(table), self.inverse):
+                    raise GroupLabError("the table and the columns disagree on inverses")
+                table.setflags(write=False)
+                source.table = table
+            self._table = source.table
         return self._table
 
     # -- basic queries ----------------------------------------------------
@@ -702,27 +689,28 @@ def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
     It is checked in O(n k): the key index is a bijection, element 0 is the
     identity, and the column of every generator permutes the ids.
     """
-    backing = _Perms(_perm_closure(gen_arrays, degree, caps))
-    perms, keys = backing.perms, backing.keys
+    source = _Perms(_perm_closure(gen_arrays, degree, caps))
+    perms, keys = source.perms, source.keys
     if not (keys[1:] != keys[:-1]).all() or not np.array_equal(perms[0], np.arange(degree)):
         raise GroupLabError("the permutation index is not a bijection from the identity first")
-    grp = FiniteGroup.__new__(FiniteGroup)
-    grp.name, grp._source = name, backing
-    grp.inverse = backing.ids_of(np.argsort(perms, axis=1))  # argsort inverts a permutation
-    grp.inverse.setflags(write=False)
-    backing.gens = tuple(backing.ids_of(np.reshape(gen_arrays, (-1, degree))).tolist())
+    source.gens = tuple(source.ids_of(np.reshape(gen_arrays, (-1, degree))).tolist())
+    grp = _checked_on_generators(name, source, source.ids_of(np.argsort(perms, axis=1)))  # argsort inverts
     grp.perm_generators = PermGenerators(
         degree=degree,
         perms=tuple(tuple(int(v) for v in p) for p in gen_arrays),
-        element_ids=backing.gens,
+        element_ids=source.gens,
     )
-    return _checked_on_generators(grp, backing.gens)
+    return grp
 
 
-def _checked_on_generators(grp: FiniteGroup, gens: Sequence[int]) -> FiniteGroup:
-    """`grp` with a column source, once the column of every generator permutes the ids.
-    Its table is built now when it fits one check block."""
-    for s in gens:
+def _checked_on_generators(name: str, source: _Perms | _Product, inverse: np.ndarray) -> FiniteGroup:
+    """The group read through the column source `source`, with the inverse array `inverse`, once
+    the column of every generator in `source.gens` permutes the ids.  Its table is built now when
+    it fits one check block."""
+    grp = FiniteGroup.__new__(FiniteGroup)
+    grp.name, grp._source, grp.inverse = name, source, inverse
+    inverse.setflags(write=False)
+    for s in source.gens:
         if not (np.bincount(grp.right(s), minlength=grp.order) == 1).all():
             raise GroupLabError("a generator does not permute the elements")
     if grp.order ** 2 <= _CHECK_BLOCK:
@@ -780,14 +768,11 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *, name: str | None = None,
     """
     na, nb = a.order, b.order
     caps.check("order", na * nb)
-    grp = FiniteGroup.__new__(FiniteGroup)
-    grp.name, grp._source = name or f"{a.name}x{b.name}", _Product(a, b)
-    grp.inverse = (a.inverse.astype(_id_dtype(na * nb))[:, None] * nb + b.inverse).ravel()
-    grp.inverse.setflags(write=False)
-    ids = np.arange(na * nb)
-    if not (np.array_equal(grp.right(0), ids) and np.array_equal(grp.left(0), ids)):
+    source, ids = _Product(a, b), np.arange(na * nb)
+    if not (np.array_equal(source.column("right", 0), ids) and np.array_equal(source.column("left", 0), ids)):
         raise ValidationError("element 0 must act as the identity")
-    return _checked_on_generators(grp, [x * nb for x in _greedy_generators(a)] + _greedy_generators(b))
+    inverse = (a.inverse.astype(_id_dtype(na * nb))[:, None] * nb + b.inverse).ravel()
+    return _checked_on_generators(name or f"{a.name}x{b.name}", source, inverse)
 
 
 def direct_power(p: FiniteGroup, m: int, *, name: str | None = None,

@@ -64,20 +64,20 @@ def _record(found: dict[tuple[int, ...], Subgroup], sub: Subgroup, cap: str, cap
 
 
 def _conjugates(g: FiniteGroup, k: Subgroup) -> list[Subgroup]:
-    """The distinct conjugates of `k`, `k` itself first, each with its conjugated `gens`.
-
-    One gather gives k^h for every h, as |G| x |K| cells; a conjugate is kept at
-    the least h that makes it.
-    """
+    """The distinct conjugates of `k`, `k` itself first: its orbit under x -> s^-1 x s for the
+    generators s of G, in queue order, each with the conjugated `gens` of the one it was reached from."""
     if g.is_abelian:
         return [k]
-    t, inv, every = g.table, g.inverse, np.arange(g.order)[:, None]
-    rows = np.sort(t[t[inv[:, None], list(k.ids)], every], axis=1)
-    row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    hs = np.sort(np.unique(row_bytes, return_index=True)[1])[1:]  # h = 0 gives k
-    gens = t[t[inv[hs][:, None], list(k.gens)], hs[:, None]].tolist()
-    return [k] + [Subgroup._from_sorted(g, tuple(rows[h].tolist()), tuple(c))
-                  for h, c in zip(hs.tolist(), gens)]
+    maps = [(g.left(g.inverse[s]), g.right(s)) for s in _greedy_generators(g)]
+    orbit, seen = [k], {k.ids}
+    for h in orbit:
+        ids, gens = np.array(h.ids, dtype=np.intp), np.array(h.gens, dtype=np.intp)
+        for left, right in maps:
+            conj = tuple(np.sort(left[right[ids]]).tolist())
+            if conj not in seen:
+                seen.add(conj)
+                orbit.append(Subgroup._from_sorted(g, conj, tuple(left[right[gens]].tolist())))
+    return orbit
 
 
 def _subgroup_classes(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
@@ -299,20 +299,21 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
     # one breadth-first tree per prefix <gens[:i+1]>, and its points, the domain of a partial map
     trees = [_tree([g.right(s) for s in gens[: i + 1]]) for i in range(len(gens))]
     domains = [np.array([0] + [j for j, _, _ in tree], dtype=np.intp) for tree in trees]
-    table = g.table
     autos: list[np.ndarray] = []
 
     def build_partial(images: list[int], level: int) -> np.ndarray | None:
         """Map on <gens[:level+1]> determined by the generator images, or None."""
-        mapping = np.full(n, -1, dtype=np.int32)
-        mapping[0] = 0
+        cols = [g.right(b).tolist() for b in images]
+        walk = [-1] * n
+        walk[0] = 0
         for j, p, k in trees[level]:  # j = p * gens[k]
-            mapping[j] = table[mapping[p], images[k]]
+            walk[j] = cols[k][walk[p]]
+        mapping = np.array(walk, dtype=np.int32)
         # f(xs) = f(x)f(s) on every edge makes f a homomorphism on the domain; need it injective
         dom = domains[level]
         vals = mapping[dom]
         for s, b in zip(gens, images):
-            if not np.array_equal(mapping[table[dom, s]], table[vals, b]):
+            if not np.array_equal(mapping[g.right(s)[dom]], g.right(b)[vals]):
                 return None
         if _distinct(vals, n).size != dom.size:
             return None

@@ -21,6 +21,7 @@ from grouplab.groups import (
     _closure_mask,
     _coset_reps,
     _greedy_generators,
+    _id_dtype,
     _local_ids,
     _normal_closure,
     center,
@@ -719,11 +720,29 @@ def group_rank_bound_of_quotients(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) 
     return best
 
 
-def direct_product_table(a: FiniteGroup, b: FiniteGroup) -> np.ndarray:
-    """The table of A x B, ids x*|B| + y, as one broadcast sum of the factors' whole tables."""
+def product_table_by_broadcast(a: FiniteGroup, b: FiniteGroup) -> np.ndarray:
+    """The table of A x B, ids x*|B| + y, as one broadcast sum of the factors' whole tables,
+    in the product's id dtype: (na-1)*nb + nb-1 < na*nb fits it."""
     na, nb = a.order, b.order
-    high = (np.arange(na, dtype=np.int64) * nb)[a.table]
+    high = (np.arange(na) * nb).astype(_id_dtype(na * nb))[a.table]
     return (high[:, None, :, None] + b.table[None, :, None, :]).reshape(na * nb, na * nb)
+
+
+def conjugates_by_gather(g: FiniteGroup, k: Subgroup) -> list[Subgroup]:
+    """The distinct conjugates of `k`, `k` itself first, each with its conjugated `gens`.
+
+    One gather of the whole table gives k^h for every h, as |G| x |K| cells; a
+    conjugate is kept at the least h that makes it.
+    """
+    if g.is_abelian:
+        return [k]
+    t, inv, every = g.table, g.inverse, np.arange(g.order)[:, None]
+    rows = np.sort(t[t[inv[:, None], list(k.ids)], every], axis=1)
+    row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    hs = np.sort(np.unique(row_bytes, return_index=True)[1])[1:]  # h = 0 gives k
+    gens = t[t[inv[hs][:, None], list(k.gens)], hs[:, None]].tolist()
+    return [k] + [Subgroup._from_sorted(g, tuple(rows[h].tolist()), tuple(c))
+                  for h, c in zip(hs.tolist(), gens)]
 
 
 def quotient_table_by_gather(table: np.ndarray, n_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -454,6 +454,8 @@ def test_cli_filtered_power_rejects_non_subfield(tmp_path):
     ("boolean-power", "--spec", "bp.json",
      {"field": "GF4", "atoms": 2, "constraints": [{"points": [True], "subfield": "GF2"}]}),
     ("verify-inequalities", "--beta-table", "beta.json", {"0": 1, "1": 2.5, "2": 6}),
+    *(("verify-inequalities", "--beta-table", "beta.json", {"0": beta, "1": 2, "2": 6})
+      for beta in (0, -2)),
     # keys that int() would read as another integer's
     *(("ring-from-module", "--action-file", "action.json",
        {"group": "Z2", "p": 3, "dim": 2, "matrices": {key: [[0, 1], [1, 0]]}})

@@ -26,22 +26,28 @@ from grouplab.groups import (
     quotient,
 )
 from grouplab.structure import enumerate_normal_subgroups, enumerate_subgroups
-from oracles import direct_product_table, quotient_table_by_gather, subgroup_error_by_isin
+from oracles import product_table_by_broadcast, quotient_table_by_gather, subgroup_error_by_isin
 
 _BIG = Caps(order=20_000)
 _PRODUCTS = {  # name -> the factors, folded left as ((f0 x f1) x f2) x ...
     "A5xA5": ("A5", "A5"),
     "S3xZ4": ("S3", "Z4"),
+    "S4xZ8": ("S4", "Z8"),
+    "Q8xD4": ("Q8", "D4"),
+    "V4xS3": ("Z2", "Z2", "S3"),
     "Z4^3": ("Z4", "Z4", "Z4"),
     "A4^3": ("A4", "A4", "A4"),  # nested, order 1,728: above one check block
 }
 
 
 def _product(corpus, name: str) -> FiniteGroup:
-    factors = _PRODUCTS[name]
+    first, *rest = factors = _PRODUCTS[name]
     if len(set(factors)) == 1:
-        return direct_power(corpus[factors[0]], len(factors), caps=_BIG)
-    return direct_product(*(corpus[f] for f in factors), caps=_BIG)
+        return direct_power(corpus[first], len(factors), caps=_BIG)
+    grp = corpus[first]
+    for f in rest:
+        grp = direct_product(grp, corpus[f], caps=_BIG)
+    return grp
 
 
 def _oracle(corpus, name: str) -> FiniteGroup:
@@ -49,7 +55,7 @@ def _oracle(corpus, name: str) -> FiniteGroup:
     first, *rest = _PRODUCTS[name]
     grp = corpus[first]
     for f in rest:
-        grp = FiniteGroup(direct_product_table(grp, corpus[f]), validate="basic", caps=_BIG)
+        grp = FiniteGroup(product_table_by_broadcast(grp, corpus[f]), validate="basic", caps=_BIG)
     return grp
 
 
@@ -65,15 +71,17 @@ def test_product_columns_inverse_and_lazy_table_match_the_broadcast_table(corpus
         assert np.array_equal(g.left(s), t.table[s]), (name, s)
     assert [g.element_order(x) for x in g.elements()] == [t.element_order(x) for x in t.elements()]
     assert (g._table is None) == (not small)  # every answer above came from columns
-    assert np.array_equal(g.table, t.table) and g.table.dtype == t.table.dtype
-    assert g._renamed("copy").table is g.table  # built once, shared
+    copy = g._renamed("copy")  # a table the copy builds is kept where the original reads it
+    assert np.array_equal(copy.table, t.table) and copy.table.dtype == t.table.dtype
+    assert g.table is copy.table
 
 
 @pytest.mark.parametrize("name", sorted(_PRODUCTS))
 def test_quotients_by_every_normal_subgroup_match_the_gather(corpus, name):
     g, t = _product(corpus, name), _oracle(corpus, name)
     normals = enumerate_normal_subgroups(g, caps=_BIG)
-    assert len(normals) == {"A5xA5": 4, "S3xZ4": 11, "Z4^3": 129, "A4^3": 53}[name]
+    assert len(normals) == {"A5xA5": 4, "S3xZ4": 11, "S4xZ8": 19, "Q8xD4": 91, "V4xS3": 21,
+                             "Z4^3": 129, "A4^3": 53}[name]
     for n in normals:
         q, proj = quotient(g, n)
         table, mapping = quotient_table_by_gather(t.table, n.ids)

@@ -25,6 +25,7 @@ from grouplab.groups import (
 )
 from grouplab.linalg import prime_power_base, split_prime_power
 from grouplab.structure import (
+    _conjugates,
     _rank_by_search,
     _subgroup_classes,
     _relative_rank,
@@ -43,6 +44,7 @@ from oracles import (
     class_closure,
     closure_mask_by_unique,
     commutator_subgroup_all_pairs,
+    conjugates_by_gather,
     conjugate_spread_per_element,
     enumerate_normal_subgroups_all_principals,
     enumerate_normal_subgroups_one_at_a_time,
@@ -144,6 +146,34 @@ def test_batched_extension_needs_fewer_closures_than_subgroups(corpus, perm_grou
                         lambda *args: calls.append(1) or close(*args))
     assert len(enumerate_(g)) == count
     assert 0 < len(calls) < count
+
+
+def test_conjugates_by_generator_orbit_match_the_gather(corpus, perm_group):
+    caps = Caps(subgroup_order=1000)
+    groups = list(corpus) + [(name, perm_group(name)) for name in ("S5", "D4xQ8", "S6")]
+    for name, g in groups:
+        for k, *_ in _subgroup_classes(g, caps):
+            conjugates = _conjugates(g, k)
+            assert conjugates[0] is k, (name, k)
+            ids = [c.ids for c in conjugates]
+            assert len(set(ids)) == len(ids), (name, k)
+            assert set(ids) == {c.ids for c in conjugates_by_gather(g, k)}, (name, k)
+            for c in conjugates:
+                assert subgroup_closure(g, c.gens).ids == c.ids, (name, c)
+
+
+def test_subgroups_of_s6_build_no_table(perm_group):
+    s6 = perm_group("S6")
+    assert len(enumerate_subgroups(s6, caps=Caps(subgroup_order=1000))) == 1455
+    assert s6._table is None
+
+
+def test_automorphisms_read_columns_only(perm_group, monkeypatch):
+    monkeypatch.setattr(grouplab.groups, "_CHECK_BLOCK", 1 << 10)  # D4xQ8's 4,096 cells: above a block
+    g = perm_group("D4xQ8")
+    report = automorphism_group(g)
+    assert (len(report.automorphisms), sum(report.characteristic)) == (3072, 10)
+    assert g._table is None
 
 
 def test_greedy_class_closure_matches_plain_closure(corpus):
