@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 from .config import DEFAULT_CAPS, Caps
 from .corpus import Corpus, bundled_corpus, bundled_towers, load_corpus
-from .errors import GroupLabError, ValidationError, integer_key, integers, parsing
+from .errors import GroupLabError, ValidationError, parsing, read_json
 from .groups import FiniteGroup, GroupHom, Subgroup
 
 if TYPE_CHECKING:
@@ -50,6 +50,13 @@ INEQ_COLUMNS_V1 = (
     "ineq", "order", "prime", "rho_r", "beta", "rho_wedge",
     "lhs", "rhs", "passed", "intermediate_passed",
 )
+
+# the input files of the subcommands, as `read_json` shapes (group files and the index are in corpus)
+TOWER_SHAPE = ({"group": str, "chain": [1]}, {"levels": [str], "projections": [1]})
+ACTION_SHAPE = {"group": str, "p": 0, "dim": 0, "matrices": {int: 2}, "v?": 1}
+BETA_SHAPE = {int: 0}
+SPEC_SHAPE = ({"field": str, "atoms": 0, "constraints?": [{"points": 1, "subfield": str}]},
+              {"base_group": str, "atoms": 0})
 
 
 def frac_str(value: Fraction) -> str:
@@ -85,13 +92,7 @@ def _select_groups(corpus: Corpus, names: list[str] | None
     """Resolve names against the corpus; unknown names become per-item errors."""
     if not names:
         return corpus.items(), []
-    out, errors = [], []
-    for name in names:
-        try:
-            out.append((name, corpus[name]))
-        except ValidationError as exc:
-            errors.append({"item": name, "error": str(exc)})
-    return out, errors
+    return _per_item([(name, name) for name in names], lambda name, _: [(name, corpus[name])])
 
 
 def _canonical_row(name: str, g: FiniteGroup, caps: Caps, *, full: bool) -> dict:
@@ -120,25 +121,31 @@ def _canonical_row(name: str, g: FiniteGroup, caps: Caps, *, full: bool) -> dict
     return row
 
 
-def _run_per_group(args, corpus: Corpus, caps: Caps, *, full: bool) -> tuple[list[dict], list[dict]]:
-    selected, errors = _select_groups(corpus, args.group)
-    items = []
-    for name, g in selected:
+def _per_item(jobs, rows) -> tuple[list[dict], list[dict]]:
+    """The rows `rows(name, job)` of each (name, job) pair; an error fails only its own item."""
+    items, errors = [], []
+    for name, job in jobs:
         try:
-            items.append(_canonical_row(name, g, caps, full=full))
+            items += rows(name, job)
         except GroupLabError as exc:
             errors.append({"item": name, "error": str(exc)})
     return items, errors
 
 
-def _cmd_analyze_group(args, corpus: Corpus, caps: Caps):
-    items, errors = _run_per_group(args, corpus, caps, full=True)
-    return items, errors, REPORT_COLUMNS_V1
+def _bundled(kind: str, bundled: dict, names: list[str] | None) -> dict:
+    """The bundled items named (all when none are); an unknown name fails the job."""
+    for name in names or ():
+        if name not in bundled:
+            raise ValidationError(f"unknown {kind} {name!r}; bundled: {sorted(bundled)}")
+    return {name: bundled[name] for name in names} if names else bundled
 
 
-def _cmd_neumann(args, corpus: Corpus, caps: Caps):
-    items, errors = _run_per_group(args, corpus, caps, full=False)
-    return items, errors, REPORT_COLUMNS_V1
+def _cmd_per_group(args, corpus: Corpus, caps: Caps):
+    """analyze-group (every column) and neumann (no rank columns)."""
+    selected, errors = _select_groups(corpus, args.group)
+    full = args.subcommand == "analyze-group"
+    items, failed = _per_item(selected, lambda name, g: [_canonical_row(name, g, caps, full=full)])
+    return items, errors + failed, REPORT_COLUMNS_V1
 
 
 def _cmd_rho(args, corpus: Corpus, caps: Caps):
@@ -166,40 +173,38 @@ def _cmd_boolean_power(args, corpus: Corpus, caps: Caps):
     from .boolpower import bp_quotient_iso, materialize_bp_group, verify_ideal_correspondence
 
     if args.spec:
-        with parsing(args.spec):
-            payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-            if "field" in payload:
+        payload = read_json(args.spec, SPEC_SHAPE)
+        if "field" in payload:
+            with parsing(args.spec):
                 return _filtered_power_rows(payload, caps)
-            args.base = payload["base_group"]
-            args.atoms = int(integers(payload["atoms"], "atoms must be an integer", 0))
+        args.base, args.atoms = payload["base_group"], payload["atoms"]
     if not args.base or args.atoms is None:
         raise ValidationError("boolean-power needs --base/--atoms or --spec")
     base = corpus[args.base]
     ring = build_boolean_ring(args.atoms, caps=caps)
-    items, errors = [], []
     try:
         mat = materialize_bp_group(base, ring, caps=caps)
         report = verify_ideal_correspondence(base, ring, materialized=mat, caps=caps)
     except GroupLabError as exc:
         return [], [{"item": args.base, "error": str(exc)}], BP_COLUMNS_V1
-    for span in range(1 << args.atoms):
-        ideal = BooleanIdeal(ring, span)
-        label = ",".join(str(i) for i in ring.atom_indices(span))
-        try:
-            iso = bp_quotient_iso(base, ring, ideal, materialized=mat, caps=caps)
-            items.append({
-                "base": args.base,
-                "atoms": args.atoms,
-                "ideal_atoms": label,
-                "quotient_m": iso.m,
-                "iso_verified": iso.verified,
-                "normal_count": report.normal_count,
-                "ideal_count": report.ideal_count,
-                "correspondence_matches": report.matches,
-                "expected_match": report.expected_match,
-            })
-        except GroupLabError as exc:
-            errors.append({"item": f"{args.base}[{label}]", "error": str(exc)})
+
+    labels = {span: ",".join(str(i) for i in ring.atom_indices(span)) for span in range(1 << args.atoms)}
+
+    def rows(name: str, span: int) -> list[dict]:
+        iso = bp_quotient_iso(base, ring, BooleanIdeal(ring, span), materialized=mat, caps=caps)
+        return [{
+            "base": args.base,
+            "atoms": args.atoms,
+            "ideal_atoms": labels[span],
+            "quotient_m": iso.m,
+            "iso_verified": iso.verified,
+            "normal_count": report.normal_count,
+            "ideal_count": report.ideal_count,
+            "correspondence_matches": report.matches,
+            "expected_match": report.expected_match,
+        }]
+
+    items, errors = _per_item([(f"{args.base}[{labels[span]}]", span) for span in labels], rows)
     return items, errors, BP_COLUMNS_V1
 
 
@@ -216,85 +221,69 @@ def _filtered_power_rows(payload: dict, caps: Caps):
     from .boolpower import filtered_power, filtered_power_spec
 
     field = field_by_name(payload["field"])
-    ring = build_boolean_ring(int(integers(payload["atoms"], "atoms must be an integer", 0)),
-                              caps=caps)
-    constraints = []
-    described = []
+    ring = build_boolean_ring(payload["atoms"], caps=caps)
+    constraints, described = [], []
     for entry in payload.get("constraints", ()):
         sub = field_by_name(entry["subfield"])
         # bundled fields only have the prime subfield and themselves
         if sub.char != field.char or sub.size not in (field.char, field.size):
             raise ValidationError(f"{entry['subfield']} is not a subfield of {payload['field']}")
         ids = prime_subfield_ids(field) if sub.size == field.char else frozenset(field.elements())
-        points = integers(entry["points"], "points must be a list of integers", 1).tolist()
-        constraints.append((points, ids))
-        described.append(f"{','.join(str(p) for p in points)}:{entry['subfield']}")
+        constraints.append((entry["points"], ids))
+        described.append(f"{','.join(str(p) for p in entry['points'])}:{entry['subfield']}")
     spec = filtered_power_spec(field, ring, constraints)
     algebra = filtered_power(spec, caps=caps)
-    row = {
+    return [{
         "field": payload["field"],
         "atoms": ring.atom_count,
         "constraints": ";".join(described),
         "size": algebra.size,
         "factor_sizes": _factor_sizes(algebra, caps),
         "nilpotent_free": True,
-    }
-    return [row], [], FILTERED_COLUMNS_V1
+    }], [], FILTERED_COLUMNS_V1
 
 
 def _tower_from_file(path: str, corpus: Corpus, caps: Caps) -> InverseSystem:
     from .towers import InverseSystem, coset_action_system
 
+    payload = read_json(path, TOWER_SHAPE)
     with parsing(path):
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if "group" in payload:
             g = corpus[payload["group"]]
             chain = [Subgroup(g, ids) for ids in payload["chain"]]
         else:
             levels = [corpus[name] for name in payload["levels"]]
-            projections = [
-                GroupHom(levels[i + 1], levels[i], mapping)
-                for i, mapping in enumerate(payload["projections"])
-            ]
-            return InverseSystem(levels, projections, caps=caps)
+            maps = payload["projections"]
+            if len(maps) == len(levels) - 1:  # else InverseSystem reports the count
+                maps = [GroupHom(top, below, m) for top, below, m in zip(levels[1:], levels, maps)]
+            return InverseSystem(levels, maps, caps=caps)
     return coset_action_system(g, chain, caps=caps).system
 
 
 def _cmd_inverse_system(args, corpus: Corpus, caps: Caps):
     from .towers import commutator_level_check, cp_sequence
 
-    towers: dict[str, InverseSystem] = {}
     if args.tower_file:
-        towers[Path(args.tower_file).stem] = _tower_from_file(args.tower_file, corpus, caps)
+        towers = {Path(args.tower_file).stem: _tower_from_file(args.tower_file, corpus, caps)}
     else:
-        bundled = bundled_towers(corpus if len(corpus) else None, caps=caps)
-        if args.tower:
-            for name in args.tower:
-                if name not in bundled:
-                    raise ValidationError(f"unknown tower {name!r}; bundled: {sorted(bundled)}")
-                towers[name] = bundled[name]
-        else:
-            towers = bundled
-    items, errors = [], []
-    for name in sorted(towers):
-        system = towers[name]
-        try:
-            seq = cp_sequence(system, caps=caps)
-            monotone = all(b <= a for a, b in zip(seq, seq[1:]))
-            top = system.top
-            check = commutator_level_check(system, top.whole_subgroup(), top.whole_subgroup())
-            for level, frac in enumerate(seq):
-                items.append({
-                    "tower": name,
-                    "level": level,
-                    "order": system.levels[level].order,
-                    "pairs": frac.numerator * system.levels[level].order**2 // frac.denominator,
-                    "fraction": frac_str(frac),
-                    "monotone": monotone,
-                    "commutator_check": check.passed,
-                })
-        except GroupLabError as exc:
-            errors.append({"item": name, "error": str(exc)})
+        towers = _bundled("tower", bundled_towers(corpus or None, caps=caps), args.tower)
+
+    def rows(name: str, system: InverseSystem) -> list[dict]:
+        seq = cp_sequence(system, caps=caps)
+        monotone = all(b <= a for a, b in zip(seq, seq[1:]))
+        top = system.top
+        check = commutator_level_check(system, top.whole_subgroup(), top.whole_subgroup())
+        return [{
+            "tower": name,
+            "level": level,
+            "order": system.levels[level].order,
+            "pairs": frac.numerator * system.levels[level].order**2 // frac.denominator,
+            "fraction": frac_str(frac),
+            "monotone": monotone,
+            "commutator_check": check.passed,
+        } for level, frac in enumerate(seq)]
+
+    items, errors = _per_item(sorted(towers.items()), rows)
     return items, errors, TOWER_COLUMNS_V1
 
 
@@ -314,16 +303,12 @@ def _bundled_actions(corpus: Corpus, caps: Caps) -> dict[str, tuple[GModuleActio
 def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAction, tuple[int, ...]]:
     from .modring import action_from_matrices, orbit_span_check
 
+    payload = read_json(path, ACTION_SHAPE)
     with parsing(path):
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        g = corpus[payload["group"]]
-        matrices = {integer_key(k, f"matrices key {k!r} is not an element id"): v
-                    for k, v in payload["matrices"].items()}
-        p = int(integers(payload["p"], "p must be an integer", 0))
-        dim = int(integers(payload["dim"], "dim must be an integer", 0))
-        action = action_from_matrices(g, p, dim, matrices, caps=caps)
+        action = action_from_matrices(corpus[payload["group"]], payload["p"], payload["dim"],
+                                      payload["matrices"], caps=caps)
         if "v" in payload:
-            v = tuple(integers(payload["v"], "v must be a list of integers", 1).tolist())
+            v = tuple(payload["v"])
             if len(v) != action.dim:
                 raise ValidationError(f"v has {len(v)} coordinates, dim is {action.dim}")
             return action, v
@@ -336,44 +321,34 @@ def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAct
 def _cmd_ring_from_module(args, corpus: Corpus, caps: Caps):
     from .modring import nilpotent_free_check, ring_construct
 
-    jobs: dict[str, tuple[GModuleAction, tuple[int, ...]]] = {}
     if args.action_file:
-        jobs[Path(args.action_file).stem] = _action_from_file(args.action_file, corpus, caps)
+        jobs = {Path(args.action_file).stem: _action_from_file(args.action_file, corpus, caps)}
     else:
-        bundled = _bundled_actions(corpus, caps)
-        if args.example:
-            for name in args.example:
-                if name not in bundled:
-                    raise ValidationError(f"unknown example {name!r}; bundled: {sorted(bundled)}")
-                jobs[name] = bundled[name]
-        else:
-            jobs = bundled
-    items, errors = [], []
-    for name in sorted(jobs):
-        action, v = jobs[name]
-        try:
-            built = ring_construct(action, v, caps=caps)
-            row = {
-                "action": name,
-                "well_defined": built.well_defined,
-                "commutative": None,
-                "nilpotent_free": None,
-                "nilpotent_witness": None,
-                "translate_bound": built.translate_bound,
-                "mr_factor_sizes": None,
-            }
-            if built.well_defined and built.ring is not None:
-                ring = built.ring
-                row["commutative"] = ring.is_commutative()
-                ok, witness = nilpotent_free_check(ring, caps=caps)
-                row["nilpotent_free"] = ok
-                if witness is not None:
-                    row["nilpotent_witness"] = ",".join(str(c) for c in ring.to_vector(witness))
-                if ok and row["commutative"]:
-                    row["mr_factor_sizes"] = _factor_sizes(ring.to_algebra(caps=caps), caps)
-            items.append(row)
-        except GroupLabError as exc:
-            errors.append({"item": name, "error": str(exc)})
+        jobs = _bundled("example", _bundled_actions(corpus, caps), args.example)
+
+    def rows(name: str, job: tuple[GModuleAction, tuple[int, ...]]) -> list[dict]:
+        built = ring_construct(*job, caps=caps)
+        row = {
+            "action": name,
+            "well_defined": built.well_defined,
+            "commutative": None,
+            "nilpotent_free": None,
+            "nilpotent_witness": None,
+            "translate_bound": built.translate_bound,
+            "mr_factor_sizes": None,
+        }
+        if built.well_defined and built.ring is not None:
+            ring = built.ring
+            row["commutative"] = ring.is_commutative()
+            ok, witness = nilpotent_free_check(ring, caps=caps)
+            row["nilpotent_free"] = ok
+            if witness is not None:
+                row["nilpotent_witness"] = ",".join(str(c) for c in ring.to_vector(witness))
+            if ok and row["commutative"]:
+                row["mr_factor_sizes"] = _factor_sizes(ring.to_algebra(caps=caps), caps)
+        return [row]
+
+    items, errors = _per_item(sorted(jobs.items()), rows)
     return items, errors, RING_COLUMNS_V1
 
 
@@ -382,15 +357,12 @@ def _cmd_verify_inequalities(args, corpus: Corpus, caps: Caps):
 
     beta = None
     if args.beta_table:
+        beta = read_json(args.beta_table, BETA_SHAPE)
         with parsing(args.beta_table):
-            raw = json.loads(Path(args.beta_table).read_text(encoding="utf-8"))
-            beta = {}
-            for k, v in raw.items():
-                rank = integer_key(k, f"beta table key {k!r} is not a rank")
-                beta[rank] = int(integers(v, f"beta for rank {k} must be an integer", 0))
-                if beta[rank] < 1:  # beta divides in the bound: 0 would divide by zero
-                    raise ValidationError(f"beta for rank {k} must be a positive integer")
-    members, select_errors = _select_groups(corpus, args.group)
+            for rank, value in beta.items():
+                if value < 1:  # beta divides in the bound: 0 would divide by zero
+                    raise ValidationError(f"beta for rank {rank} must be a positive integer")
+    members, errors = _select_groups(corpus, args.group)
     report = verify_inequalities(members, beta_table=beta, caps=caps)
     items = []
     for row in report.ineq1:
@@ -408,15 +380,14 @@ def _cmd_verify_inequalities(args, corpus: Corpus, caps: Caps):
             "passed": row.passed,
             "intermediate_passed": all(r.passed for r in row.intermediate),
         })
-    errors = list(select_errors)
     if not items:
         errors.append({"item": "verify-inequalities", "error": "no applicable corpus members"})
     return items, errors, INEQ_COLUMNS_V1
 
 
 _HANDLERS = {
-    "analyze-group": _cmd_analyze_group,
-    "neumann": _cmd_neumann,
+    "analyze-group": _cmd_per_group,
+    "neumann": _cmd_per_group,
     "rho": _cmd_rho,
     "boolean-power": _cmd_boolean_power,
     "inverse-system": _cmd_inverse_system,

@@ -1,9 +1,9 @@
 """The bundled small-group corpus, JSON corpus files, and bundled towers.
 
-Group file format: {"name": str, "order": int, "table": [[int]]} or
-{"name": str, "degree": int, "generators": [[int]]} with 0-based
+Group file format: {"name": str, "order": int, "table": [[int]]} ("order"
+optional) or {"name": str, "degree": int, "generators": [[int]]} with 0-based
 permutation images.  A corpus directory holds one file per group plus
-index.json listing names, orders and file names.
+index.json listing names, orders and file names ("name" and "order" optional).
 """
 
 from __future__ import annotations
@@ -14,11 +14,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import ValidationError, integers, parsing
+from .errors import ValidationError, parsing, read_json
 from .groups import FiniteGroup, Subgroup, build_group, subgroup_closure
 
 if TYPE_CHECKING:
     from .towers import InverseSystem
+
+# the two forms of a group file and the corpus index, as `read_json` shapes
+GROUP_SHAPE = ({"table": 2, "name": str, "order?": 0}, {"generators": [1], "name": str, "degree": 0})
+INDEX_SHAPE = [{"file": str, "name?": str, "order?": 0}]
 
 __all__ = [
     "Corpus",
@@ -188,23 +192,15 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_group_file(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
-    path = Path(path)
+    payload = read_json(path, GROUP_SHAPE)
     with parsing(path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        name = payload.get("name")
-        if not isinstance(name, str) or not name:
-            raise ValidationError("missing group name")
         if "table" in payload:
-            g = build_group(table=payload["table"], name=name, caps=caps)
-            order = payload.get("order", g.order)
-            if int(integers(order, "order must be an integer", 0)) != g.order:
+            g = build_group(table=payload["table"], name=payload["name"], caps=caps)
+            if payload.get("order", g.order) != g.order:
                 raise ValidationError("declared order does not match the table")
-        elif "generators" in payload:
-            degree = int(integers(payload["degree"], "degree must be an integer", 0))
-            g = build_group(generators=payload["generators"], degree=degree, name=name, caps=caps)
-        else:
-            raise ValidationError("need either a table or generators")
-    return g
+            return g
+        return build_group(generators=payload["generators"], degree=payload["degree"],
+                           name=payload["name"], caps=caps)
 
 
 def load_corpus(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> Corpus:
@@ -214,25 +210,18 @@ def load_corpus(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> Corpus:
         raise ValidationError(f"corpus path {root} is not a directory")
     index_path = root / "index.json"
     groups: dict[str, FiniteGroup] = {}
-    if not index_path.exists():
-        files = sorted(root.glob("*.json"))
-        if not files:
-            warnings.warn(f"corpus directory {root} is empty", stacklevel=2)
-            return Corpus({})
-        entries = [{"file": f.name} for f in files]
+    if index_path.exists():
+        entries = read_json(index_path, INDEX_SHAPE)
     else:
-        with parsing(index_path):
-            entries = json.loads(index_path.read_text(encoding="utf-8"))
+        entries = [{"file": f.name} for f in sorted(root.glob("*.json"))]
     for entry in entries:
-        with parsing(index_path):
-            fname = entry["file"]
-            order = int(integers(entry.get("order", 0), "order must be an integer", 0))
+        fname = entry["file"]
         if fname == "index.json":
             continue
         g = load_group_file(root / fname, caps=caps)
-        if "order" in entry and order != g.order:
+        if entry.get("order", g.order) != g.order:
             raise ValidationError(f"{fname}: index order {entry['order']} != actual {g.order}")
-        if "name" in entry and entry["name"] != g.name:
+        if entry.get("name", g.name) != g.name:
             raise ValidationError(f"{fname}: index name {entry['name']!r} != {g.name!r}")
         if g.name in groups:
             raise ValidationError(f"{fname}: duplicate group name {g.name!r}")

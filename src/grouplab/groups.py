@@ -221,6 +221,7 @@ def _table_from_rows(rows: Sequence[np.ndarray], n: int, dtype: type) -> np.ndar
 
 
 _KEY_DEGREE = 15  # largest degree whose permutations have int64 keys: 15**15 < 2**63 <= 16**16
+_MAX_DEGREE = 1 << 16  # largest degree whose points fit the uint16 rows of `_perm_closure`
 
 
 def _perm_keys(rows: np.ndarray) -> np.ndarray:
@@ -737,8 +738,8 @@ def build_group(
         return FiniteGroup(table, name=name, validate="full", caps=caps)
     if degree is None:
         raise ValidationError("generator input requires degree=")
-    if degree < 1:
-        raise ValidationError("degree must be at least 1")
+    if not 1 <= degree <= _MAX_DEGREE:
+        raise ValidationError(f"degree must be in 1..{_MAX_DEGREE}")
     gen_arrays = []
     for images in generators or ():
         bad = f"not a permutation of {degree} points: {list(images)!r}"

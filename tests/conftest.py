@@ -1,8 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from grouplab.corpus import bundled_corpus
 from grouplab.groups import FiniteGroup, Subgroup, build_group
 from grouplab.towers import coset_action_system
+
+# HYPOTHESIS_PROFILE=wide searches ten times as many examples, still reproducibly
+settings.register_profile("wide", max_examples=10 * settings.default.max_examples, derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _Q8 = [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]
 _D4XQ8 = [[1, 2, 3, 0] + list(range(4, 12)), [3, 2, 1, 0] + list(range(4, 12))]

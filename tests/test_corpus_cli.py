@@ -469,6 +469,37 @@ def test_cli_filtered_power_rejects_non_subfield(tmp_path):
     *(("ring-from-module", "--action-file", "action.json",
        {"group": "Z2", "p": 3, "dim": dim, "matrices": {"1": [[0, 1], [1, 0]]}})
       for dim in (0, -1)),
+    # inputs that ended in a traceback: an index that is not a list, a file name that is not a
+    # string, a base group that is not a string, and fewer levels than projections need
+    ("analyze-group", "--corpus", "index.json", None),
+    ("analyze-group", "--corpus", "index.json", [{"name": "S3", "order": 6, "file": 5}]),
+    ("boolean-power", "--spec", "bp.json", {"base_group": ["A5"], "atoms": 2}),
+    ("inverse-system", "--tower-file", "tower.json", {"levels": ["A5"], "projections": [[0, 1, 0, 1]]}),
+    ("inverse-system", "--tower-file", "tower.json", {"levels": [], "projections": [[0, 1, 0, 1]]}),
+    ("inverse-system", "--tower-file", "tower.json", {"levels": [], "projections": []}),
+    # an unknown key and a missing key in each kind of file (a beta table declares no key)
+    ("analyze-group", "--corpus", "S3.json",
+     {"name": "S3", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]], "extra": 1.5}),
+    ("analyze-group", "--corpus", "S3.json",
+     {"name": "S3", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]], "table": [[0]]}),
+    ("analyze-group", "--corpus", "S3.json", {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}),
+    ("analyze-group", "--corpus", "S3.json", {"name": "S3", "degree": 3}),
+    ("analyze-group", "--corpus", "index.json", [{"name": "S3", "order": 6, "file": "S3.json", "x": 1}]),
+    ("analyze-group", "--corpus", "index.json", [{"name": "S3", "order": 6}]),
+    ("inverse-system", "--tower-file", "tower.json", {"group": "Z8", "chain": [[0]], "extra": 1}),
+    ("inverse-system", "--tower-file", "tower.json", {"levels": ["Z2"]}),
+    ("inverse-system", "--tower-file", "tower.json", {"chain": [[0]]}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z2", "p": 3, "dim": 2, "matrices": {"1": [[0, 1], [1, 0]]}, "w": [1, 0]}),
+    ("ring-from-module", "--action-file", "action.json",
+     {"group": "Z2", "p": 3, "matrices": {"1": [[0, 1], [1, 0]]}}),
+    ("verify-inequalities", "--beta-table", "beta.json", {"0": 1, "1": 2, "2": 6, "rank": 3}),
+    ("boolean-power", "--spec", "bp.json", {"base_group": "S3", "atoms": 2, "extra": 1}),
+    ("boolean-power", "--spec", "bp.json", {"base_group": "S3", "atoms": 2, "field": "GF4"}),
+    ("boolean-power", "--spec", "bp.json", {"base_group": "S3"}),
+    ("boolean-power", "--spec", "bp.json",
+     {"field": "GF4", "atoms": 2, "constraints": [{"points": [0], "subfield": "GF2", "x": 0}]}),
+    ("boolean-power", "--spec", "bp.json", {"field": "GF4", "atoms": 2, "constraints": [{"points": [0]}]}),
 ])
 def test_cli_malformed_file_is_one_error_line(tmp_path, capsys, corpus,
                                               subcommand, flag, fname, payload):
@@ -503,10 +534,33 @@ def test_cli_oversized_action_file_hits_the_cap_before_the_primality_test(tmp_pa
     {"name": "Z2", "table": [[False, True], [True, False]]},
     {"name": "Z3", "degree": 3, "generators": [[0, 1, 2.5]]},
     {"name": "Z2", "table": [[0, 1], [1, 4294967296]]},  # 2**32 wraps to 0 in int32
+    "[" * 100000 + "]" * 100000,  # nested past the JSON decoder's recursion limit
 ])
 def test_cli_non_integer_group_file_is_one_error_line(tmp_path, capsys, payload):
-    (tmp_path / "bad.json").write_text(json.dumps(payload))
+    (tmp_path / "bad.json").write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code = main(["analyze-group", "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad.json: ")
+
+
+@pytest.mark.parametrize("payload", [
+    {"name": "X", "degree": 70000, "generators": [list(range(1, 70000)) + [0]]},
+    {"name": "X", "degree": 100000000, "generators": []},
+])
+def test_cli_degree_above_the_uint16_points_is_rejected_before_any_allocation(tmp_path, capsys, payload):
+    (tmp_path / "X.json").write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        code = main(["neumann", "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and capsys.readouterr().err == "error: X.json: degree must be in 1..65536\n"
+    assert peak < 16 * 2**20  # the 100,000,000-point closure allocated 1.2 GB
+
+
+def test_build_group_takes_degrees_up_to_the_uint16_points():
+    assert groups.build_group(generators=[], degree=1 << 16).order == 1
+    with pytest.raises(ValidationError, match=r"1\.\.65536"):
+        groups.build_group(generators=[], degree=(1 << 16) + 1)
