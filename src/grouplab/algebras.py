@@ -4,6 +4,8 @@ Bundled fields: GF(p) for any prime p, plus GF(4), GF(8) and GF(9) via
 fixed irreducible polynomials.  Elements of GF(p^k) are polynomial
 coefficient vectors encoded base p (little-endian), so 0 is the zero
 element, 1 is the one, and the prime subfield is always {0, .., p-1}.
+Fields, Z/n and module rings all get their tables from structure
+constants, through `_from_structure`.
 """
 
 from __future__ import annotations
@@ -124,6 +126,38 @@ class FiniteCommutativeAlgebra:
         return f"FiniteCommutativeAlgebra({self.name!r}, size={self.size})"
 
 
+def _place_values(m: int, d: int) -> np.ndarray:
+    """The place values of the ids that encode d coordinates mod m, little-endian."""
+    return m ** np.arange(d, dtype=np.int64)
+
+
+def _coords(ids: int | np.ndarray, m: int, d: int) -> np.ndarray:
+    """The d coordinates of an id, or of every id of an array along a new last axis."""
+    return np.asarray(ids, dtype=np.int64)[..., None] // _place_values(m, d) % m
+
+
+def _coords_id(coords: np.ndarray | Sequence[int], m: int) -> np.ndarray:
+    """The id of the coordinates along the last axis, each reduced mod m first."""
+    coords = np.asarray(coords, dtype=np.int64) % m
+    return coords @ _place_values(m, coords.shape[-1])
+
+
+def _from_structure(structure: np.ndarray, m: int, one_id: int, name: str) -> FiniteCommutativeAlgebra:
+    """The algebra over Z/m with e_i e_j = sum_k structure[i, j, k] e_k, on the ids of
+    its coordinates; the tables are filled one bounded block of rows at a time."""
+    d = structure.shape[0]
+    size = m**d
+    coords = _coords(np.arange(size), m, d)
+    add = np.empty((size, size), dtype=np.int32)
+    mul = np.empty((size, size), dtype=np.int32)
+    rows = _block_rows(size * d)  # a block's products stay near `_CHECK_BLOCK` cells
+    for a in range(0, size, rows):
+        block = coords[a:a + rows]
+        add[a:a + rows] = _coords_id(block[:, None] + coords, m)
+        mul[a:a + rows] = _coords_id(coords @ np.tensordot(block, structure, 1), m)
+    return FiniteCommutativeAlgebra(add, mul, char=m, one_id=one_id, name=name)
+
+
 # Irreducible polynomials for the bundled prime-power fields, little-endian
 # coefficients of x^k = -(lower terms).
 _IRREDUCIBLE = {
@@ -133,62 +167,25 @@ _IRREDUCIBLE = {
 }
 
 
-def _poly_field_tables(p: int, k: int, poly: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    size = p**k
-
-    def digits(x: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(x % p)
-            x //= p
-        return out
-
-    def encode(cs: Sequence[int]) -> int:
-        out = 0
-        for c in reversed(cs):
-            out = out * p + (c % p)
-        return out
-
-    def polymul(a: list[int], b: list[int]) -> list[int]:
-        raw = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    raw[i + j] = (raw[i + j] + ai * bj) % p
-        # reduce x^k -> -(poly), highest degree first
-        for d in range(2 * k - 2, k - 1, -1):
-            c = raw[d]
-            if c:
-                raw[d] = 0
-                for j, pj in enumerate(poly):
-                    raw[d - k + j] = (raw[d - k + j] - c * pj) % p
-        return raw[:k]
-
-    add = np.zeros((size, size), dtype=np.int32)
-    mul = np.zeros((size, size), dtype=np.int32)
-    digs = [digits(x) for x in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            s = encode([(x + y) % p for x, y in zip(digs[a], digs[b])])
-            m = encode(polymul(digs[a], digs[b]))
-            add[a, b] = add[b, a] = s
-            mul[a, b] = mul[b, a] = m
-    return add, mul
-
-
 def gf(q: int) -> FiniteCommutativeAlgebra:
-    """The finite field with q elements, for prime q or q in {4, 8, 9}."""
+    """The finite field with q elements, for prime q or q in {4, 8, 9}.
+
+    GF(p^k) = GF(p)[x]/(f) on the basis 1, x, .., x^(k-1): x^i x^j is row i of C^j
+    for the companion matrix C of f, whose row i is x^(i+1).
+    """
     if is_prime(q):
-        ids = np.arange(q, dtype=np.int64)
-        add = (ids[:, None] + ids[None, :]) % q
-        mul = (ids[:, None] * ids[None, :]) % q
-        field = FiniteCommutativeAlgebra(add, mul, char=q, one_id=1, name=f"GF{q}")
+        p, structure = q, np.ones((1, 1, 1), dtype=np.int64)
     elif q in _IRREDUCIBLE:
         p, k, poly = _IRREDUCIBLE[q]
-        add, mul = _poly_field_tables(p, k, poly)
-        field = FiniteCommutativeAlgebra(add, mul, char=p, one_id=1, name=f"GF{q}")
+        companion = np.eye(k, k, 1, dtype=np.int64)
+        companion[-1] = np.negative(poly) % p
+        powers = [np.eye(k, dtype=np.int64)]
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ companion % p)
+        structure = np.stack(powers, axis=1)  # structure[i, j] is row i of C^j
     else:
         raise ValidationError(f"no bundled field of size {q}")
+    field = _from_structure(structure, p, 1, f"GF{q}")
     if not field.is_field():
         raise GroupLabError(f"bundled GF({q}) tables are not a field")
     return field
@@ -198,10 +195,7 @@ def zmod(n: int) -> FiniteCommutativeAlgebra:
     """Integers modulo n (a ring, not a field for composite n)."""
     if n < 2:
         raise ValidationError("modulus must be at least 2")
-    ids = np.arange(n, dtype=np.int64)
-    add = (ids[:, None] + ids[None, :]) % n
-    mul = (ids[:, None] * ids[None, :]) % n
-    return FiniteCommutativeAlgebra(add, mul, char=n, one_id=1, name=f"Z{n}")
+    return _from_structure(np.ones((1, 1, 1), dtype=np.int64), n, 1, f"Z{n}")
 
 
 _FIELD_NAMES = {"GF2": 2, "GF3": 3, "GF4": 4, "GF5": 5, "GF7": 7, "GF8": 8, "GF9": 9}

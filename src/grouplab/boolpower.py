@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebras import FiniteCommutativeAlgebra
+from .algebras import FiniteCommutativeAlgebra, _coords, _coords_id
 from .boolean import AugmentedBooleanAlgebra, BooleanIdeal, FiniteBooleanRing
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError
@@ -155,20 +155,10 @@ class MaterializedBooleanPower:
     group: FiniteGroup
 
     def encode(self, x: BPElement) -> int:
-        n = self.power.base.order
-        out = 0
-        for v in x.values():
-            out = out * n + v
-        return out
+        return int(_coords_id(x.values()[::-1], self.power.base.order))
 
     def decode(self, gid: int) -> BPElement:
-        n = self.power.base.order
-        m = self.power.ring.atom_count
-        values = [0] * m
-        for i in range(m - 1, -1, -1):
-            values[i] = gid % n
-            gid //= n
-        return self.power.from_values(values)
+        return self.power.from_values(_atom_values(self, gid).tolist())
 
 
 def materialize_bp_group(base: FiniteGroup, ring: FiniteBooleanRing,
@@ -181,11 +171,11 @@ def materialize_bp_group(base: FiniteGroup, ring: FiniteBooleanRing,
     return MaterializedBooleanPower(power=BooleanPowerGroup(base, ring), group=grp)
 
 
-def _atom_values(mat: MaterializedBooleanPower, ids: np.ndarray) -> np.ndarray:
-    """The value at every atom of each id of the power, one row per id: the id's
-    mixed-radix digits, atom 0 most significant, as `decode` reads them one by one."""
-    n, m = mat.power.base.order, mat.power.ring.atom_count
-    return np.asarray(ids, dtype=np.int64)[:, None] // n ** np.arange(m - 1, -1, -1) % n
+def _atom_values(mat: MaterializedBooleanPower, ids: int | np.ndarray) -> np.ndarray:
+    """The value at every atom of an id of the power, or of each id of an array along a
+    new last axis: the id's digits base |P|, atom 0 most significant, which are its
+    little-endian coordinates read backwards."""
+    return _coords(ids, mat.power.base.order, mat.power.ring.atom_count)[..., ::-1]
 
 
 def _ideal_member_ids(mat: MaterializedBooleanPower, ideal: BooleanIdeal) -> list[int]:
@@ -274,10 +264,7 @@ def bp_quotient_iso(base: FiniteGroup, ring: FiniteBooleanRing, ideal: BooleanId
         target = direct_power(base, m, name=f"{base.name}^{m}", caps=big)
     # coset k's first, hence minimal, id, read at the kept atoms as an id of P^m
     _, reps = np.unique(proj.mapping, return_index=True)
-    values = _atom_values(mat, reps)
-    mapping = np.zeros(reps.size, dtype=np.int64)
-    for i in kept:
-        mapping = mapping * base.order + values[:, i]
+    mapping = _coords_id(_atom_values(mat, reps)[:, kept[::-1]], base.order)
     iso = GroupHom(q, target, mapping.astype(np.int32), validate=True)
     if not (iso.is_injective() and iso.is_surjective()):
         raise GroupLabError("atom-tracing map is not a bijection")

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -180,8 +181,9 @@ def _cmd_boolean_power(args, corpus: Corpus, caps: Caps):
         args.base, args.atoms = payload["base_group"], payload["atoms"]
     if not args.base or args.atoms is None:
         raise ValidationError("boolean-power needs --base/--atoms or --spec")
-    base = corpus[args.base]
-    ring = build_boolean_ring(args.atoms, caps=caps)
+    with parsing(args.spec) if args.spec else nullcontext():
+        base = corpus[args.base]
+        ring = build_boolean_ring(args.atoms, caps=caps)
     try:
         mat = materialize_bp_group(base, ring, caps=caps)
         report = verify_ideal_correspondence(base, ring, materialized=mat, caps=caps)
@@ -250,14 +252,12 @@ def _tower_from_file(path: str, corpus: Corpus, caps: Caps) -> InverseSystem:
     with parsing(path):
         if "group" in payload:
             g = corpus[payload["group"]]
-            chain = [Subgroup(g, ids) for ids in payload["chain"]]
-        else:
-            levels = [corpus[name] for name in payload["levels"]]
-            maps = payload["projections"]
-            if len(maps) == len(levels) - 1:  # else InverseSystem reports the count
-                maps = [GroupHom(top, below, m) for top, below, m in zip(levels[1:], levels, maps)]
-            return InverseSystem(levels, maps, caps=caps)
-    return coset_action_system(g, chain, caps=caps).system
+            return coset_action_system(g, [Subgroup(g, ids) for ids in payload["chain"]], caps=caps).system
+        levels = [corpus[name] for name in payload["levels"]]
+        maps = payload["projections"]
+        if len(maps) == len(levels) - 1:  # else InverseSystem reports the count
+            maps = [GroupHom(top, below, m) for top, below, m in zip(levels[1:], levels, maps)]
+        return InverseSystem(levels, maps, caps=caps)
 
 
 def _cmd_inverse_system(args, corpus: Corpus, caps: Caps):

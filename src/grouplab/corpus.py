@@ -214,15 +214,17 @@ def load_corpus(path: str | Path, *, caps: Caps = DEFAULT_CAPS) -> Corpus:
         entries = read_json(index_path, INDEX_SHAPE)
     else:
         entries = [{"file": f.name} for f in sorted(root.glob("*.json"))]
-    for entry in entries:
+    for i, entry in enumerate(entries):
         fname = entry["file"]
         if fname == "index.json":
             continue
+        if not (root / fname).is_file():
+            raise ValidationError(f"index.json: [{i}].file: no such file {fname!r}")
         g = load_group_file(root / fname, caps=caps)
-        if entry.get("order", g.order) != g.order:
-            raise ValidationError(f"{fname}: index order {entry['order']} != actual {g.order}")
-        if entry.get("name", g.name) != g.name:
-            raise ValidationError(f"{fname}: index name {entry['name']!r} != {g.name!r}")
+        for key, actual in (("order", g.order), ("name", g.name)):
+            if entry.get(key, actual) != actual:
+                raise ValidationError(f"index.json: [{i}].{key}: {entry[key]!r} != {actual!r}, "
+                                      f"the {key} of {fname}")
         if g.name in groups:
             raise ValidationError(f"{fname}: duplicate group name {g.name!r}")
         groups[g.name] = g

@@ -14,10 +14,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebras import FiniteCommutativeAlgebra, find_nilpotent
+from .algebras import FiniteCommutativeAlgebra, _coords, _coords_id, _from_structure, find_nilpotent
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError, integers
-from .groups import FiniteGroup, _block_rows, _greedy_generators, _tree
+from .groups import FiniteGroup, _greedy_generators, _tree
 from .linalg import inv_gfp, is_prime, nullspace_gfp, rref_gfp
 
 __all__ = [
@@ -162,10 +162,9 @@ def _shortest_sums(rows: np.ndarray, p: int, w: Sequence[int]) -> TranslateDecom
     x -> x + t, one map per distinct row t at its least index h: the tree a queue of partial
     sums builds trying every h in order."""
     d = rows.shape[1]
-    radix = p ** np.arange(d, dtype=np.int64)
-    coords = np.arange(p**d, dtype=np.int64)[:, None] // radix % p
-    hs = np.sort(np.unique(rows @ radix, return_index=True)[1])
-    edges = _tree([((coords + rows[h]) % p) @ radix for h in hs])
+    coords = _coords(np.arange(p**d), p, d)
+    hs = np.sort(np.unique(_coords_id(rows, p), return_index=True)[1])
+    edges = _tree([_coords_id(coords + rows[h], p) for h in hs])
     if len(w) != d or len(edges) != p**d - 1:
         raise GroupLabError("spanning translates failed to reach a vector")
     parent, via = np.zeros((2, p**d), dtype=np.int64)  # the vector each came from, and its h
@@ -179,7 +178,7 @@ def _shortest_sums(rows: np.ndarray, p: int, w: Sequence[int]) -> TranslateDecom
             x = parent[x]
         return out
 
-    target = sum(int(x) % p * p**i for i, x in enumerate(w))
+    target = _coords_id([int(x) % p for x in w], p)  # w may hold ints past int64
     return TranslateDecomposition(elements=tuple(sorted(path(target))), bound=len(path(edges[-1][0])))
 
 
@@ -216,16 +215,15 @@ class ModuleRing:
         self.p = action.prime
         self.dim = action.dim
         self.size = action.prime ** action.dim
-        self._radix = action.prime ** np.arange(action.dim, dtype=np.int64)
         self.zero = 0
         self.one = self.from_vector(v)
 
     def coords(self, eid: int | np.ndarray) -> np.ndarray:
         """Coordinates of an id, or of every id of an array along a new last axis."""
-        return np.asarray(eid, dtype=np.int64)[..., None] // self._radix % self.p
+        return _coords(eid, self.p, self.dim)
 
     def element_id(self, coords: Sequence[int]) -> int:
-        return int((np.asarray(coords, dtype=np.int64) % self.p) @ self._radix)
+        return int(_coords_id(coords, self.p))
 
     def to_vector(self, eid: int) -> tuple[int, ...]:
         vec = (self.coords(eid) @ self._basis) % self.p
@@ -242,8 +240,7 @@ class ModuleRing:
         return self.element_id(self._products(self.coords(a), self.coords(b)))
 
     def _products(self, ca: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Coordinates of a * b for the coordinates `ca` of a and each row of `coords`;
-        a stack of `ca` rows gives one such array per row."""
+        """Coordinates of a * b for the coordinates `ca` of a and each row of `coords`."""
         return (coords @ np.tensordot(ca, self._structure, 1)) % self.p
 
     def is_commutative(self) -> bool:
@@ -254,16 +251,7 @@ class ModuleRing:
         if not self.is_commutative():
             raise ValidationError("ring is not commutative")
         caps.check("materialized_order", self.size)
-        coords = self.coords(np.arange(self.size))
-        add = np.empty((self.size, self.size), dtype=np.int32)
-        mul = np.empty((self.size, self.size), dtype=np.int32)
-        rows = _block_rows(self.size * self.dim)  # a block's products stay near `_CHECK_BLOCK` cells
-        for a in range(0, self.size, rows):
-            block = coords[a:a + rows]
-            add[a:a + rows] = ((block[:, None] + coords) % self.p) @ self._radix
-            mul[a:a + rows] = self._products(block, coords) @ self._radix
-        return FiniteCommutativeAlgebra(add, mul, char=self.p, one_id=self.one,
-                                        name=name or "module-ring")
+        return _from_structure(self._structure, self.p, self.one, name or "module-ring")
 
 
 @dataclass(frozen=True)
@@ -354,7 +342,7 @@ def nilpotent_free_check(ring: ModuleRing | FiniteCommutativeAlgebra,
         square = np.diagonal(ring.mul_table)
     else:
         coords = ring.coords(np.arange(ring.size))
-        square = (np.einsum("ni,nj,ijk->nk", coords, coords, ring._structure) % ring.p) @ ring._radix
+        square = _coords_id(np.einsum("ni,nj,ijk->nk", coords, coords, ring._structure), ring.p)
     witness = find_nilpotent(square)
     return witness is None, witness
 

@@ -100,11 +100,6 @@ class CosetSpace:
     subgroup: Subgroup
     reps: tuple[int, ...]
 
-    @classmethod
-    def build(cls, subgroup: Subgroup) -> "CosetSpace":
-        reps = tuple(_distinct_reps(_coset_reps(subgroup)).tolist())
-        return cls(group=subgroup.group, subgroup=subgroup, reps=reps)
-
     def __len__(self) -> int:
         return len(self.reps)
 
@@ -133,7 +128,8 @@ def coset_action_system(g: FiniteGroup, chain: Sequence[Subgroup],
             raise ValidationError("chain must be descending")
     caps.check("tower_length", len(chain))
 
-    spaces = [CosetSpace.build(sub) for sub in chain]
+    rep_of = [_coset_reps(sub) for sub in chain]  # the least id of each element's coset
+    spaces = [CosetSpace(g, sub, tuple(_distinct_reps(rep).tolist())) for sub, rep in zip(chain, rep_of)]
     total_points = sum(len(s) for s in spaces)
     caps.check("order", total_points)
 
@@ -141,11 +137,11 @@ def coset_action_system(g: FiniteGroup, chain: Sequence[Subgroup],
     # consecutively across the spaces
     blocks = []
     offset = 0
-    for sub, space in zip(chain, spaces):
+    for rep, space in zip(rep_of, spaces):
         reps = np.array(space.reps, dtype=np.int32)
         point_of = np.empty(g.order, dtype=np.int32)
         point_of[reps] = offset + np.arange(len(reps), dtype=np.int32)
-        blocks.append(point_of[_coset_reps(sub)[np.stack([g.right(r) for r in reps], axis=1)]])
+        blocks.append(point_of[rep[np.stack([g.right(r) for r in reps], axis=1)]])
         offset += len(reps)
 
     gens = _greedy_generators(g)

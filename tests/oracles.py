@@ -913,6 +913,60 @@ def nilpotent_scan_by_repeated_products(ring) -> tuple[bool, int | None]:
         coords = ring.coords(ids)
         for _ in range(steps):
             coords = np.einsum("ni,nj,ijk->nk", coords, coords, ring._structure) % ring.p
-        cur = coords @ ring._radix
+        cur = coords @ ring.p ** np.arange(ring.dim)
     hits = np.flatnonzero((cur == 0) & (ids != 0))
     return (False, int(hits[0])) if hits.size else (True, None)
+
+
+def atom_values_by_digits(mat, gid: int) -> list[int]:
+    """The value at every atom of an id of a materialized Boolean power, one mixed-radix
+    digit at a time, atom 0 most significant."""
+    n = mat.power.base.order
+    values = [0] * mat.power.ring.atom_count
+    for i in range(len(values) - 1, -1, -1):
+        values[i] = gid % n
+        gid //= n
+    return values
+
+
+def field_tables_by_polymul(p: int, k: int, poly: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 tables of GF(p^k) = GF(p)[x]/(x^k + poly) on little-endian base-p ids, one
+    pair at a time: coefficient sums, and schoolbook products reduced by x^k = -(poly)."""
+    size = p**k
+
+    def digits(x: int) -> list[int]:
+        out = []
+        for _ in range(k):
+            out.append(x % p)
+            x //= p
+        return out
+
+    def encode(cs: Sequence[int]) -> int:
+        out = 0
+        for c in reversed(cs):
+            out = out * p + (c % p)
+        return out
+
+    def polymul(a: list[int], b: list[int]) -> list[int]:
+        raw = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    raw[i + j] = (raw[i + j] + ai * bj) % p
+        # reduce x^k -> -(poly), highest degree first
+        for d in range(2 * k - 2, k - 1, -1):
+            c = raw[d]
+            if c:
+                raw[d] = 0
+                for j, pj in enumerate(poly):
+                    raw[d - k + j] = (raw[d - k + j] - c * pj) % p
+        return raw[:k]
+
+    add = np.zeros((size, size), dtype=np.int32)
+    mul = np.zeros((size, size), dtype=np.int32)
+    digs = [digits(x) for x in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            add[a, b] = add[b, a] = encode([(x + y) % p for x, y in zip(digs[a], digs[b])])
+            mul[a, b] = mul[b, a] = encode(polymul(digs[a], digs[b]))
+    return add, mul

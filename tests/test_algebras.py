@@ -13,7 +13,7 @@ from grouplab.algebras import (
     zmod,
 )
 from grouplab.errors import NilpotentElementError, ValidationError
-from oracles import algebra_axioms_exhaustive
+from oracles import algebra_axioms_exhaustive, field_tables_by_polymul
 
 
 @pytest.mark.parametrize("q,p", [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)])
@@ -28,6 +28,22 @@ def test_bundled_fields_are_fields(q, p):
     for a in sub:
         for b in sub:
             assert field.add(a, b) in sub and field.mul(a, b) in sub
+
+
+@pytest.mark.parametrize("q, p, k, poly", [(4, 2, 2, (1, 1)), (8, 2, 3, (1, 1, 0)), (9, 3, 2, (1, 0))])
+def test_prime_power_field_tables_match_polynomial_products(q, p, k, poly):
+    field = gf(q)
+    add, mul = field_tables_by_polymul(p, k, poly)
+    assert field.add_table.dtype == field.mul_table.dtype == np.int32
+    assert np.array_equal(field.add_table, add) and np.array_equal(field.mul_table, mul)
+
+
+@pytest.mark.parametrize("build, n", [*((gf, q) for q in (2, 3, 5, 7)), *((zmod, n) for n in range(2, 13))])
+def test_prime_fields_and_integers_mod_n_match_broadcasts(build, n):
+    ring, ids = build(n), np.arange(n)
+    assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
+    assert np.array_equal(ring.add_table, (ids[:, None] + ids) % n)
+    assert np.array_equal(ring.mul_table, (ids[:, None] * ids) % n)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

@@ -20,6 +20,7 @@ from grouplab.boolpower import (
 )
 from grouplab.corpus import bundled_corpus
 from grouplab.errors import CapExceeded, ValidationError
+from oracles import atom_values_by_digits
 
 _S3 = bundled_corpus()["S3"]
 
@@ -120,7 +121,8 @@ def test_encode_decode_roundtrip(corpus):
 def test_atom_values_are_decoded_values(corpus):
     mat = materialize_bp_group(corpus["S3"], build_boolean_ring(3))
     values = _atom_values(mat, np.arange(mat.group.order))
-    assert values.tolist() == [mat.decode(gid).values() for gid in range(mat.group.order)]
+    digits = [atom_values_by_digits(mat, gid) for gid in range(mat.group.order)]
+    assert values.tolist() == digits == [mat.decode(gid).values() for gid in range(mat.group.order)]
 
 
 def test_atom_evaluation_is_isomorphism(corpus):

@@ -515,6 +515,58 @@ def test_cli_malformed_file_is_one_error_line(tmp_path, capsys, corpus,
     assert len(err) == 1 and err[0].startswith(f"error: {fname}: ")
 
 
+_Z2 = {"name": "Z2", "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("subcommand, flag, files, message", [
+    ("boolean-power", "--spec", {"spec.json": {"base_group": "nope", "atoms": 2}},
+     "error: spec.json: unknown group 'nope'"),
+    ("inverse-system", "--tower-file", {"tower.json": {"group": "S3", "chain": [list(range(6)), [0], list(range(6))]}},
+     "error: tower.json: chain must be descending"),
+    ("analyze-group", "--corpus", {"index.json": [{"file": "nope.json"}]},
+     "error: index.json: [0].file: no such file 'nope.json'"),
+    ("analyze-group", "--corpus", {"index.json": [{"file": "z2.json", "name": "Y"}], "z2.json": _Z2},
+     "error: index.json: [0].name: 'Y' != 'Z2', the name of z2.json"),
+    ("analyze-group", "--corpus", {"index.json": [{"file": "z2.json", "order": 3}], "z2.json": _Z2},
+     "error: index.json: [0].order: 3 != 2, the order of z2.json"),
+    # a fault inside a group file the index lists is named by that file alone
+    ("analyze-group", "--corpus",
+     {"index.json": [{"file": "z2.json"}], "z2.json": {"name": "Z2", "table": [[0, 1], [1, 1]]}},
+     "error: z2.json: table rows/columns are not permutations"),
+])
+def test_cli_checks_after_the_shape_name_the_file(tmp_path, capsys, subcommand, flag, files, message):
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    target = tmp_path if flag == "--corpus" else tmp_path / next(iter(files))
+    assert main([subcommand, flag, str(target), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_cli_unknown_base_on_the_command_line_names_no_file(tmp_path, capsys):
+    assert main(["boolean-power", "--base", "nope", "--atoms", "2", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: unknown group 'nope'"]
+
+
+@pytest.mark.parametrize("argv, files, digest", [
+    (["ring-from-module"], {}, "a157817789760e9e9b23b5f596f9216a360133ed0fc8c84f011efb81d4c74f19"),
+    (["ring-from-module", "--format", "csv"], {},
+     "8ff84e040e8766ae1f0d19b3addc269499e324f86f3a97c9bd5325360e413f7d"),
+    (["ring-from-module", "--action-file", "action.json"],
+     {"action.json": {"group": "Z4", "p": 5, "dim": 4,
+                      "matrices": {"3": [[0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0]]}}},
+     "77c3b5be1ac02ec5fbb293ceda09eca674c6a2e41783359879928864f99ab8ed"),
+    (["boolean-power", "--spec", "spec.json"],
+     {"spec.json": {"field": "GF9", "atoms": 3, "constraints": [{"points": [0], "subfield": "GF3"}]}},
+     "6c1c31ac7e15a2dfcd11447b510edf7aa423866cbc483b26f1c920f12dd12b2a"),
+])
+def test_cli_algebra_reports_keep_their_bytes(tmp_path, monkeypatch, argv, files, digest):
+    monkeypatch.chdir(tmp_path)  # the report's job field echoes the input path as given
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert main(argv + ["--out", "out"]) == 0
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("p, dim", [
     (4611686018427387847, 2),  # a prime near 2**62: its trial division would take hours
     (1000000000000037, 2),     # a prime near 10**15: seconds of trial division
