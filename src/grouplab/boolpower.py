@@ -18,7 +18,7 @@ from .algebras import FiniteCommutativeAlgebra, _coords, _coords_id
 from .boolean import AugmentedBooleanAlgebra, BooleanIdeal, FiniteBooleanRing
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError
-from .groups import FiniteGroup, GroupHom, Subgroup, direct_power, quotient
+from .groups import FiniteGroup, GroupHom, Subgroup, _block_rows, direct_power, quotient
 from .structure import enumerate_normal_subgroups, is_simple_nonabelian
 
 __all__ = [
@@ -361,31 +361,29 @@ def filtered_power(spec: FilteredPowerSpec, *, caps: Caps = DEFAULT_CAPS) -> Fin
         size *= len(vals)
     caps.check("materialized_order", size)
     radices = [len(vals) for vals in allowed]
-    # decompose ids into per-atom value indices, most significant first
-    coords = np.zeros((size, ring.atom_count), dtype=np.int32)
-    rem = np.arange(size, dtype=np.int64)
+    # the digit of every id at every atom: an id is mixed-radix, atom 0 most significant,
+    # and its digit at atom i the index of its value there in allowed[i]
+    digits = np.zeros((ring.atom_count, size), dtype=np.intp)
+    rem = np.arange(size)
     for i in range(ring.atom_count - 1, -1, -1):
-        coords[:, i] = rem % radices[i]
-        rem //= radices[i]
-    value_of = [np.array(vals, dtype=np.int32) for vals in allowed]
-    index_of = []
-    for vals in allowed:
-        lookup = np.full(spec.field.size, -1, dtype=np.int32)
-        lookup[list(vals)] = np.arange(len(vals), dtype=np.int32)
-        index_of.append(lookup)
-
-    def combine(table: np.ndarray) -> np.ndarray:
-        out = np.zeros((size, size), dtype=np.int64)
-        for i in range(ring.atom_count):
-            vi = value_of[i][coords[:, i]]
-            res = table[vi[:, None], vi[None, :]]
-            out = out * radices[i] + index_of[i][res]
-        return out.astype(np.int32)
-
-    add = combine(spec.field.add_table)
-    mul = combine(spec.field.mul_table)
+        rem, digits[i] = np.divmod(rem, radices[i])
+    add = np.empty((size, size), dtype=np.int32)
+    mul = np.empty((size, size), dtype=np.int32)
+    rows = _block_rows(size)  # each block's scratch stays near `_CHECK_BLOCK` cells
+    for out, table in ((add, spec.field.add_table), (mul, spec.field.mul_table)):
+        sub_tables = []  # at each atom, the digit of the sum or product of two digits
+        for vals in allowed:
+            index_of = np.full(spec.field.size, -1, dtype=np.int32)
+            index_of[list(vals)] = np.arange(len(vals))
+            sub_tables.append(index_of[table[np.ix_(vals, vals)]])
+        for a in range(0, size, rows):
+            block = out[a:a + rows]
+            block[:] = 0
+            for i, sub in enumerate(sub_tables):
+                block *= radices[i]
+                block += sub[digits[i, a:a + rows, None], digits[i]]
     one_id = 0
-    for i in range(ring.atom_count):
-        one_id = one_id * radices[i] + int(index_of[i][spec.field.one])
+    for i, vals in enumerate(allowed):
+        one_id = one_id * radices[i] + vals.index(spec.field.one)
     return FiniteCommutativeAlgebra(add, mul, char=spec.field.char, one_id=one_id,
                                     name=f"{spec.field.name}^B{ring.atom_count}|tau")

@@ -191,11 +191,11 @@ def _table_inverse(table: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _tree(maps: Sequence[np.ndarray]) -> list[tuple[int, int, int]]:
-    """The breadth-first tree from point 0 under the maps x -> maps[k][x]: every other point
-    reached, as (point, the point it was first reached from, k), in the order a queue reaches them."""
+def _tree(maps: Sequence[np.ndarray], start: Sequence[int] = (0,)) -> list[tuple[int, int, int]]:
+    """The breadth-first tree from the points `start` under the maps x -> maps[k][x]: every other
+    point reached, as (point, the point it was first reached from, k), in the order a queue reaches them."""
     lists = [m.tolist() for m in maps]
-    queue, reached, edges = [0], {0}, []
+    queue, reached, edges = list(start), set(start), []
     for p in queue:
         for k, m in enumerate(lists):
             j = m[p]
@@ -236,15 +236,18 @@ def _perm_keys(rows: np.ndarray) -> np.ndarray:
 
 class _Perms:
     """The permutations behind a group built from generators: row i of `perms` is
-    element i, and `ids[searchsorted(keys, key)]` the id of a permutation.  The
-    columns made so far, and the table once built, are kept here, where a
-    renamed copy of the group shares them."""
+    element i, and `ids[searchsorted(keys, key)]` the id of a permutation.  Element
+    j > 0 was first reached as `parent[j]` times generator `gens[slot[j]]`, so the
+    column of any element but the identity and the generators is composed from the
+    generators' columns along that breadth-first tree, with no key formed.  The
+    columns made so far, and the table once built, are kept here, where a renamed
+    copy of the group shares them."""
 
-    __slots__ = ("perms", "keys", "ids", "gens", "columns", "table")
+    __slots__ = ("perms", "parent", "slot", "keys", "ids", "gens", "columns", "table")
 
-    def __init__(self, perms: np.ndarray) -> None:
+    def __init__(self, perms: np.ndarray, parent: np.ndarray, slot: np.ndarray) -> None:
         keys = _perm_keys(perms)
-        self.perms = perms
+        self.perms, self.parent, self.slot = perms, parent, slot
         self.ids = np.argsort(keys).astype(_id_dtype(perms.shape[0]))
         self.keys = keys[self.ids]
         self.gens: tuple[int, ...] = ()  # the ids of the generators the rows were closed from
@@ -260,11 +263,24 @@ class _Perms:
         return self.ids[pos]
 
     def column(self, side: str, s: int) -> np.ndarray:
-        """The ids of x*s ("right") or of s*x ("left") for every x, made once."""
+        """The ids of x*s ("right") or of s*x ("left") for every x, made once.  Along the
+        tree path s = g1 g2 ... gd, right(s) = right(gd)[... right(g1)] and
+        left(s) = left(g1)[... left(gd)]."""
         key = (side, int(s))
         if key not in self.columns:
-            p = self.perms
-            col = self.ids_of(p[:, p[s]] if side == "right" else p[s][p])
+            if s == 0 or s in self.gens:
+                p = self.perms
+                col = self.ids_of(p[:, p[s]] if side == "right" else p[s][p])
+            else:
+                path = []  # the columns of gd, ..., g1
+                while s:
+                    path.append(self.column(side, self.gens[self.slot[s]]))
+                    s = self.parent[s]
+                if side == "right":
+                    path.reverse()
+                col = path[0]
+                for step in path[1:]:
+                    col = step[col]
             col.setflags(write=False)
             self.columns[key] = col
         return self.columns[key]
@@ -657,8 +673,9 @@ class Series:
 # -- construction ----------------------------------------------------------
 
 
-def _perm_closure(gen_arrays: list[np.ndarray], degree: int, caps: Caps) -> np.ndarray:
-    """The group the permutations generate, one row per element, in breadth-first discovery order.
+def _perm_closure(gen_arrays: list[np.ndarray], degree: int, caps: Caps) -> _Perms:
+    """The group the permutations generate, one row per element, in breadth-first discovery order,
+    with the tree it was found along: the parent and generator slot of every element.
 
     Composition convention: (p * q)(x) = p(q(x)), so right-multiplying the
     permutation array p by generator q is p[q].  Layer by layer, the products
@@ -669,6 +686,7 @@ def _perm_closure(gen_arrays: list[np.ndarray], degree: int, caps: Caps) -> np.n
     gens = np.array(gen_arrays, dtype=np.intp).reshape(len(gen_arrays), degree)
     layer = np.arange(degree, dtype=np.uint8 if degree <= 256 else np.uint16)[None, :]
     found, keys = [layer], _perm_keys(layer)  # keys of every element so far, sorted
+    tree, start = [np.zeros(1, dtype=np.int64)], 0  # start: the id of the first element of `layer`
     while layer.size and gens.size:
         prods = layer[:, gens].reshape(-1, degree)  # [x * s for x in layer for s in gens]
         prod_keys = _perm_keys(prods)
@@ -677,10 +695,14 @@ def _perm_closure(gen_arrays: list[np.ndarray], degree: int, caps: Caps) -> np.n
         fresh = fresh[np.sort(np.unique(prod_keys[fresh], return_index=True)[1])]
         # the element-by-element search stopped at the first element past the cap
         caps.check("order", min(keys.size + fresh.size, caps.order + 1), "permutation closure")
+        tree.append(start * len(gens) + fresh)  # (parent id) * |gens| + generator slot
+        start += layer.shape[0]
         layer = prods[fresh]
         found.append(layer)
         keys = np.sort(np.concatenate([keys, prod_keys[fresh]]))
-    return np.concatenate(found)
+    perms = np.concatenate(found)
+    parent, slot = np.divmod(np.concatenate(tree), max(len(gens), 1))
+    return _Perms(perms, parent.astype(_id_dtype(len(perms))), slot.astype(np.min_scalar_type(len(gens))))
 
 
 def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
@@ -690,7 +712,7 @@ def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
     It is checked in O(n k): the key index is a bijection, element 0 is the
     identity, and the column of every generator permutes the ids.
     """
-    source = _Perms(_perm_closure(gen_arrays, degree, caps))
+    source = _perm_closure(gen_arrays, degree, caps)
     perms, keys = source.perms, source.keys
     if not (keys[1:] != keys[:-1]).all() or not np.array_equal(perms[0], np.arange(degree)):
         raise GroupLabError("the permutation index is not a bijection from the identity first")

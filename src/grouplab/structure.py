@@ -296,51 +296,56 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
     gens = _greedy_generators(g)
     orders = [g.element_order(x) for x in range(n)]
 
-    # one breadth-first tree per prefix <gens[:i+1]>, and its points, the domain of a partial map
-    trees = [_tree([g.right(s) for s in gens[: i + 1]]) for i in range(len(gens))]
-    domains = [np.array([0] + [j for j, _, _ in tree], dtype=np.intp) for tree in trees]
-    autos: list[np.ndarray] = []
+    # the breadth-first tree of each prefix <gens[:i+1]> grown from the points of <gens[:i]>:
+    # its new edges, and all its points, the domain of a partial map
+    trees, domains = [], [np.zeros(1, dtype=np.intp)]
+    for i in range(len(gens)):
+        trees.append(_tree([g.right(s) for s in gens[: i + 1]], domains[-1].tolist()))
+        domains.append(np.concatenate([domains[-1], [j for j, _, _ in trees[-1]]]))
+    autos: list[list[int]] = []
 
-    def build_partial(images: list[int], level: int) -> np.ndarray | None:
-        """Map on <gens[:level+1]> determined by the generator images, or None."""
+    def build_partial(images: list[int], level: int, walk: list[int]) -> list[int] | None:
+        """Map on <gens[:level+1]> determined by the generator images, extending the map `walk`
+        on <gens[:level]> (-1 elsewhere), or None."""
         cols = [g.right(b).tolist() for b in images]
-        walk = [-1] * n
-        walk[0] = 0
+        walk = walk.copy()
         for j, p, k in trees[level]:  # j = p * gens[k]
             walk[j] = cols[k][walk[p]]
         mapping = np.array(walk, dtype=np.int32)
         # f(xs) = f(x)f(s) on every edge makes f a homomorphism on the domain; need it injective
-        dom = domains[level]
+        dom = domains[level + 1]
         vals = mapping[dom]
         for s, b in zip(gens, images):
             if not np.array_equal(mapping[g.right(s)[dom]], g.right(b)[vals]):
                 return None
         if _distinct(vals, n).size != dom.size:
             return None
-        return mapping
+        return walk
 
-    def search(level: int, images: list[int], mapping: np.ndarray) -> None:
+    def search(level: int, images: list[int], walk: list[int]) -> None:
         if level == len(gens):
             caps.check("automorphism_count", len(autos) + 1)
-            autos.append(mapping)
+            autos.append(walk)
             return
         want = orders[gens[level]]
         for b in range(n):
             if orders[b] != want:
                 continue
             trial = images + [b]
-            extended = build_partial(trial, level)
+            extended = build_partial(trial, level, walk)
             if extended is not None:
                 search(level + 1, trial, extended)
 
-    search(0, [], np.arange(n, dtype=np.int32))
-    autos.sort(key=lambda m: tuple(int(v) for v in m))
-    homs = tuple(GroupHom(g, g, m, validate=False) for m in autos)
+    search(0, [], [0] + [-1] * (n - 1))
+    stack = np.array(sorted(autos), dtype=np.int32)
+    homs = tuple(GroupHom(g, g, m, validate=False) for m in stack)
 
+    # N is characteristic when every automorphism, a bijection, maps it into itself: one gather of its ids
     normals = tuple(enumerate_normal_subgroups(g, caps=caps))
     flags = []
     for sub in normals:
-        arr = np.array(sub.ids, dtype=np.int32)
-        flags.append(all(np.array_equal(_distinct(m[arr], n), arr) for m in autos))
+        inside = np.zeros(n, dtype=bool)
+        inside[list(sub.ids)] = True
+        flags.append(bool(inside[stack[:, list(sub.ids)]].all()))
     return AutomorphismReport(automorphisms=homs, normal_subgroups=normals,
                               characteristic=tuple(flags))

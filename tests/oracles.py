@@ -970,3 +970,40 @@ def field_tables_by_polymul(p: int, k: int, poly: tuple[int, ...]) -> tuple[np.n
             add[a, b] = add[b, a] = encode([(x + y) % p for x, y in zip(digs[a], digs[b])])
             mul[a, b] = mul[b, a] = encode(polymul(digs[a], digs[b]))
     return add, mul
+
+
+def filtered_power_tables_by_broadcast(spec) -> tuple[np.ndarray, np.ndarray]:
+    """The add and mul tables of `filtered_power(spec)`, each as one whole n x n int64 array
+    built atom by atom from n x n gathers of the field's values (atom 0 most significant)."""
+    ring = spec.algebra.ring
+    allowed = [spec.allowed_values(i) for i in range(ring.atom_count)]
+    radices = [len(vals) for vals in allowed]
+    size = int(np.prod(radices))
+    coords = np.zeros((size, ring.atom_count), dtype=np.int32)
+    rem = np.arange(size, dtype=np.int64)
+    for i in range(ring.atom_count - 1, -1, -1):
+        coords[:, i] = rem % radices[i]
+        rem //= radices[i]
+    value_of = [np.array(vals, dtype=np.int32) for vals in allowed]
+    index_of = []
+    for vals in allowed:
+        lookup = np.full(spec.field.size, -1, dtype=np.int32)
+        lookup[list(vals)] = np.arange(len(vals), dtype=np.int32)
+        index_of.append(lookup)
+
+    def combine(table: np.ndarray) -> np.ndarray:
+        out = np.zeros((size, size), dtype=np.int64)
+        for i in range(ring.atom_count):
+            vi = value_of[i][coords[:, i]]
+            res = table[vi[:, None], vi[None, :]]
+            out = out * radices[i] + index_of[i][res]
+        return out.astype(np.int32)
+
+    return combine(spec.field.add_table), combine(spec.field.mul_table)
+
+
+def column_by_key_search(source, side: str, s: int) -> np.ndarray:
+    """Column s of a group built from permutations, found by keys: the n products x*s ("right")
+    or s*x ("left") as permutations, each looked up in the sorted key index."""
+    p = source.perms
+    return source.ids_of(p[:, p[s]] if side == "right" else p[s][p])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from grouplab.boolpower import (
 )
 from grouplab.corpus import bundled_corpus
 from grouplab.errors import CapExceeded, ValidationError
-from oracles import atom_values_by_digits
+from oracles import atom_values_by_digits, filtered_power_tables_by_broadcast
 
 _S3 = bundled_corpus()["S3"]
 
@@ -207,6 +208,32 @@ def test_filtered_power_single_point_constraint():
     assert alg.size == 8
     decomp = mr_decompose(alg)
     assert sorted(f.field.size for f in decomp.factors) == [2, 4]
+
+
+@pytest.mark.parametrize("q, atoms, constraints", [
+    (4, 2, []), (4, 3, [([0, 2], [0, 1])]),
+    (8, 2, []), (8, 3, [([1], [0, 1])]),
+    (9, 2, []), (9, 3, [([0, 1], [0, 1, 2])]),
+])
+def test_filtered_power_tables_match_the_broadcast_oracle(q, atoms, constraints):
+    spec = filtered_power_spec(gf(q), build_boolean_ring(atoms), constraints)
+    alg = filtered_power(spec)
+    add, mul = filtered_power_tables_by_broadcast(spec)
+    assert alg.size == add.shape[0] and (alg.size < q**atoms) == bool(constraints)
+    assert np.array_equal(alg.add_table, add) and np.array_equal(alg.mul_table, mul)
+
+
+def test_filtered_power_fills_its_tables_in_bounded_blocks():
+    # GF(3) over 7 atoms: 2,187 elements, two int32 tables of 19.1 MB each; the whole-array
+    # oracle peaks near 128 MB
+    spec = filtered_power_spec(gf(3), build_boolean_ring(7), [])
+    tracemalloc.start()
+    try:
+        alg = filtered_power(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.size == 2187 and peak < 50 * 10**6
 
 
 def test_filtered_power_rejects_non_subfield():

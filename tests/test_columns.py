@@ -16,9 +16,10 @@ from conftest import _PERM_GROUPS, s6_tower_levels
 from grouplab.cli import _canonical_row
 from grouplab.config import DEFAULT_CAPS, Caps
 from grouplab.corpus import load_corpus
-from grouplab.errors import CapExceeded, ValidationError
+from grouplab.errors import CapExceeded, GroupLabError, ValidationError
 from grouplab.groups import (
     FiniteGroup,
+    _Perms,
     _class_labels,
     _closure_mask,
     _coset_reps,
@@ -30,6 +31,7 @@ from grouplab.groups import (
 from oracles import (
     class_labels_per_element,
     closure_mask_by_unique,
+    column_by_key_search,
     commuting_pair_count_blockwise,
     coset_reps_by_gather,
     perm_closure_by_dict,
@@ -64,6 +66,59 @@ def test_layered_closure_keeps_the_queue_order_ids_and_inverses(corpus, perm_gro
         degrees.append(pg.degree)
     assert {7, 37, 157, 300} <= set(degrees)  # int64 keys, byte keys, uint16 points
     assert wide._source.perms.dtype == np.uint16
+
+
+def test_closure_tree_rebuilds_every_permutation(corpus, perm_group):
+    """Element j > 0 is perms[parent[j]] times the generator in slot[j]: the queue's parent and
+    generator, so that every parent comes before its children."""
+    for g in _generator_groups(corpus, perm_group):
+        source, gens = g._source, np.array(g.perm_generators.perms, dtype=np.intp)
+        _, _, parents, genidx = perm_closure_by_dict(_gen_arrays(g), g.perm_generators.degree,
+                                                     Caps(order=10**5))
+        assert source.parent[1:].tolist() == parents[1:] and source.slot[1:].tolist() == genidx[1:]
+        if g.order > 1:
+            perms = source.perms
+            rebuilt = np.take_along_axis(perms[source.parent[1:]], gens[source.slot[1:]], axis=1)
+            assert np.array_equal(rebuilt, perms[1:]), g.name
+
+
+def _replaced(g: FiniteGroup, rng: np.random.Generator, steps: int = 4) -> FiniteGroup:
+    """The same group from generators changed by product replacement, g_i -> g_i g_j or g_j g_i
+    for some j != i, so that its breadth-first tree differs from that of its own generators."""
+    gens = _gen_arrays(g)
+    for _ in range(steps):
+        i, j = rng.choice(len(gens), size=2, replace=False)
+        gens[i] = gens[i][gens[j]] if rng.integers(2) else gens[j][gens[i]]
+    return build_group(generators=[p.tolist() for p in gens], degree=g.perm_generators.degree,
+                       name=f"{g.name}'")
+
+
+def _no_key_search(self, rows):
+    raise GroupLabError("a key search")
+
+
+def test_tree_columns_match_the_key_search(perm_group, monkeypatch):
+    """Every column but those of the identity and the generators is composed along the closure's
+    tree, with no key formed, and equals the one a key search finds: for the named groups, for
+    the same groups from product-replaced generators, and for the S6 tower levels, two of them
+    of degree above `_KEY_DEGREE` (byte keys).  Every element up to order 720, every 7th above."""
+    rng = np.random.default_rng(23)
+    named = [perm_group(name) for name in _PERM_GROUPS]
+    replaced = [_replaced(g, rng) for g in named]
+    assert [h.order for h in replaced] == [g.order for g in named]
+    for g in [*named, *replaced, *s6_tower_levels(perm_group("S6"))]:
+        source = g._source
+        for side in ("right", "left"):
+            for s in (0, *source.gens):
+                source.column(side, s)
+        with monkeypatch.context() as patched:
+            patched.setattr(_Perms, "ids_of", _no_key_search)
+            every = range(g.order) if g.order <= 720 else range(0, g.order, 7)
+            cols = {(side, s): source.column(side, s) for s in every for side in ("right", "left")}
+        assert len(source.columns) <= len(cols) + 2 * (len(source.gens) + 1)
+        for (side, s), col in cols.items():
+            assert np.array_equal(col, column_by_key_search(source, side, s)), (g.name, side, s)
+            assert col.dtype == g.inverse.dtype and not col.flags.writeable
 
 
 def _table_path(g: FiniteGroup) -> FiniteGroup:

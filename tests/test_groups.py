@@ -630,6 +630,12 @@ def test_tree_reaches_each_point_once_from_an_earlier_parent(corpus, perm_group)
         # a queue takes parents in the order it reached them, and each one's maps in turn
         order = [(position[p], k) for _, p, k in edges]
         assert order == sorted(order)
+        # grown from the points the first map reaches: each other point once, from one before it
+        first = [0] + [j for j, _, _ in groups._tree(maps[:1])]
+        grown = groups._tree(maps, first)
+        points = [j for j, _, _ in grown]
+        assert len(set(points)) == len(points) and set(points) == _reached(maps) - set(first)
+        assert all(p in first or p in points[:i] for i, (_, p, _) in enumerate(grown))
     assert groups._tree([]) == []
 
 

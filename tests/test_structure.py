@@ -492,9 +492,15 @@ def test_automorphisms_pass_all_pairs_oracle(corpus):
     for name, g in list(corpus) + products:
         if g.order > Caps().automorphism_order:
             continue
-        for a in automorphism_group(g).automorphisms:
+        report = automorphism_group(g)
+        for a in report.automorphisms:
             assert is_automorphism_all_pairs(g, a.mapping), name
             checked += 1
+        maps = [a.mapping.tolist() for a in report.automorphisms]
+        assert maps == sorted(maps), name
+        # characteristic: every automorphism maps the subgroup onto itself, one map at a time
+        assert report.characteristic == tuple(
+            all({m[x] for x in sub.ids} == set(sub.ids) for m in maps) for sub in report.normal_subgroups), name
     assert checked > 120  # Aut(A5) alone has 120
 
 
