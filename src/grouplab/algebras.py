@@ -1,11 +1,12 @@
-"""Explicit finite fields and small commutative rings, stored as tables.
+"""Explicit finite fields and small commutative rings.
 
 Bundled fields: GF(p) for any prime p, plus GF(4), GF(8) and GF(9) via
 fixed irreducible polynomials.  Elements of GF(p^k) are polynomial
 coefficient vectors encoded base p (little-endian), so 0 is the zero
 element, 1 is the one, and the prime subfield is always {0, .., p-1}.
-Fields, Z/n and module rings all get their tables from structure
-constants, through `_from_structure`.
+Fields, Z/n and module rings are all built from structure constants,
+through `_from_structure`, and answer from coordinates; their whole tables
+are filled only on request.
 """
 
 from __future__ import annotations
@@ -34,7 +35,18 @@ __all__ = [
 
 
 class FiniteCommutativeAlgebra:
-    """A commutative ring with 1 given by full addition and multiplication tables."""
+    """A commutative ring with 1, given by full addition and multiplication tables, or, through
+    `_from_structure`, by structure constants over Z/char on the ids of its coordinates.
+
+    The second kind answers from coordinates and fills `add_table` / `mul_table` only when a
+    consumer reads them whole; either kind keeps its tables read-only once it has them.
+    """
+
+    # the tables, given or filled on first read
+    _add: np.ndarray | None = None
+    _mul: np.ndarray | None = None
+    # structure[i, j, k]: the coordinate k of e_i e_j, for an algebra built from structure constants
+    _structure: np.ndarray | None = None
 
     def __init__(
         self,
@@ -72,8 +84,7 @@ class FiniteCommutativeAlgebra:
         self._axioms_on_generators(add, mul)
         add.setflags(write=False)
         mul.setflags(write=False)
-        self.add_table = add
-        self.mul_table = mul
+        self._add, self._mul = add, mul
 
     @staticmethod
     def _axioms_on_generators(add: np.ndarray, mul: np.ndarray) -> None:
@@ -99,28 +110,76 @@ class FiniteCommutativeAlgebra:
                 if not np.array_equal(mul[mul[:, s], t], mul[:, mul[s, t]]):  # (as)t, a(st)
                     raise ValidationError("multiplication is not associative")
 
+    @property
+    def add_table(self) -> np.ndarray:
+        """The whole addition table: `add_table[a, b]` is the id of a + b."""
+        if self._add is None:
+            self._add = self._whole("add")
+        return self._add
+
+    @property
+    def mul_table(self) -> np.ndarray:
+        """The whole multiplication table: `mul_table[a, b]` is the id of a * b."""
+        if self._mul is None:
+            self._mul = self._whole("mul")
+        return self._mul
+
+    def _whole(self, op: str) -> np.ndarray:
+        ids = np.arange(self.size)
+        table = self._grid(op, ids, ids)
+        table.setflags(write=False)
+        return table
+
+    def _grid(self, op: str, a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The int32 ids of x + y (`op` "add") or x * y ("mul") for x in `a` (rows) and y in `b`
+        (columns): read from the table once there is one, else from coordinates, one block of
+        `_block_rows(len(b) * d)` rows at a time."""
+        a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+        table = self._add if op == "add" else self._mul
+        if table is not None:
+            return table[np.ix_(a, b)]
+        m, d = self.char, self._structure.shape[0]
+        cb = _coords(b, m, d)
+        out = np.empty((a.size, b.size), dtype=np.int32)
+        rows = _block_rows(max(b.size * d, 1))
+        for r in range(0, a.size, rows):
+            ca = _coords(a[r:r + rows], m, d)
+            if op == "add":
+                out[r:r + rows] = _coords_id(ca[:, None] + cb, m)
+            else:
+                out[r:r + rows] = _coords_id(cb @ np.tensordot(ca, self._structure, 1), m)
+        return out
+
     def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
+        return int(self._grid("add", [a], [b])[0, 0])
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
+        return int(self._grid("mul", [a], [b])[0, 0])
 
     def neg(self, a: int) -> int:
-        return int(np.flatnonzero(self.add_table[a] == 0)[0])
+        if self._add is None:
+            return int(_coords_id(-_coords(a, self.char, self._structure.shape[0]), self.char))
+        return int(np.flatnonzero(self._add[a] == 0)[0])
+
+    def squares(self) -> np.ndarray:
+        """The id of x * x for every element x."""
+        if self._mul is None:
+            return _squares(self._structure, self.char)
+        return np.diagonal(self._mul)
 
     def elements(self) -> range:
         return range(self.size)
 
     def idempotents(self) -> list[int]:
-        ids = np.arange(self.size, dtype=np.int32)
-        diag = self.mul_table[ids, ids]
-        return np.flatnonzero(diag == ids).tolist()
+        return np.flatnonzero(self.squares() == np.arange(self.size)).tolist()
 
     def is_field(self) -> bool:
+        """Whether no product of two nonzero elements is zero, read a bounded block of rows at a time."""
         if self.size < 2:
             return False
         nz = np.arange(1, self.size)
-        return bool((self.mul_table[np.ix_(nz, nz)] != 0).all())
+        rows = _block_rows(nz.size)
+        return all(self._grid("mul", nz[r:r + rows], nz).all() for r in range(0, nz.size, rows))
 
     def __repr__(self) -> str:
         return f"FiniteCommutativeAlgebra({self.name!r}, size={self.size})"
@@ -142,20 +201,43 @@ def _coords_id(coords: np.ndarray | Sequence[int], m: int) -> np.ndarray:
     return coords @ _place_values(m, coords.shape[-1])
 
 
-def _from_structure(structure: np.ndarray, m: int, one_id: int, name: str) -> FiniteCommutativeAlgebra:
-    """The algebra over Z/m with e_i e_j = sum_k structure[i, j, k] e_k, on the ids of
-    its coordinates; the tables are filled one bounded block of rows at a time."""
+def _squares(structure: np.ndarray, m: int) -> np.ndarray:
+    """The id of x * x for every id x of the ring over Z/m with e_i e_j = sum_k structure[i, j, k] e_k,
+    which need not be commutative, one block of `_block_rows(d * d)` ids at a time."""
     d = structure.shape[0]
     size = m**d
-    coords = _coords(np.arange(size), m, d)
-    add = np.empty((size, size), dtype=np.int32)
-    mul = np.empty((size, size), dtype=np.int32)
-    rows = _block_rows(size * d)  # a block's products stay near `_CHECK_BLOCK` cells
-    for a in range(0, size, rows):
-        block = coords[a:a + rows]
-        add[a:a + rows] = _coords_id(block[:, None] + coords, m)
-        mul[a:a + rows] = _coords_id(coords @ np.tensordot(block, structure, 1), m)
-    return FiniteCommutativeAlgebra(add, mul, char=m, one_id=one_id, name=name)
+    out = np.empty(size, dtype=np.int64)
+    rows = _block_rows(d * d)
+    for r in range(0, size, rows):
+        c = _coords(np.arange(r, min(r + rows, size)), m, d)
+        out[r:r + rows] = _coords_id((c[:, None] @ np.tensordot(c, structure, 1))[:, 0], m)
+    return out
+
+
+def _from_structure(structure: np.ndarray, m: int, one_id: int, name: str) -> FiniteCommutativeAlgebra:
+    """The algebra over Z/m with e_i e_j = sum_k structure[i, j, k] e_k, on the ids of its
+    coordinates, kept as its structure constants.
+
+    Its axioms are checked on the basis, with the messages of the table checks, which is exact
+    because the product is bilinear: commutativity as structure[i, j] = structure[j, i],
+    associativity as (e_i e_j) e_l = e_i (e_j e_l) for every basis triple, and the one as
+    one e_j = e_j for every j.  Distributivity, the additive group and the characteristic m
+    hold by construction.
+    """
+    t = np.asarray(structure, dtype=np.int64) % m
+    d = t.shape[0]
+    if not np.array_equal(t, t.swapaxes(0, 1)):
+        raise ValidationError("algebra is not commutative")
+    if not (0 <= one_id < m**d and np.array_equal(np.tensordot(_coords(one_id, m, d), t, 1) % m, np.eye(d))):
+        raise ValidationError("designated one is not a multiplicative identity")
+    # (e_i e_j) e_l as [i, j, l, coordinate]; e_i (e_j e_l) = (e_j e_l) e_i, since the product commutes
+    triples = np.tensordot(t, t, 1) % m
+    if not np.array_equal(triples, np.moveaxis(triples, 2, 0)):
+        raise ValidationError("multiplication is not associative")
+    algebra = FiniteCommutativeAlgebra.__new__(FiniteCommutativeAlgebra)
+    algebra.size, algebra.char, algebra.one, algebra.zero = m**d, m, int(one_id), 0
+    algebra.name, algebra._structure = name, t
+    return algebra
 
 
 # Irreducible polynomials for the bundled prime-power fields, little-endian
@@ -250,33 +332,35 @@ def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -
     """
     n = ring.size
     caps.check("materialized_order", n)
-    witness = find_nilpotent(np.diagonal(ring.mul_table))
+    witness = find_nilpotent(ring.squares())
     if witness is not None:
         raise NilpotentElementError(witness, f"ring {ring.name}")
-    idem = [e for e in ring.idempotents() if e != 0]
-    primitive = []
-    for e in idem:
-        if not any(f != e and ring.mul(f, e) == f for f in idem):
-            primitive.append(e)
-    primitive.sort()
+    idem = np.array([e for e in ring.idempotents() if e != 0], dtype=np.intp)
+    below = np.zeros(idem.size, dtype=bool)  # e with f * e = f for an idempotent f != e
+    rows = _block_rows(max(idem.size, 1))
+    for r in range(0, idem.size, rows):
+        f = idem[r:r + rows, None]
+        below |= ((ring._grid("mul", f.ravel(), idem) == f) & (f != idem)).any(axis=0)
+    primitive = idem[~below]
+    products = ring._grid("mul", primitive, primitive)
+    if products[~np.eye(primitive.size, dtype=bool)].any():
+        raise GroupLabError("primitive idempotents are not orthogonal")
     total = 0
-    for i, e in enumerate(primitive):
+    for e in primitive.tolist():
         total = ring.add(total, e)
-        for f in primitive[i + 1:]:
-            if ring.mul(e, f) != 0:
-                raise GroupLabError("primitive idempotents are not orthogonal")
     if total != ring.one:
         raise GroupLabError("primitive idempotents do not sum to one")
 
     factors = []
     projections = []  # per factor, the local id of e*x for every x
-    for e in primitive:
-        member_ids = _distinct(ring.mul_table[e], n)
+    for e in primitive.tolist():
+        row = ring._grid("mul", [e], np.arange(n))[0]  # e*x for every x
+        member_ids = _distinct(row, n)
         local = np.full(n, -1, dtype=np.int32)
         local[member_ids] = np.arange(member_ids.size)
-        block = np.ix_(member_ids, member_ids)
         field = FiniteCommutativeAlgebra(
-            local[ring.add_table[block]], local[ring.mul_table[block]],
+            local[ring._grid("add", member_ids, member_ids)],
+            local[ring._grid("mul", member_ids, member_ids)],
             char=ring.char if is_prime(ring.char) else _additive_order(ring, e),
             one_id=int(local[e]), name=f"{ring.name}.e{e}",
         )
@@ -284,7 +368,7 @@ def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -
             raise GroupLabError("a factor of a nilpotent-free ring is not a field")
         factors.append(AlgebraFactor(idempotent=e, element_ids=tuple(member_ids.tolist()),
                                      field=field))
-        projections.append(local[ring.mul_table[e]])
+        projections.append(local[row])
 
     components = tuple(map(tuple, np.array(projections).reshape(len(factors), n).T.tolist()))
     if len(set(components)) != n:

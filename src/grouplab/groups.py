@@ -89,6 +89,9 @@ def _greedy_generators(g: FiniteGroup, ids: Sequence[int] | None = None) -> list
     while not covered[want].all():
         gens.append(int(want[np.argmin(covered[want])]))
         covered = _closure_mask(g, gens, np.flatnonzero(covered))
+        if not covered[gens[-1]]:  # 0 * s = s, unless the columns are wrong
+            raise GroupLabError(f"{g.name}: generator {gens[-1]} is not in the closure it generates; "
+                                "wrong columns")
     if ids is None:
         g._gens = tuple(gens)
     return gens

@@ -10,14 +10,14 @@ returned instead of a ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .algebras import FiniteCommutativeAlgebra, _coords, _coords_id, _from_structure, find_nilpotent
+from .algebras import FiniteCommutativeAlgebra, _coords, _coords_id, _from_structure, _squares, find_nilpotent
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError, integers
-from .groups import FiniteGroup, _greedy_generators, _tree
+from .groups import FiniteGroup, _block_rows, _greedy_generators, _tree
 from .linalg import inv_gfp, is_prime, nullspace_gfp, rref_gfp
 
 __all__ = [
@@ -243,6 +243,10 @@ class ModuleRing:
         """Coordinates of a * b for the coordinates `ca` of a and each row of `coords`."""
         return (coords @ np.tensordot(ca, self._structure, 1)) % self.p
 
+    def squares(self) -> np.ndarray:
+        """The id of x * x for every element x."""
+        return _squares(self._structure, self.p)
+
     def is_commutative(self) -> bool:
         s = self._structure
         return bool(np.array_equal(s, np.swapaxes(s, 0, 1)))
@@ -267,8 +271,8 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     """Quotient the group algebra by the annihilator of v, if two-sided.
 
     The annihilator is always a right ideal; the left check is exhaustive
-    over a kernel basis, each row shifted by every multiplier at once through
-    the columns of its support.  On failure the first offending (kernel
+    over a kernel basis, a block of rows shifted by every multiplier at once
+    (`_shifts`).  On failure the first offending (kernel
     element, multiplier) pair becomes the witness.  On success the product is
     verified against the translate formula v^h * v^k = v^(hk) for every
     basis translate v^h and every translate v^k, which is exact: both sides
@@ -284,23 +288,24 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     bound = _shortest_sums(translate_rows, p, vt).bound
     group = action.group
     kernel = nullspace_gfp(translate_rows.T, p)  # rows c with c @ translate_rows == 0
-    for row in kernel:
-        # row h of `values` is h * (sum c_g g), which has coefficient c_g at h*g, applied to v
-        values = _shifted(row, translate_rows, group.right, p)
-        hits = np.flatnonzero(values.any(axis=1))
+    pivots = list(span.basis_elements)  # the pivot columns of the same reduction
+    for k, values in _shifts(kernel, pivots, translate_rows, group.right, p):
+        nonzero = values.any(axis=2)  # [row of the block, h]
+        hits = np.flatnonzero(nonzero.any(axis=1))
         if hits.size:
-            h = int(hits[0])
+            i = int(hits[0])
+            h = int(np.argmax(nonzero[i]))
             return RingConstruction(
                 well_defined=False, ring=None,
                 witness=IllDefinedWitness(
-                    annihilator_coeffs=tuple(int(x) for x in row),
+                    annihilator_coeffs=tuple(int(x) for x in kernel[k + i]),
                     multiplier=h,
-                    product_value=tuple(int(x) for x in values[h]),
+                    product_value=tuple(int(x) for x in values[i, h]),
                 ),
                 translate_bound=bound,
             )
     # the right check is automatic; assert it on the first basis row anyway
-    if len(kernel) and _shifted(kernel[0], translate_rows, group.left, p).any():
+    if len(kernel) and next(_shifts(kernel[:1], pivots, translate_rows, group.left, p))[1].any():
         raise GroupLabError("annihilator is not a right ideal; action tables broken")
 
     ring = _translate_ring(action, vt, span)
@@ -308,10 +313,26 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     return RingConstruction(well_defined=True, ring=ring, witness=None, translate_bound=bound)
 
 
-def _shifted(row: np.ndarray, translate_rows: np.ndarray, column, p: int) -> np.ndarray:
-    """The image of v under h * (sum c_x x) for `column` = right, or under (sum c_x x) * h for left,
-    as row h: the sum over the support of the coefficients `row` of c_x * translate_rows[column(x)]."""
-    return sum(int(row[x]) * translate_rows[column(x)] for x in np.flatnonzero(row).tolist()) % p
+def _shifts(kernel: np.ndarray, pivots: list[int], translate_rows: np.ndarray, column,
+            p: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The image of v under h * c for `column` = right, or under c * h for left, for every row c of
+    the kernel and every h, as [row, h, coordinate]: a block of `_block_rows(n * d)` rows at a time,
+    with the index of its first row.
+
+    Row k of the kernel, in reduced row echelon form, is 1 at the k-th column outside `pivots` and
+    its coefficients at the pivots, so its image is the translates gathered at that column plus
+    the pivot coefficients times the d translates gathered at the pivots.
+    """
+    n, d = translate_rows.shape
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    at_pivots = np.stack([translate_rows[column(x)] for x in pivots])  # [pivot, h, coordinate]
+    rows = _block_rows(n * d)
+    for k in range(0, len(kernel), rows):
+        block = kernel[k:k + rows]
+        gathered = translate_rows[np.stack([column(x) for x in free[k:k + len(block)].tolist()])]
+        yield k, (gathered + np.tensordot(block[:, pivots], at_pivots, 1)) % p
 
 
 def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) -> ModuleRing:
@@ -338,12 +359,7 @@ def nilpotent_free_check(ring: ModuleRing | FiniteCommutativeAlgebra,
                          *, caps: Caps = DEFAULT_CAPS) -> tuple[bool, int | None]:
     """Exhaustive nilpotence scan over the squaring map; returns (ok, witness id)."""
     caps.check("materialized_order", ring.size)
-    if isinstance(ring, FiniteCommutativeAlgebra):
-        square = np.diagonal(ring.mul_table)
-    else:
-        coords = ring.coords(np.arange(ring.size))
-        square = _coords_id(np.einsum("ni,nj,ijk->nk", coords, coords, ring._structure), ring.p)
-    witness = find_nilpotent(square)
+    witness = find_nilpotent(ring.squares())
     return witness is None, witness
 
 

@@ -1007,3 +1007,48 @@ def column_by_key_search(source, side: str, s: int) -> np.ndarray:
     or s*x ("left") as permutations, each looked up in the sorted key index."""
     p = source.perms
     return source.ids_of(p[:, p[s]] if side == "right" else p[s][p])
+
+
+def algebra_tables_by_blocks(structure: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 add and mul tables of the algebra over Z/m with e_i e_j = sum_k structure[i, j, k] e_k,
+    on the little-endian ids of its coordinates, both filled together a block of rows at a time."""
+    from grouplab.algebras import _coords, _coords_id
+    from grouplab.groups import _block_rows
+
+    d = structure.shape[0]
+    size = m**d
+    coords = _coords(np.arange(size), m, d)
+    add = np.empty((size, size), dtype=np.int32)
+    mul = np.empty((size, size), dtype=np.int32)
+    rows = _block_rows(size * d)
+    for a in range(0, size, rows):
+        block = coords[a:a + rows]
+        add[a:a + rows] = _coords_id(block[:, None] + coords, m)
+        mul[a:a + rows] = _coords_id(coords @ np.tensordot(block, structure, 1), m)
+    return add, mul
+
+
+def ring_construct_per_row(action, v: Sequence[int]) -> tuple[bool, tuple | None, int]:
+    """(well defined, witness as (annihilator coefficients, multiplier, product value) or None,
+    translate bound), shifting one kernel row at a time through the columns of its support;
+    the right-ideal property is asserted on the first kernel row the same way."""
+    from grouplab.modring import translate_decomposition
+
+    p, group = action.prime, action.group
+    vt = tuple(int(x) % p for x in v)
+    rows = np.array([action.translate(vt, h) for h in range(group.order)], dtype=np.int64)
+    bound = translate_decomposition(action, vt, vt).bound
+
+    def shifted(row, column):
+        return sum(int(row[x]) * rows[column(x)] for x in np.flatnonzero(row).tolist()) % p
+
+    kernel = nullspace_gfp(rows.T, p)
+    for row in kernel:
+        values = shifted(row, group.right)
+        hits = np.flatnonzero(values.any(axis=1))
+        if hits.size:
+            h = int(hits[0])
+            return False, (tuple(int(x) for x in row), h, tuple(int(x) for x in values[h])), bound
+    if len(kernel) and shifted(kernel[0], group.left).any():
+        raise GroupLabError("annihilator is not a right ideal")
+    return True, None, bound

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from grouplab.algebras import (
     FiniteCommutativeAlgebra,
+    _from_structure,
     field_by_name,
     find_nilpotent,
     gf,
@@ -13,7 +14,8 @@ from grouplab.algebras import (
     zmod,
 )
 from grouplab.errors import NilpotentElementError, ValidationError
-from oracles import algebra_axioms_exhaustive, field_tables_by_polymul
+from grouplab.modring import nilpotent_free_check
+from oracles import algebra_axioms_exhaustive, algebra_tables_by_blocks, field_tables_by_polymul
 
 
 @pytest.mark.parametrize("q,p", [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)])
@@ -142,6 +144,82 @@ def test_axioms_on_generators_accept_every_algebra_of_the_suite(corpus):
         add, mul = np.array(alg.add_table), np.array(alg.mul_table)
         assert _verdict(algebra_axioms_exhaustive, add, mul) is None, alg.name
         assert _verdict(FiniteCommutativeAlgebra._axioms_on_generators, add, mul) is None, alg.name
+
+
+def _structure_algebras(corpus) -> list:
+    """The algebras of the suite built from structure constants, with no table built yet."""
+    algebras = [alg for alg in _suite_algebras(corpus) if alg._structure is not None]
+    assert all(alg._add is None and alg._mul is None for alg in algebras)
+    return algebras
+
+
+def test_lazy_tables_match_the_block_fill_oracle(corpus):
+    algebras = _structure_algebras(corpus)
+    assert {a.size for a in algebras} >= {2, 16, 81}
+    for alg in algebras:
+        add, mul = algebra_tables_by_blocks(alg._structure, alg.char)
+        assert alg.add_table.dtype == alg.mul_table.dtype == np.int32, alg.name
+        assert np.array_equal(alg.add_table, add) and np.array_equal(alg.mul_table, mul), alg.name
+        assert alg.add_table is alg.add_table and not alg.mul_table.flags.writeable  # kept, read-only
+        FiniteCommutativeAlgebra(alg.add_table, alg.mul_table, char=alg.char, one_id=alg.one)
+
+
+def _decomposition(alg) -> tuple:
+    """Everything `mr_decompose`, `nilpotent_free_check` and the idempotents report of an algebra."""
+    try:
+        decomp = mr_decompose(alg)
+    except NilpotentElementError as exc:
+        found = ("nilpotent", exc.witness)
+    else:
+        found = (tuple((f.idempotent, f.element_ids, f.field.char, f.field.one,
+                        f.field.add_table.tolist(), f.field.mul_table.tolist()) for f in decomp.factors),
+                 decomp.component_ids)
+    return found, nilpotent_free_check(alg), alg.idempotents(), alg.squares().tolist()
+
+
+def test_structure_algebras_decompose_as_their_tables_do(corpus):
+    decomposed = 0
+    for alg in _structure_algebras(corpus):
+        got = _decomposition(alg)
+        assert alg._add is None and alg._mul is None, alg.name  # answered from coordinates
+        tables = FiniteCommutativeAlgebra(alg.add_table, alg.mul_table, char=alg.char, one_id=alg.one,
+                                          name=alg.name)
+        assert got == _decomposition(tables), alg.name
+        assert [alg.neg(x) for x in alg.elements()] == [tables.neg(x) for x in tables.elements()]
+        assert alg.is_field() == tables.is_field()
+        decomposed += got[0][0] != "nilpotent"
+    assert decomposed >= 10
+
+
+def _basis_structure(products: dict[tuple[int, int], tuple[int, ...]], dim: int) -> np.ndarray:
+    """Structure constants over GF(2) on the basis 1 = e_0, e_1, ..., e_(dim-1): e_i e_j is the sum
+    of the e_b for b in products[i, j], and e_0 is the one; products[j, i] defaults to products[i, j]."""
+    t = np.zeros((dim, dim, dim), dtype=np.int64)
+    t[0], t[:, 0] = np.eye(dim, dtype=np.int64), np.eye(dim, dtype=np.int64)
+    for i in range(1, dim):
+        for j in range(1, dim):
+            t[i, j, list(products.get((i, j), products.get((j, i), ())))] = 1
+    return t
+
+
+def _structure_mutants():
+    """(structure, m, one id, the table path's message), each failing one axiom."""
+    yield _basis_structure({(1, 2): (0,), (2, 1): ()}, 3), 2, 1, "algebra is not commutative"
+    yield _basis_structure({(1, 1): (2,), (1, 2): (0,)}, 3), 2, 1, "multiplication is not associative"
+    yield gf(4)._structure, 2, 2, "designated one is not a multiplicative identity"  # x is no one
+    yield np.ones((1, 1, 1), dtype=np.int64), 6, 5, "designated one is not a multiplicative identity"
+
+
+def test_structure_mutants_fail_with_the_table_message():
+    for structure, m, one, message in _structure_mutants():
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            _from_structure(structure, m, one, "mutant")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FiniteCommutativeAlgebra(*algebra_tables_by_blocks(structure, m), char=m, one_id=one)
+    # the non-associative mutant is `_vector_algebra`'s e^2 = f, ef = 1, f^2 = 0, on the same ids
+    add, mul = algebra_tables_by_blocks(_basis_structure({(1, 1): (2,), (1, 2): (0,)}, 3), 2)
+    want_add, want_mul = _vector_algebra({(1, 1): (2,), (1, 2): (0,), (2, 2): ()}, 3)
+    assert np.array_equal(add, want_add) and np.array_equal(mul, want_mul)
 
 
 def _vector_algebra(products: dict[tuple[int, int], tuple[int, ...]], dim: int):

@@ -7,7 +7,12 @@ ids, inverses, closures, class labels, coset representatives and pair counts.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,3 +198,33 @@ def test_layered_closure_raises_at_the_cap_with_the_queue_text():
         assert str(layered.value) == str(queued.value) == \
             f"cap 'order' exceeded: {k + 1} > {k} (permutation closure)"
     assert build_group(generators=gens, degree=4, caps=Caps(order=24)).order == 24
+
+
+_WRONG_COLUMNS = textwrap.dedent("""
+    import numpy as np
+    from conftest import _PERM_GROUPS
+    from grouplab.errors import GroupLabError
+    from grouplab.groups import _greedy_generators, build_group
+
+    class Fixed:  # every column is the identity's, so no element covers itself
+        def column(self, side, s):
+            return np.arange(720)
+
+    degree, gens = _PERM_GROUPS["S6"]
+    g = build_group(generators=gens, degree=degree, name="S6")
+    g._source, g._gens = Fixed(), None
+    try:
+        _greedy_generators(g)
+    except GroupLabError as exc:
+        print(exc)
+""")
+
+
+def test_greedy_generators_fail_on_wrong_columns_instead_of_hanging():
+    # in a child with a timeout: a search that loops for ever fails the test instead of hanging it
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    out = subprocess.run([sys.executable, "-c", _WRONG_COLUMNS], env=env, capture_output=True, text=True,
+                         timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "S6: generator 1 is not in the closure it generates; wrong columns\n"

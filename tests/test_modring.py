@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from grouplab.algebras import gf, mr_decompose, zmod
-from grouplab.cli import _bundled_actions
+from grouplab.algebras import FiniteCommutativeAlgebra, gf, mr_decompose, zmod
+from grouplab.cli import _bundled_actions, main
 from grouplab.config import DEFAULT_CAPS
 from grouplab.errors import GroupLabError, ValidationError
-from grouplab.groups import build_group, direct_power
+from grouplab.groups import build_group, direct_power, direct_product
 from grouplab.modring import (
     _translate_ring,
     _verify_translate_products,
@@ -23,6 +25,7 @@ from oracles import (
     ideal_witness_by_scatter,
     nilpotent_scan_by_repeated_products,
     orbit_span_by_rank,
+    ring_construct_per_row,
     ring_tables_pairwise,
     translate_decompositions_by_search,
     translate_formula_agrees,
@@ -177,6 +180,49 @@ def test_ring_construct_witness_matches_scatter_oracle(corpus):
             assert (w.annihilator_coeffs, w.multiplier, w.product_value) == expected
             ill += 1
     assert ill >= 2
+
+
+def _late_witness_action(corpus):
+    """S3 x Z2^7 acting through S3 by its sum-zero module over GF(5), and v = (1, 0): the first 127
+    kernel rows are x - 1 for x in 1 x Z2^7, which act as 1, so the witness lies past the first block."""
+    g = direct_product(corpus["S3"], direct_power(corpus["Z2"], 7))
+    std = sum_zero_action(corpus["S3"], 5).matrices
+    mats = {**{s * 128: std[s] for s in range(6)}, **{1 << i: np.eye(2, dtype=int) for i in range(7)}}
+    return action_from_matrices(g, 5, 2, mats), (1, 0)
+
+
+def test_ring_construct_matches_the_per_row_oracle(corpus, perm_group):
+    late = _late_witness_action(corpus)
+    cases = list(_bundled_actions(corpus, DEFAULT_CAPS).values())
+    cases += [(ring.action, ring.v) for ring in _module_rings(corpus).values()]
+    sign = action_from_matrices(direct_power(corpus["Z2"], 9), 3, 1, {1 << i: [[2]] for i in range(9)})
+    cases += [(sign, (1,)), (sum_zero_action(corpus["S4"], 5), (1, 0, 0)), late,
+              (permutation_module_action(perm_group("S6"), 2), (1, 0, 0, 0, 0, 0))]
+    for action, v in cases:
+        built = ring_construct(action, v)
+        w = built.witness
+        witness = w and (w.annihilator_coeffs, w.multiplier, w.product_value)
+        assert (built.well_defined, witness, built.translate_bound) == ring_construct_per_row(action, v), v
+    # that witness's kernel row is 1 at a free column past the 127 of 1 x Z2^7
+    assert not any(ring_construct(*late).witness.annihilator_coeffs[1:128])
+
+
+def test_ring_from_module_reads_no_whole_table(corpus, tmp_path, monkeypatch):
+    action = action_from_matrices(corpus["Z4"], 5, 4, {1: _shift(4)})
+    alg = ring_construct(action, (1, 0, 0, 0)).ring.to_algebra()
+    assert [f.field.size for f in mr_decompose(alg).factors] == [5, 5, 5, 5]
+    assert alg._add is None and alg._mul is None
+
+    def whole(self):
+        raise AssertionError(f"{self.name}: a whole table was read")
+
+    monkeypatch.setattr(FiniteCommutativeAlgebra, "add_table", property(whole))
+    monkeypatch.setattr(FiniteCommutativeAlgebra, "mul_table", property(whole))
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps({"group": "Z4", "p": 5, "dim": 4, "matrices": {"1": _shift(4)}}))
+    assert main(["ring-from-module", "--action-file", str(path), "--out", str(tmp_path / "out")]) == 0
+    row, = json.loads((tmp_path / "out").read_text())["items"]
+    assert row["mr_factor_sizes"] == "5,5,5,5"
 
 
 def test_ring_construct_noncommutative_group_algebra(corpus):
