@@ -4,9 +4,9 @@ Bundled fields: GF(p) for any prime p, plus GF(4), GF(8) and GF(9) via
 fixed irreducible polynomials.  Elements of GF(p^k) are polynomial
 coefficient vectors encoded base p (little-endian), so 0 is the zero
 element, 1 is the one, and the prime subfield is always {0, .., p-1}.
-Fields, Z/n and module rings are all built from structure constants,
-through `_from_structure`, and answer from coordinates; their whole tables
-are filled only on request.
+Fields, Z/n, filtered Boolean powers and module rings are all built from
+structure constants, through `_from_structure`, and answer from coordinates
+through `_structure_grid`; their whole tables are filled only on request.
 """
 
 from __future__ import annotations
@@ -132,23 +132,11 @@ class FiniteCommutativeAlgebra:
 
     def _grid(self, op: str, a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
         """The int32 ids of x + y (`op` "add") or x * y ("mul") for x in `a` (rows) and y in `b`
-        (columns): read from the table once there is one, else from coordinates, one block of
-        `_block_rows(len(b) * d)` rows at a time."""
-        a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+        (columns): read from the table once there is one, else from coordinates."""
         table = self._add if op == "add" else self._mul
         if table is not None:
-            return table[np.ix_(a, b)]
-        m, d = self.char, self._structure.shape[0]
-        cb = _coords(b, m, d)
-        out = np.empty((a.size, b.size), dtype=np.int32)
-        rows = _block_rows(max(b.size * d, 1))
-        for r in range(0, a.size, rows):
-            ca = _coords(a[r:r + rows], m, d)
-            if op == "add":
-                out[r:r + rows] = _coords_id(ca[:, None] + cb, m)
-            else:
-                out[r:r + rows] = _coords_id(cb @ np.tensordot(ca, self._structure, 1), m)
-        return out
+            return table[np.ix_(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))]
+        return _structure_grid(self._structure, self.char, op, a, b)
 
     def add(self, a: int, b: int) -> int:
         return int(self._grid("add", [a], [b])[0, 0])
@@ -199,6 +187,26 @@ def _coords_id(coords: np.ndarray | Sequence[int], m: int) -> np.ndarray:
     """The id of the coordinates along the last axis, each reduced mod m first."""
     coords = np.asarray(coords, dtype=np.int64) % m
     return coords @ _place_values(m, coords.shape[-1])
+
+
+def _structure_grid(structure: np.ndarray, m: int, op: str,
+                    a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The int32 ids of x + y (`op` "add") or x * y ("mul") for x in `a` (rows) and y in `b`
+    (columns), in the ring over Z/m with e_i e_j = sum_k structure[i, j, k] e_k, which need not
+    be commutative, on the ids of its coordinates: one block of `_block_rows(len(b) * d)` rows
+    at a time."""
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    d = structure.shape[0]
+    cb = _coords(b, m, d)
+    out = np.empty((a.size, b.size), dtype=np.int32)
+    rows = _block_rows(max(b.size * d, 1))
+    for r in range(0, a.size, rows):
+        ca = _coords(a[r:r + rows], m, d)
+        if op == "add":
+            out[r:r + rows] = _coords_id(ca[:, None] + cb, m)
+        else:
+            out[r:r + rows] = _coords_id(cb @ np.tensordot(ca, structure, 1), m)
+    return out
 
 
 def _squares(structure: np.ndarray, m: int) -> np.ndarray:

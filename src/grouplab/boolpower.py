@@ -14,11 +14,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebras import FiniteCommutativeAlgebra, _coords, _coords_id
+from .algebras import FiniteCommutativeAlgebra, _coords, _coords_id, _from_structure
 from .boolean import AugmentedBooleanAlgebra, BooleanIdeal, FiniteBooleanRing
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError
-from .groups import FiniteGroup, GroupHom, Subgroup, _block_rows, direct_power, quotient
+from .groups import FiniteGroup, GroupHom, Subgroup, direct_power, quotient
+from .linalg import split_prime_power
 from .structure import enumerate_normal_subgroups, is_simple_nonabelian
 
 __all__ = [
@@ -353,37 +354,28 @@ def filtered_power_spec(field: FiniteCommutativeAlgebra, ring: FiniteBooleanRing
 
 
 def filtered_power(spec: FilteredPowerSpec, *, caps: Caps = DEFAULT_CAPS) -> FiniteCommutativeAlgebra:
-    """The subalgebra of F^B of functions respecting the subfield constraints."""
+    """The subalgebra of F^B of functions respecting the subfield constraints, from F's structure
+    constants: the values allowed at an atom must be ids 0..p^j - 1, the span of F's first j basis
+    elements, whose constants are F's cut to [:j, :j, :j].  Stacked block-diagonally, atom m - 1's
+    least significant, an id is mixed-radix, atom 0 most significant, each digit an allowed value."""
     ring = spec.algebra.ring
+    field, p = spec.field, spec.field.char
+    if field._structure is None:
+        raise ValidationError("a filtered power needs a field given by structure constants")
     allowed = [spec.allowed_values(i) for i in range(ring.atom_count)]
-    size = 1
-    for vals in allowed:
-        size *= len(vals)
-    caps.check("materialized_order", size)
-    radices = [len(vals) for vals in allowed]
-    # the digit of every id at every atom: an id is mixed-radix, atom 0 most significant,
-    # and its digit at atom i the index of its value there in allowed[i]
-    digits = np.zeros((ring.atom_count, size), dtype=np.intp)
-    rem = np.arange(size)
-    for i in range(ring.atom_count - 1, -1, -1):
-        rem, digits[i] = np.divmod(rem, radices[i])
-    add = np.empty((size, size), dtype=np.int32)
-    mul = np.empty((size, size), dtype=np.int32)
-    rows = _block_rows(size)  # each block's scratch stays near `_CHECK_BLOCK` cells
-    for out, table in ((add, spec.field.add_table), (mul, spec.field.mul_table)):
-        sub_tables = []  # at each atom, the digit of the sum or product of two digits
-        for vals in allowed:
-            index_of = np.full(spec.field.size, -1, dtype=np.int32)
-            index_of[list(vals)] = np.arange(len(vals))
-            sub_tables.append(index_of[table[np.ix_(vals, vals)]])
-        for a in range(0, size, rows):
-            block = out[a:a + rows]
-            block[:] = 0
-            for i, sub in enumerate(sub_tables):
-                block *= radices[i]
-                block += sub[digits[i, a:a + rows, None], digits[i]]
+    dims = []
+    for vals in allowed[::-1]:
+        j = split_prime_power(len(vals), p)[0]
+        if vals != tuple(range(p**j)):
+            raise ValidationError("a filtered power needs every allowed set to be field ids 0..p^j - 1")
+        dims.append(j)
+    caps.check("materialized_order", p**sum(dims))
+    structure = np.zeros((sum(dims),) * 3, dtype=np.int64)
+    at = 0
+    for j in dims:
+        structure[at:at + j, at:at + j, at:at + j] = field._structure[:j, :j, :j]
+        at += j
     one_id = 0
     for i, vals in enumerate(allowed):
-        one_id = one_id * radices[i] + vals.index(spec.field.one)
-    return FiniteCommutativeAlgebra(add, mul, char=spec.field.char, one_id=one_id,
-                                    name=f"{spec.field.name}^B{ring.atom_count}|tau")
+        one_id = one_id * len(vals) + vals.index(field.one)
+    return _from_structure(structure, p, one_id, f"{field.name}^B{ring.atom_count}|tau")

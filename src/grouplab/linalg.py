@@ -34,31 +34,26 @@ def split_prime_power(n: int, p: int) -> tuple[int, int]:
 
 
 def rref_gfp(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (rref, pivot columns)."""
+    """Reduced row echelon form over GF(p); returns (rref, pivot columns).  Each pivot is the
+    first nonzero entry of its column at or below the next row, and clears its column from
+    every other row in one update."""
     m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        if r == m.shape[0]:
             break
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c] % p != 0:
-                pivot = i
-                break
-        if pivot is None:
+        below = np.flatnonzero(m[r:, c])
+        if below.size == 0:
             continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        m[[r, r + below[0]]] = m[[r + below[0], r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m -= np.outer(factors, m[r])
+        m %= p
         pivots.append(c)
-        r += 1
-    return m % p, pivots
+    return m, pivots
 
 
 def rank_gfp(mat: np.ndarray, p: int) -> int:

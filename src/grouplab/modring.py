@@ -14,11 +14,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .algebras import FiniteCommutativeAlgebra, _coords, _coords_id, _from_structure, _squares, find_nilpotent
+from .algebras import (FiniteCommutativeAlgebra, _coords, _coords_id, _from_structure, _squares,
+                       _structure_grid, find_nilpotent)
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, ValidationError, integers
 from .groups import FiniteGroup, _block_rows, _greedy_generators, _tree
-from .linalg import inv_gfp, is_prime, nullspace_gfp, rref_gfp
+from .linalg import inv_gfp, is_prime, rref_gfp
 
 __all__ = [
     "FaithfulnessReport",
@@ -123,16 +124,17 @@ def _translates(action: GModuleAction, v: Sequence[int]) -> np.ndarray:
     return (np.asarray(v, dtype=np.int64) @ action.matrices) % action.prime
 
 
-def _span(rows: np.ndarray, p: int, d: int) -> OrbitSpan:
-    """The rows outside the span of the earlier ones, which are the pivot columns of the transpose."""
-    pivots = rref_gfp(rows.T, p)[1]
+def _span(rows: np.ndarray, p: int, d: int) -> tuple[OrbitSpan, np.ndarray]:
+    """The rows outside the span of the earlier ones, which are the pivot columns of the transpose,
+    and the reduced row echelon form of the transpose."""
+    rref, pivots = rref_gfp(rows.T, p)
     return OrbitSpan(spans=len(pivots) == d, basis_elements=tuple(pivots),
-                     basis_vectors=tuple(tuple(int(x) for x in rows[h]) for h in pivots))
+                     basis_vectors=tuple(tuple(int(x) for x in rows[h]) for h in pivots)), rref
 
 
 def orbit_span_check(action: GModuleAction, v: Sequence[int]) -> OrbitSpan:
     """Do the translates of v span the space?  Greedy translate basis if so."""
-    return _span(_translates(action, v), action.prime, action.dim)
+    return _span(_translates(action, v), action.prime, action.dim)[0]
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def translate_decomposition(action: GModuleAction, v: Sequence[int], w: Sequence
     p, d = action.prime, action.dim
     caps.check("materialized_order", p**d)
     rows = _translates(action, v)
-    if not _span(rows, p, d).spans:
+    if not _span(rows, p, d)[0].spans:
         raise ValidationError("translates of v do not span the space")
     return _shortest_sums(rows, p, w)
 
@@ -234,14 +236,10 @@ class ModuleRing:
         return self.element_id(coords)
 
     def add(self, a: int, b: int) -> int:
-        return self.element_id((self.coords(a) + self.coords(b)) % self.p)
+        return int(_structure_grid(self._structure, self.p, "add", [a], [b])[0, 0])
 
     def mul(self, a: int, b: int) -> int:
-        return self.element_id(self._products(self.coords(a), self.coords(b)))
-
-    def _products(self, ca: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Coordinates of a * b for the coordinates `ca` of a and each row of `coords`."""
-        return (coords @ np.tensordot(ca, self._structure, 1)) % self.p
+        return int(_structure_grid(self._structure, self.p, "mul", [a], [b])[0, 0])
 
     def squares(self) -> np.ndarray:
         """The id of x * x for every element x."""
@@ -271,41 +269,47 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     """Quotient the group algebra by the annihilator of v, if two-sided.
 
     The annihilator is always a right ideal; the left check is exhaustive
-    over a kernel basis, a block of rows shifted by every multiplier at once
-    (`_shifts`).  On failure the first offending (kernel
-    element, multiplier) pair becomes the witness.  On success the product is
-    verified against the translate formula v^h * v^k = v^(hk) for every
-    basis translate v^h and every translate v^k, which is exact: both sides
-    are linear in v^h, and the basis spans.
+    over a kernel basis read off the one reduction of the translate matrix,
+    a block of rows shifted by every multiplier at once (`_shifts`).  On
+    failure the first offending (kernel element, multiplier) pair becomes the
+    witness.  On success the product is verified against the translate
+    formula v^h * v^k = v^(hk) for every basis translate v^h and every
+    translate v^k, which is exact: both sides are linear in v^h, and the
+    basis spans.
     """
     p, d = action.prime, action.dim
     vt = tuple(int(x) % p for x in v)
     translate_rows = _translates(action, vt)
-    span = _span(translate_rows, p, d)
+    span, rref = _span(translate_rows, p, d)
     if not span.spans:
         raise ValidationError("translates of v do not span the space")
     caps.check("materialized_order", p**d)
     bound = _shortest_sums(translate_rows, p, vt).bound
     group = action.group
-    kernel = nullspace_gfp(translate_rows.T, p)  # rows c with c @ translate_rows == 0
-    pivots = list(span.basis_elements)  # the pivot columns of the same reduction
-    for k, values in _shifts(kernel, pivots, translate_rows, group.right, p):
+    pivots = list(span.basis_elements)  # {c : c @ translate_rows == 0} has a row per other column
+    outside = np.ones(group.order, dtype=bool)
+    outside[pivots] = False
+    free = np.flatnonzero(outside)
+    coeffs = (-rref[:, free].T) % p  # [kernel row, pivot]
+    for k, values in _shifts(coeffs, free, pivots, translate_rows, group.right, p):
         nonzero = values.any(axis=2)  # [row of the block, h]
         hits = np.flatnonzero(nonzero.any(axis=1))
         if hits.size:
             i = int(hits[0])
             h = int(np.argmax(nonzero[i]))
+            row = np.zeros(group.order, dtype=np.int64)
+            row[free[k + i]], row[pivots] = 1, coeffs[k + i]
             return RingConstruction(
                 well_defined=False, ring=None,
                 witness=IllDefinedWitness(
-                    annihilator_coeffs=tuple(int(x) for x in kernel[k + i]),
+                    annihilator_coeffs=tuple(int(x) for x in row),
                     multiplier=h,
                     product_value=tuple(int(x) for x in values[i, h]),
                 ),
                 translate_bound=bound,
             )
     # the right check is automatic; assert it on the first basis row anyway
-    if len(kernel) and next(_shifts(kernel[:1], pivots, translate_rows, group.left, p))[1].any():
+    if free.size and next(_shifts(coeffs[:1], free, pivots, translate_rows, group.left, p))[1].any():
         raise GroupLabError("annihilator is not a right ideal; action tables broken")
 
     ring = _translate_ring(action, vt, span)
@@ -313,26 +317,23 @@ def ring_construct(action: GModuleAction, v: Sequence[int],
     return RingConstruction(well_defined=True, ring=ring, witness=None, translate_bound=bound)
 
 
-def _shifts(kernel: np.ndarray, pivots: list[int], translate_rows: np.ndarray, column,
-            p: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The image of v under h * c for `column` = right, or under c * h for left, for every row c of
-    the kernel and every h, as [row, h, coordinate]: a block of `_block_rows(n * d)` rows at a time,
+def _shifts(coeffs: np.ndarray, free: np.ndarray, pivots: list[int], translate_rows: np.ndarray,
+            column, p: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The image of v under h * c for `column` = right, or under c * h for left, for every kernel
+    row c and every h, as [row, h, coordinate]: a block of `_block_rows(n * d)` rows at a time,
     with the index of its first row.
 
-    Row k of the kernel, in reduced row echelon form, is 1 at the k-th column outside `pivots` and
-    its coefficients at the pivots, so its image is the translates gathered at that column plus
-    the pivot coefficients times the d translates gathered at the pivots.
+    Kernel row k is 1 at column `free[k]` and `coeffs[k]` at the pivots, so its image is the
+    translates gathered at that column plus the pivot coefficients times the d translates
+    gathered at the pivots.
     """
     n, d = translate_rows.shape
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
     at_pivots = np.stack([translate_rows[column(x)] for x in pivots])  # [pivot, h, coordinate]
     rows = _block_rows(n * d)
-    for k in range(0, len(kernel), rows):
-        block = kernel[k:k + rows]
+    for k in range(0, len(coeffs), rows):
+        block = coeffs[k:k + rows]
         gathered = translate_rows[np.stack([column(x) for x in free[k:k + len(block)].tolist()])]
-        yield k, (gathered + np.tensordot(block[:, pivots], at_pivots, 1)) % p
+        yield k, (gathered + np.tensordot(block, at_pivots, 1)) % p
 
 
 def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) -> ModuleRing:
@@ -348,11 +349,11 @@ def _translate_ring(action: GModuleAction, v: tuple[int, ...], span: OrbitSpan) 
 def _verify_translate_products(ring: ModuleRing, translate_rows: np.ndarray) -> None:
     """Check v^h * v^k = v^(hk) for all translates, one row of products per basis element h:
     both sides are linear in v^h (v^(hk) is v^h times the matrix of k), and the basis spans."""
-    coords = (translate_rows @ ring._basis_inv) % ring.p
-    group = ring.action.group
-    for h in ring.basis_elements:
-        if not np.array_equal(ring._products(coords[h], coords), coords[group.left(h)]):
-            raise GroupLabError("ring product disagrees with the translate-sum formula")
+    ids = _coords_id(translate_rows @ ring._basis_inv, ring.p)  # the ring id of every translate
+    hs = list(ring.basis_elements)
+    products = _structure_grid(ring._structure, ring.p, "mul", ids[hs], ids)
+    if not np.array_equal(products, ids[[ring.action.group.left(h) for h in hs]]):
+        raise GroupLabError("ring product disagrees with the translate-sum formula")
 
 
 def nilpotent_free_check(ring: ModuleRing | FiniteCommutativeAlgebra,

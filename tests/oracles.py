@@ -1052,3 +1052,32 @@ def ring_construct_per_row(action, v: Sequence[int]) -> tuple[bool, tuple | None
     if len(kernel) and shifted(kernel[0], group.left).any():
         raise GroupLabError("annihilator is not a right ideal")
     return True, None, bound
+
+
+def rref_by_row_loop(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p) and its pivot columns, searching each column for a
+    pivot row by row and clearing it from every other row one row at a time."""
+    m = np.array(mat, dtype=np.int64) % p
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot = None
+        for i in range(r, rows):
+            if m[i, c] % p != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        inv = pow(int(m[r, c]), -1, p)
+        m[r] = (m[r] * inv) % p
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m % p, pivots

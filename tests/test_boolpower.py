@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grouplab.algebras import gf, mr_decompose
+from grouplab.algebras import FiniteCommutativeAlgebra, _from_structure, gf, mr_decompose
 from grouplab.boolean import BooleanIdeal, build_boolean_ring
 from grouplab.boolpower import (
     BooleanPowerGroup,
@@ -19,6 +20,7 @@ from grouplab.boolpower import (
     materialize_bp_group,
     verify_ideal_correspondence,
 )
+from grouplab.cli import main
 from grouplab.corpus import bundled_corpus
 from grouplab.errors import CapExceeded, ValidationError
 from oracles import atom_values_by_digits, filtered_power_tables_by_broadcast
@@ -214,6 +216,7 @@ def test_filtered_power_single_point_constraint():
     (4, 2, []), (4, 3, [([0, 2], [0, 1])]),
     (8, 2, []), (8, 3, [([1], [0, 1])]),
     (9, 2, []), (9, 3, [([0, 1], [0, 1, 2])]),
+    (3, 3, []), (5, 3, []), (2, 4, []), (9, 3, [([0], [0, 1, 2]), ([1, 2], [0, 1, 2])]),
 ])
 def test_filtered_power_tables_match_the_broadcast_oracle(q, atoms, constraints):
     spec = filtered_power_spec(gf(q), build_boolean_ring(atoms), constraints)
@@ -224,8 +227,8 @@ def test_filtered_power_tables_match_the_broadcast_oracle(q, atoms, constraints)
 
 
 def test_filtered_power_fills_its_tables_in_bounded_blocks():
-    # GF(3) over 7 atoms: 2,187 elements, two int32 tables of 19.1 MB each; the whole-array
-    # oracle peaks near 128 MB
+    # GF(3) over 7 atoms: 2,187 elements, whose two int32 tables would take 19.1 MB each; the
+    # power keeps its structure constants, and neither the build nor the decomposition fills a table
     spec = filtered_power_spec(gf(3), build_boolean_ring(7), [])
     tracemalloc.start()
     try:
@@ -233,7 +236,35 @@ def test_filtered_power_fills_its_tables_in_bounded_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert alg.size == 2187 and peak < 50 * 10**6
+    assert alg.size == 2187 and peak < 10**6
+    assert [f.field.size for f in mr_decompose(alg).factors] == [3] * 7
+    assert alg._add is None and alg._mul is None
+
+
+def test_filtered_power_reads_no_whole_table(tmp_path, monkeypatch):
+    def whole(self):
+        raise AssertionError(f"{self.name}: a whole table was read")
+
+    monkeypatch.setattr(FiniteCommutativeAlgebra, "add_table", property(whole))
+    monkeypatch.setattr(FiniteCommutativeAlgebra, "mul_table", property(whole))
+    path = tmp_path / "gf9.json"
+    path.write_text(json.dumps({"field": "GF9", "atoms": 3,
+                                "constraints": [{"points": [0], "subfield": "GF3"}]}))
+    assert main(["boolean-power", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+    row, = json.loads((tmp_path / "out").read_text())["items"]
+    assert (row["size"], row["factor_sizes"]) == (243, "9,9,3")
+
+
+def test_filtered_power_needs_a_field_from_structure_constants():
+    four = gf(4)
+    tables = FiniteCommutativeAlgebra(four.add_table, four.mul_table, char=2, one_id=1)
+    with pytest.raises(ValidationError, match="a field given by structure constants"):
+        filtered_power(filtered_power_spec(tables, build_boolean_ring(2), []))
+    # GF(4) on the basis x, 1: the one is id 2, and the prime subfield {0, 2} is no leading range
+    swapped = _from_structure(four._structure[::-1, ::-1, ::-1], 2, 2, "GF4'")
+    spec = filtered_power_spec(swapped, build_boolean_ring(2), [([0], [0, 2])])
+    with pytest.raises(ValidationError, match="field ids 0..p\\^j - 1"):
+        filtered_power(spec)
 
 
 def test_filtered_power_rejects_non_subfield():
