@@ -11,8 +11,7 @@ through `_structure_grid`; their whole tables are filled only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -315,8 +314,7 @@ def find_nilpotent(square: np.ndarray) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
-@dataclass(frozen=True)
-class AlgebraFactor:
+class AlgebraFactor(NamedTuple):
     """One field factor of a decomposed ring."""
 
     idempotent: int                 # its unit, as an element of the parent ring
@@ -324,8 +322,7 @@ class AlgebraFactor:
     field: FiniteCommutativeAlgebra  # reindexed tables over element_ids
 
 
-@dataclass(frozen=True)
-class MRDecomposition:
+class MRDecomposition(NamedTuple):
     factors: tuple[AlgebraFactor, ...]
     # component_ids[x] = tuple of factor-local ids of the projections of x
     component_ids: tuple[tuple[int, ...], ...]

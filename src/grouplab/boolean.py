@@ -8,7 +8,7 @@ are stored by the union of their generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import ValidationError
@@ -126,8 +126,7 @@ class BooleanIdeal:
         return missing != 0 and missing & (missing - 1) == 0
 
 
-@dataclass(frozen=True)
-class RingEmbedding:
+class RingEmbedding(NamedTuple):
     """An injective ring homomorphism between two power-set rings."""
 
     source: FiniteBooleanRing
@@ -173,8 +172,7 @@ def stone_points(ring: FiniteBooleanRing) -> list[BooleanIdeal]:
     return [BooleanIdeal(ring, ring.one ^ (1 << i)) for i in range(ring.atom_count)]
 
 
-@dataclass(frozen=True)
-class RefineChain:
+class RefineChain(NamedTuple):
     """Finite approximations of an atomless ring by repeated atom splitting.
 
     Every finite level is a ring with identity; whether the intended limit

@@ -10,7 +10,7 @@ atom-evaluation map, which is the canonical isomorphism used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class BPElement:
         return not self.terms
 
 
-@dataclass(frozen=True)
-class BooleanPowerGroup:
+class BooleanPowerGroup(NamedTuple):
     """The group of all Boolean-power elements over a fixed base and ring."""
 
     base: FiniteGroup
@@ -144,8 +143,7 @@ def bp_multiply(x: BPElement, y: BPElement) -> BPElement:
     return BooleanPowerGroup(x.base, x.ring).multiply(x, y)
 
 
-@dataclass(frozen=True)
-class MaterializedBooleanPower:
+class MaterializedBooleanPower(NamedTuple):
     """A Boolean power as an explicit table group plus the element bijection.
 
     Ids encode atom values in mixed radix with atom 0 most significant, so
@@ -196,8 +194,7 @@ def ideal_normal_subgroup(base: FiniteGroup, ring: FiniteBooleanRing, ideal: Boo
     return Subgroup(mat.group, _ideal_member_ids(mat, ideal), validate=False)
 
 
-@dataclass(frozen=True)
-class IdealCorrespondenceReport:
+class IdealCorrespondenceReport(NamedTuple):
     base_name: str
     atoms: int
     expected_match: bool           # guaranteed only for simple non-abelian bases
@@ -235,8 +232,7 @@ def verify_ideal_correspondence(base: FiniteGroup, ring: FiniteBooleanRing,
     )
 
 
-@dataclass(frozen=True)
-class BPQuotientIso:
+class BPQuotientIso(NamedTuple):
     quotient: FiniteGroup
     projection: GroupHom     # materialized power -> quotient
     power_group: FiniteGroup  # the direct power P^m

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
@@ -266,7 +267,7 @@ def _cmd_inverse_system(args, corpus: Corpus, caps: Caps):
     if args.tower_file:
         towers = {Path(args.tower_file).stem: _tower_from_file(args.tower_file, corpus, caps)}
     else:
-        towers = _bundled("tower", bundled_towers(corpus or None, caps=caps), args.tower)
+        towers = _bundled("tower", bundled_towers(corpus, caps=caps), args.tower)
 
     def rows(name: str, system: InverseSystem) -> list[dict]:
         seq = cp_sequence(system, caps=caps)
@@ -457,6 +458,16 @@ def _job_echo(args) -> dict:
     return echo
 
 
+def _load_corpus(path: str, caps: Caps) -> Corpus:
+    """`load_corpus`, with each warning it gives printed as one `warning: ` line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        corpus = load_corpus(path, caps=caps)
+    for warning in caught:
+        sys.stderr.write(f"warning: {warning.message}\n")
+    return corpus
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -472,7 +483,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     caps = DEFAULT_CAPS.with_overrides(order=args.cap_order, subgroup_order=args.cap_subgroups)
     try:
-        corpus = load_corpus(args.corpus, caps=caps) if args.corpus else bundled_corpus(caps=caps)
+        corpus = _load_corpus(args.corpus, caps) if args.corpus else bundled_corpus(caps=caps)
         items, errors, columns = _HANDLERS[args.subcommand](args, corpus, caps)
     except (GroupLabError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -7,13 +7,12 @@ desk-scale; override per call or via the CLI flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import CapExceeded
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     order: int = 10_000              # largest group order handled anywhere
     subgroup_order: int = 512        # order limit for full subgroup enumeration
     subgroup_count: int = 100_000    # hard limit on enumerated subgroups
@@ -27,7 +26,7 @@ class Caps:
     materialized_order: int = 10_000  # |P|^atoms for materialized powers/algebras
 
     def with_overrides(self, **kwargs: int) -> "Caps":
-        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
+        return self._replace(**{k: v for k, v in kwargs.items() if v is not None})
 
     def check(self, cap: str, actual: int, detail: str = "") -> None:
         """Raise CapExceeded when `actual` exceeds the limit named `cap`."""

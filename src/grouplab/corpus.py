@@ -4,6 +4,11 @@ Group file format: {"name": str, "order": int, "table": [[int]]} ("order"
 optional) or {"name": str, "degree": int, "generators": [[int]]} with 0-based
 permutation images.  A corpus directory holds one file per group plus
 index.json listing names, orders and file names ("name" and "order" optional).
+
+A loaded corpus is built and checked whole, so a bad file fails the job.  The
+bundled corpus knows each member's name and order up front and builds a
+member, and checks its order, on first read: a job pays only for the groups
+it reads.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import ValidationError, parsing, read_json
@@ -35,34 +40,44 @@ __all__ = [
 
 
 class Corpus:
-    """An ordered name -> group mapping, sorted by (order, name)."""
+    """An ordered name -> group mapping, sorted by (order, name).
 
-    def __init__(self, groups: dict[str, FiniteGroup]):
-        ordered = sorted(groups.items(), key=lambda kv: (kv[1].order, kv[0]))
-        self._groups = dict(ordered)
+    Members in `groups` are held as given.  Members in `orders` are known by
+    name and order only, and `build(name)` builds each on its first read, so
+    `names()`, `len()`, `in` and `index()` build nothing.
+    """
+
+    def __init__(self, groups: dict[str, FiniteGroup], *, orders: dict[str, int] | None = None,
+                 build: Callable[[str], FiniteGroup] | None = None):
+        known = {name: g.order for name, g in groups.items()} | (orders or {})
+        self._orders = dict(sorted(known.items(), key=lambda kv: (kv[1], kv[0])))
+        self._groups = dict(groups)
+        self._build = build
 
     def __len__(self) -> int:
-        return len(self._groups)
+        return len(self._orders)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._groups
+        return name in self._orders
 
     def __getitem__(self, name: str) -> FiniteGroup:
-        if name not in self._groups:
+        if name not in self._orders:
             raise ValidationError(f"unknown group {name!r}")
+        if name not in self._groups:
+            self._groups[name] = self._build(name)
         return self._groups[name]
 
     def names(self) -> list[str]:
-        return list(self._groups)
+        return list(self._orders)
 
     def items(self) -> list[tuple[str, FiniteGroup]]:
-        return list(self._groups.items())
+        return [(name, self[name]) for name in self._orders]
 
     def __iter__(self) -> Iterator[tuple[str, FiniteGroup]]:
-        return iter(self._groups.items())
+        return iter(self.items())
 
     def index(self) -> list[tuple[str, int]]:
-        return [(name, g.order) for name, g in self._groups.items()]
+        return list(self._orders.items())
 
 
 def _cycle(n: int) -> list[int]:
@@ -133,42 +148,40 @@ def _exponent9_extraspecial_generators() -> tuple[int, list[list[int]]]:
     return 27, gens
 
 
-def _bundled_builders() -> list[tuple[str, int, list[list[int]]]]:
-    out: list[tuple[str, int, list[list[int]]]] = []
-    for n in range(1, 17):
-        gens = [] if n == 1 else [_cycle(n)]
-        out.append((f"Z{n}", max(n, 1), gens))
-    out.append(("V4", 4, [[1, 0, 3, 2], [2, 3, 0, 1]]))
-    out.append(("S3", 3, [[1, 0, 2], [1, 2, 0]]))
-    out.append(("D4", 4, [[1, 2, 3, 0], [3, 2, 1, 0]]))
-    q_degree, q_gens = _quaternion_generators()
-    out.append(("Q8", q_degree, q_gens))
-    out.append(("A4", 4, [[1, 0, 3, 2], [1, 2, 0, 3]]))
-    out.append(("S4", 4, [[1, 0, 2, 3], [1, 2, 3, 0]]))
-    out.append(("A5", 5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]))
-    h_degree, h_gens = _heisenberg27_generators()
-    out.append(("Heis27", h_degree, h_gens))
-    m_degree, m_gens = _exponent9_extraspecial_generators()
-    out.append(("M27", m_degree, m_gens))
+def _bundled_builders() -> list[tuple[str, int, int, list[list[int]]]]:
+    """(name, order, degree, generators) of each bundled group."""
+    out = [(f"Z{n}", n, n, [] if n == 1 else [_cycle(n)]) for n in range(1, 17)]
+    out.append(("V4", 4, 4, [[1, 0, 3, 2], [2, 3, 0, 1]]))
+    out.append(("S3", 6, 3, [[1, 0, 2], [1, 2, 0]]))
+    out.append(("D4", 8, 4, [[1, 2, 3, 0], [3, 2, 1, 0]]))
+    out.append(("Q8", 8, *_quaternion_generators()))
+    out.append(("A4", 12, 4, [[1, 0, 3, 2], [1, 2, 0, 3]]))
+    out.append(("S4", 24, 4, [[1, 0, 2, 3], [1, 2, 3, 0]]))
+    out.append(("A5", 60, 5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]))
+    out.append(("Heis27", 27, *_heisenberg27_generators()))
+    out.append(("M27", 27, *_exponent9_extraspecial_generators()))
     return out
 
 
-_EXPECTED_ORDERS = {
-    "V4": 4, "S3": 6, "D4": 8, "Q8": 8, "A4": 12, "S4": 24, "A5": 60,
-    "Heis27": 27, "M27": 27,
-}
-
-
 def bundled_corpus(*, caps: Caps = DEFAULT_CAPS) -> Corpus:
-    """The in-tree corpus, built from permutation generators and validated."""
-    groups: dict[str, FiniteGroup] = {}
-    for name, degree, gens in _bundled_builders():
+    """The in-tree corpus: each member is built from permutation generators, and its order
+    checked, on first read.
+
+    A member whose known order is above `caps.order` fails here, in builder order, with the
+    error its permutation closure would raise.
+    """
+    builders = {name: (order, degree, gens) for name, order, degree, gens in _bundled_builders()}
+    for order, _, _ in builders.values():
+        caps.check("order", min(order, caps.order + 1), "permutation closure")
+
+    def build(name: str) -> FiniteGroup:
+        order, degree, gens = builders[name]
         g = build_group(generators=gens, degree=degree, name=name, caps=caps)
-        expected = _EXPECTED_ORDERS.get(name, int(name[1:]) if name.startswith("Z") else None)
-        if expected is not None and g.order != expected:
-            raise ValidationError(f"bundled group {name} has order {g.order}, expected {expected}")
-        groups[name] = g
-    return Corpus(groups)
+        if g.order != order:
+            raise ValidationError(f"bundled group {name} has order {g.order}, expected {order}")
+        return g
+
+    return Corpus({}, orders={name: order for name, (order, _, _) in builders.items()}, build=build)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -238,7 +251,7 @@ def bundled_towers(corpus: Corpus | None = None, *, caps: Caps = DEFAULT_CAPS
     """The three reference towers used by the verification suite."""
     from .towers import coset_action_system, direct_power_system
 
-    corpus = corpus or bundled_corpus(caps=caps)
+    corpus = bundled_corpus(caps=caps) if corpus is None else corpus
     out: dict[str, InverseSystem] = {}
 
     z8 = corpus["Z8"]

@@ -12,8 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -322,8 +321,7 @@ class _Product:
         return math.lcm(self.a.element_order(x), self.b.element_order(y))
 
 
-@dataclass(frozen=True)
-class PermGenerators:
+class PermGenerators(NamedTuple):
     """Permutation generators a group was closed from, with their element ids."""
 
     degree: int
@@ -665,8 +663,7 @@ class GroupHom:
         return f"GroupHom({self.source.name} -> {self.target.name})"
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     """A stabilized descending series of subgroups; terms[0] is the whole group."""
 
     kind: str  # "derived" | "lower_central"

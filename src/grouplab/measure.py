@@ -8,9 +8,8 @@ quantities so both sides are exact rationals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +53,7 @@ __all__ = [
 Corpus = Sequence[tuple[str, FiniteGroup]]
 
 
-@dataclass(frozen=True)
-class CommutingStats:
+class CommutingStats(NamedTuple):
     name: str
     order: int
     pairs: int
@@ -77,8 +75,7 @@ def commuting_pairs(g: FiniteGroup, *, name: str | None = None,
     )
 
 
-@dataclass(frozen=True)
-class NeumannWitness:
+class NeumannWitness(NamedTuple):
     """Normal pair K <= N with N/K abelian minimizing |K| * |L:N|^2.
 
     Admissible pairs require K strictly below N except for the degenerate
@@ -150,8 +147,7 @@ def group_rank_bound(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> int:
     return max(_relative_rank(g, core(g, k), k) for k, *_ in _subgroup_classes(g, caps))
 
 
-@dataclass(frozen=True)
-class RhoTables:
+class RhoTables(NamedTuple):
     """Per-order minima/maxima over a named family of groups.
 
     kind "com": minimum commuting-pair count among family members of each
@@ -197,8 +193,7 @@ def rho_table(corpus: Corpus, kind: str, *, orders: Sequence[int] | None = None,
     return RhoTables(kind=kind, family_mode=family_mode, entries=entries)
 
 
-@dataclass(frozen=True)
-class ExteriorReport:
+class ExteriorReport(NamedTuple):
     """Kernel data of the wedge-to-commutator map of a class-2 group."""
 
     name: str
@@ -263,8 +258,7 @@ def rho_wedge(g: FiniteGroup, *, name: str | None = None,
     )
 
 
-@dataclass(frozen=True)
-class Inequality1Row:
+class Inequality1Row(NamedTuple):
     order: int
     rho_r: int
     beta: int
@@ -273,8 +267,7 @@ class Inequality1Row:
     passed: bool
 
 
-@dataclass(frozen=True)
-class IntermediateBoundRow:
+class IntermediateBoundRow(NamedTuple):
     name: str
     w_size: int
     bound: Fraction  # i^2 / |W|
@@ -282,8 +275,7 @@ class IntermediateBoundRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Inequality2Row:
+class Inequality2Row(NamedTuple):
     order: int
     prime: int
     log_p: int
@@ -294,8 +286,7 @@ class Inequality2Row:
     intermediate: tuple[IntermediateBoundRow, ...]
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     ineq1: tuple[Inequality1Row, ...]
     ineq2: tuple[Inequality2Row, ...]
     excluded: tuple[str, ...]  # members outside the class-2 hypotheses
@@ -373,8 +364,7 @@ def verify_inequalities(corpus: Corpus, *, beta_table: Mapping[int, int] | None 
     return InequalityReport(ineq1=tuple(rows1), ineq2=tuple(rows2), excluded=tuple(excluded))
 
 
-@dataclass(frozen=True)
-class EpsilonRow:
+class EpsilonRow(NamedTuple):
     name: str
     order: int
     fraction: Fraction
@@ -382,8 +372,7 @@ class EpsilonRow:
     n2: int  # witness commutator size |[N, N]|
 
 
-@dataclass(frozen=True)
-class EpsilonEvidence:
+class EpsilonEvidence(NamedTuple):
     rows: tuple[EpsilonRow, ...]
     epsilon: Fraction            # largest witnessed: the family minimum fraction
     witnesses_bounded: bool      # n1, n2 never exceed their smallest-order values

@@ -9,8 +9,7 @@ returned instead of a ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GModuleAction:
+class GModuleAction(NamedTuple):
     """A right action of a finite group on GF(p)^dim by invertible matrices.
 
     Row vectors act on the right: v^h = v @ matrix(h), so the matrix
@@ -112,8 +110,7 @@ def action_from_matrices(group: FiniteGroup, prime: int, dim: int,
     return GModuleAction(group=group, prime=prime, dim=dim, matrices=stack)
 
 
-@dataclass(frozen=True)
-class OrbitSpan:
+class OrbitSpan(NamedTuple):
     spans: bool
     basis_elements: tuple[int, ...]          # group element ids, greedy by id
     basis_vectors: tuple[tuple[int, ...], ...]
@@ -137,8 +134,7 @@ def orbit_span_check(action: GModuleAction, v: Sequence[int]) -> OrbitSpan:
     return _span(_translates(action, v), action.prime, action.dim)[0]
 
 
-@dataclass(frozen=True)
-class TranslateDecomposition:
+class TranslateDecomposition(NamedTuple):
     elements: tuple[int, ...]  # group element ids whose translates sum to the target
     bound: int                 # max over the whole space of the minimal length
 
@@ -184,8 +180,7 @@ def _shortest_sums(rows: np.ndarray, p: int, w: Sequence[int]) -> TranslateDecom
     return TranslateDecomposition(elements=tuple(sorted(path(target))), bound=len(path(edges[-1][0])))
 
 
-@dataclass(frozen=True)
-class IllDefinedWitness:
+class IllDefinedWitness(NamedTuple):
     """Two representations of the same element whose products differ.
 
     `annihilator_coeffs` represents zero (its translate sum vanishes), yet
@@ -256,8 +251,7 @@ class ModuleRing:
         return _from_structure(self._structure, self.p, self.one, name or "module-ring")
 
 
-@dataclass(frozen=True)
-class RingConstruction:
+class RingConstruction(NamedTuple):
     well_defined: bool
     ring: ModuleRing | None
     witness: IllDefinedWitness | None
@@ -404,8 +398,7 @@ def sum_zero_action(group: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) ->
     return action_from_matrices(group, p, degree - 1, mats, caps=caps)
 
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
+class FaithfulnessReport(NamedTuple):
     kernel_ids: tuple[int, ...]
     faithful: bool
     index_histogram: tuple[tuple[int, int], ...]  # (stabilizer index, vector count)

@@ -7,8 +7,7 @@ tuple), witnesses by ascending id.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -169,15 +168,13 @@ def is_simple_nonabelian(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> bool:
     return all(len(_normal_closure(g, (x,), gens)) == g.order for x in _class_reps(g)[1:])
 
 
-@dataclass(frozen=True)
-class SpreadWitness:
+class SpreadWitness(NamedTuple):
     element: int        # the generating element g
     depth: int          # products of conjugates of g^(+-1) needed to cover <g>^G
     worst: int          # smallest element id only reached at that depth
 
 
-@dataclass(frozen=True)
-class SpreadReport:
+class SpreadReport(NamedTuple):
     m: int
     witnesses: tuple[SpreadWitness, ...]
 
@@ -276,8 +273,7 @@ def sylow_subgroup(g: FiniteGroup, p: int, *, caps: Caps = DEFAULT_CAPS) -> Subg
     return current
 
 
-@dataclass(frozen=True)
-class AutomorphismReport:
+class AutomorphismReport(NamedTuple):
     automorphisms: tuple[GroupHom, ...]
     normal_subgroups: tuple[Subgroup, ...]
     characteristic: tuple[bool, ...]  # aligned with normal_subgroups

@@ -6,9 +6,8 @@ levels[i], and every statement about the limit is checked level by level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,8 +91,7 @@ def build_system(levels: Sequence[FiniteGroup], projections: Sequence[GroupHom],
     return InverseSystem(levels, projections, caps=caps)
 
 
-@dataclass(frozen=True)
-class CosetSpace:
+class CosetSpace(NamedTuple):
     """Left cosets of a subgroup, one canonical (minimal-id) representative each."""
 
     group: FiniteGroup
@@ -104,8 +102,7 @@ class CosetSpace:
         return len(self.reps)
 
 
-@dataclass(frozen=True)
-class CosetActionSystem:
+class CosetActionSystem(NamedTuple):
     system: InverseSystem
     spaces: tuple[CosetSpace, ...]
     to_level: tuple[GroupHom, ...]  # the acting group onto each level
@@ -166,8 +163,7 @@ def coset_action_system(g: FiniteGroup, chain: Sequence[Subgroup],
     return CosetActionSystem(system=system, spaces=tuple(spaces), to_level=tuple(to_level))
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
+class ClosureTrace(NamedTuple):
     """Images of a designated top-level subgroup at every level."""
 
     system: InverseSystem
@@ -188,8 +184,7 @@ def closure_trace(system: InverseSystem, origin: Subgroup) -> ClosureTrace:
     return ClosureTrace(system=system, per_level=tuple(per_level))
 
 
-@dataclass(frozen=True)
-class QuotientTrace:
+class QuotientTrace(NamedTuple):
     """Per-level quotients (image of n2)/(image of n1) with induced projections."""
 
     levels: tuple[FiniteGroup, ...]
@@ -228,8 +223,7 @@ def quotient_trace(system: InverseSystem, n1: Subgroup, n2: Subgroup,
     return QuotientTrace(levels=tuple(q_levels), projections=tuple(q_projections))
 
 
-@dataclass(frozen=True)
-class CommutatorCheckReport:
+class CommutatorCheckReport(NamedTuple):
     passed: bool
     first_failure: int | None
     per_level: tuple[bool, ...]

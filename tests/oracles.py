@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from grouplab.config import DEFAULT_CAPS, Caps
+from grouplab.corpus import Corpus, _bundled_builders
 from grouplab.errors import CapExceeded, GroupLabError, ValidationError
 from grouplab.groups import (
     FiniteGroup,
@@ -24,6 +25,7 @@ from grouplab.groups import (
     _id_dtype,
     _local_ids,
     _normal_closure,
+    build_group,
     center,
     commutator_subgroup,
     conjugacy_classes,
@@ -1081,3 +1083,15 @@ def rref_by_row_loop(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return m % p, pivots
+
+
+def bundled_corpus_eager(caps: Caps = DEFAULT_CAPS) -> Corpus:
+    """The bundled corpus built whole, each member closed from its generators and its order
+    checked in builder order."""
+    groups: dict[str, FiniteGroup] = {}
+    for name, order, degree, gens in _bundled_builders():
+        g = build_group(generators=gens, degree=degree, name=name, caps=caps)
+        if g.order != order:
+            raise ValidationError(f"bundled group {name} has order {g.order}, expected {order}")
+        groups[name] = g
+    return Corpus(groups)

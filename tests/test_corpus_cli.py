@@ -1,13 +1,16 @@
 import hashlib
+import importlib
 import json
+import sys
 import tracemalloc
 
 import pytest
 
 from grouplab import boolpower, groups
 from grouplab.cli import main
+from grouplab.config import Caps
 from grouplab.corpus import Corpus, bundled_corpus, load_corpus, load_group_file, save_corpus
-from grouplab.errors import ValidationError
+from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import commuting_pair_count, is_nilpotent
 
 
@@ -104,10 +107,96 @@ def test_cli_analyze_trivial_group(tmp_path):
     assert payload["version"]
 
 
-def test_cli_small_order_cap_names_the_order_cap(tmp_path, capsys):
-    code = main(["analyze-group", "--cap-order", "5", "--out", str(tmp_path / "x")])
+_BUNDLED_FORMS = [  # one bundled form of each subcommand
+    ["analyze-group"], ["neumann"], ["rho", "--kind", "com"], ["verify-inequalities"],
+    ["inverse-system"], ["boolean-power", "--base", "S3", "--atoms", "1"], ["ring-from-module"],
+]
+
+
+@pytest.mark.parametrize("cap", [3, 5])
+@pytest.mark.parametrize("argv", _BUNDLED_FORMS, ids=lambda argv: argv[0])
+def test_cli_small_order_cap_names_the_order_cap(tmp_path, capsys, argv, cap):
+    # the first bundled member above the cap, in builder order, is Z(cap + 1)
+    code = main(argv + ["--cap-order", str(cap), "--out", str(tmp_path / "x")])
     assert code == 1
-    assert capsys.readouterr().err == "error: cap 'order' exceeded: 6 > 5 (permutation closure)\n"
+    assert capsys.readouterr().err == f"error: cap 'order' exceeded: {cap + 1} > {cap} (permutation closure)\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.fixture
+def built(monkeypatch) -> list[str]:
+    """The names `build_group` is called with from here on, in every grouplab module that binds it."""
+    for short in ("cli", "corpus", "measure", "towers", "boolpower", "modring"):
+        importlib.import_module(f"grouplab.{short}")
+    calls, original = [], groups.build_group
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("name"))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grouplab") and getattr(module, "build_group", None) is original:
+            monkeypatch.setattr(module, "build_group", counted)
+    return calls
+
+
+def test_bundled_corpus_matches_the_eager_build():
+    from oracles import bundled_corpus_eager
+
+    eager, lazy = bundled_corpus_eager(), bundled_corpus()
+    assert (lazy.names(), lazy.index(), len(lazy)) == (eager.names(), eager.index(), len(eager))
+    assert all(name in lazy for name in eager.names()) and "Z17" not in lazy
+    for (name, g), (lazy_name, h) in zip(eager.items(), lazy.items()):
+        assert (lazy_name, h.name, h.order) == (name, g.name, g.order)
+        assert h.table.dtype == g.table.dtype and h.table.tobytes() == g.table.tobytes(), name
+
+
+def test_bundled_corpus_builds_a_member_on_first_read(built):
+    corpus = bundled_corpus()
+    assert built == [] and len(corpus) == 25 and corpus.index()[-1] == ("A5", 60)
+    a5 = corpus["A5"]
+    assert built == ["A5"] and a5.order == 60
+    assert corpus["A5"] is a5 and built == ["A5"]
+    with pytest.raises(ValidationError, match="unknown group 'Z17'"):
+        corpus["Z17"]
+    assert built == ["A5"]
+
+
+def test_bundled_corpus_checks_the_order_cap_before_building(built):
+    with pytest.raises(CapExceeded, match=r"^cap 'order' exceeded: 25 > 24 \(permutation closure\)$"):
+        bundled_corpus(caps=Caps(order=24))  # S4 (24) passes, A5 (60) is the first above
+    assert built == []
+
+
+def test_cli_spec_and_action_file_build_only_what_they_read(tmp_path, built):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"field": "GF9", "atoms": 3, "constraints": [{"points": [0], "subfield": "GF3"}]}))
+    assert main(["boolean-power", "--spec", str(spec), "--out", str(tmp_path / "bp")]) == 0
+    assert built == []
+    action = tmp_path / "action.json"
+    shift = [[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)]
+    action.write_text(json.dumps({"group": "Z4", "p": 5, "dim": 4, "matrices": {"1": shift}}))
+    assert main(["ring-from-module", "--action-file", str(action), "--out", str(tmp_path / "ring")]) == 0
+    assert built == ["Z4"]
+
+
+def test_cli_empty_corpus_warns_in_one_line(tmp_path, capsys):
+    root = tmp_path / "empty"
+    root.mkdir()
+    code = main(["analyze-group", "--corpus", str(root), "--out", str(tmp_path / "x")])
+    assert code == 0
+    assert capsys.readouterr().err == f"warning: corpus directory {root} is empty\n"
+    assert json.loads((tmp_path / "x").read_text())["items"] == []
+
+
+def test_cli_bundled_towers_read_the_given_corpus_even_when_empty(tmp_path, capsys):
+    root = tmp_path / "empty"
+    root.mkdir()
+    code = main(["inverse-system", "--corpus", str(root), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"warning: corpus directory {root} is empty\n"
+                                       "error: unknown group 'Z8'\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_unknown_group(tmp_path):

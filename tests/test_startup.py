@@ -1,6 +1,10 @@
 """Start-up contract: `import grouplab` loads no submodule, each CLI subcommand loads only the
-layers it runs and never numpy.ma, and the lazy package exports are the eager ones."""
+layers it runs and never numpy.ma, and the lazy package exports are the eager ones.
 
+Records are `NamedTuple`s, which cost no per-class code generation at import; only the five
+records whose constructor validates are dataclasses."""
+
+import importlib
 import json
 import os
 import subprocess
@@ -13,9 +17,12 @@ import grouplab
 
 SRC = str(Path(grouplab.__file__).resolve().parents[1])
 
-# What a child reports: the grouplab submodules it loaded (short names) and whether numpy.ma is one.
-_REPORT = ("print(json.dumps([sorted(m.split('.', 1)[1] for m in sys.modules"
-           " if m.startswith('grouplab.')), 'numpy.ma' in sys.modules]))")
+# What a child reports: the grouplab submodules it loaded (short names), whether numpy.ma is one,
+# and the dataclasses those submodules define.
+_REPORT = ("mods = [m for name, m in sys.modules.items() if name.startswith('grouplab.')]\n"
+           "print(json.dumps([sorted(m.__name__.split('.', 1)[1] for m in mods), 'numpy.ma' in sys.modules,"
+           " sorted(k for m in mods for k, v in vars(m).items() if isinstance(v, type)"
+           " and '__dataclass_fields__' in vars(v) and v.__module__ == m.__name__)]))")
 _IMPORT_ONLY = "import json, sys, grouplab\n" + _REPORT
 _RUN_CLI = ("import json, sys\n"
             "from grouplab.cli import main\n"
@@ -34,6 +41,9 @@ _LOADED = {  # subcommand on bundled inputs -> the grouplab modules it loads
     ("ring-from-module", "--example", "swap-gf3"): {"algebras", "cli", "config", "corpus",
                                                     "errors", "groups", "linalg", "modring"},
 }
+
+# The records whose constructor validates: the only dataclasses, all in boolean and boolpower.
+_VALIDATING = ["BPElement", "BooleanIdeal", "BooleanQuotient", "FilteredPowerSpec", "FiniteBooleanRing"]
 
 # The names the package exported when it imported every module eagerly.
 _EXPORTED = [
@@ -84,14 +94,51 @@ def loaded(tmp_path_factory) -> dict[tuple[str, ...], list]:
 
 
 def test_import_loads_no_submodule(loaded):
-    assert loaded[()] == [[], False]
+    assert loaded[()] == [[], False, []]
 
 
 @pytest.mark.parametrize("argv", list(_LOADED), ids=lambda argv: argv[0])
 def test_subcommand_loads_only_its_layers(loaded, argv):
-    modules, has_ma = loaded[argv]
+    modules, has_ma, _ = loaded[argv]
     assert set(modules) == _LOADED[argv]
     assert not has_ma
+
+
+@pytest.mark.parametrize("argv", list(_LOADED), ids=lambda argv: argv[0])
+def test_subcommand_creates_only_the_validating_dataclasses(loaded, argv):
+    *_, dataclasses = loaded[argv]
+    assert dataclasses == (_VALIDATING if argv[0] == "boolean-power" else [])
+
+
+def _record_classes() -> dict[str, type]:
+    """Every class of the package that is a NamedTuple or a dataclass, by name."""
+    out = {}
+    for module in sorted(set(grouplab._MODULE_OF.values())):
+        for name, value in vars(importlib.import_module(f"grouplab.{module}")).items():
+            if (isinstance(value, type) and value.__module__ == f"grouplab.{module}"
+                    and ("_fields" in vars(value) or "__dataclass_fields__" in vars(value))):
+                out[name] = value
+    return out
+
+
+def test_records_are_named_tuples_but_the_validating_ones():
+    records = _record_classes()
+    assert sorted(name for name, cls in records.items() if "__dataclass_fields__" in vars(cls)) == _VALIDATING
+    assert len(records) == 40  # 35 NamedTuples
+
+
+def test_records_are_frozen_and_keep_their_repr():
+    from grouplab.boolean import FiniteBooleanRing
+
+    samples = [(cls(*range(len(cls._fields))), cls._fields)
+               for name, cls in _record_classes().items() if name not in _VALIDATING]
+    for record, fields in samples + [(FiniteBooleanRing(3), ("atom_count",))]:
+        shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
+        assert repr(record) == f"{type(record).__name__}({shown})"
+        for attr in (fields[0], "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, 1)
+    assert grouplab.Caps(order=60) == grouplab.DEFAULT_CAPS.with_overrides(order=60, subgroup_order=None)
 
 
 def test_lazy_exports_are_the_module_objects():
