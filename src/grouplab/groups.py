@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import threading
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -77,14 +78,16 @@ def _closure_mask(g: FiniteGroup, gens: Sequence[int], start: Sequence[int] = (0
     return seen
 
 
-def _greedy_generators(g: FiniteGroup, ids: Sequence[int] | None = None) -> list[int]:
+def _greedy_generators(g: FiniteGroup, ids: Sequence[int] | None = None,
+                       start: Sequence[int] = (0,)) -> list[int]:
     """Small generating set of the subgroup `ids` (default: all of G, made once per group),
-    chosen by ascending id."""
+    chosen by ascending id, over its subgroup `start` when every chosen element normalises it:
+    `start` and the result generate `ids`."""
     if ids is None and g._gens is not None:
         return list(g._gens)
     want = np.arange(g.order) if ids is None else np.asarray(ids, dtype=np.intp)
     gens: list[int] = []
-    covered = _closure_mask(g, gens)
+    covered = _closure_mask(g, gens, start)
     while not covered[want].all():
         gens.append(int(want[np.argmin(covered[want])]))
         covered = _closure_mask(g, gens, np.flatnonzero(covered))
@@ -122,6 +125,7 @@ def _orbit_minima(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
 
 _CHECK_BLOCK = 1 << 16  # cells of one block of rows in the whole-table passes
 _ID16_LIMIT = 1 << 15   # largest order whose element ids are stored as int16
+_MIN_COLUMNS = 8        # composed columns a permutation group keeps at any order
 
 
 def _id_dtype(order: int) -> type:
@@ -242,10 +246,14 @@ class _Perms:
     j > 0 was first reached as `parent[j]` times generator `gens[slot[j]]`, so the
     column of any element but the identity and the generators is composed from the
     generators' columns along that breadth-first tree, with no key formed.  The
-    columns made so far, and the table once built, are kept here, where a renamed
-    copy of the group shares them."""
+    key-searched columns are kept in `pinned` for the group's lifetime; the composed
+    ones in `columns`, least recently used first, at most `_CHECK_BLOCK` ids in all
+    or `_MIN_COLUMNS` columns if more, so a per-element loop holds a bounded number
+    of them.  `lock` guards that order, so threads may share the group.  The columns
+    and the table, once built, are kept here, where a renamed copy of the group
+    shares them."""
 
-    __slots__ = ("perms", "parent", "slot", "keys", "ids", "gens", "columns", "table")
+    __slots__ = ("perms", "parent", "slot", "keys", "ids", "gens", "pinned", "columns", "lock", "table")
 
     def __init__(self, perms: np.ndarray, parent: np.ndarray, slot: np.ndarray) -> None:
         keys = _perm_keys(perms)
@@ -253,7 +261,9 @@ class _Perms:
         self.ids = np.argsort(keys).astype(_id_dtype(perms.shape[0]))
         self.keys = keys[self.ids]
         self.gens: tuple[int, ...] = ()  # the ids of the generators the rows were closed from
-        self.columns: dict[tuple[str, int], np.ndarray] = {}
+        self.pinned: dict[tuple[str, int], np.ndarray] = {}
+        self.columns: dict[tuple[str, int], np.ndarray] = {}  # insertion order: least recently used first
+        self.lock = threading.Lock()
         self.table: np.ndarray | None = None
 
     def ids_of(self, rows: np.ndarray) -> np.ndarray:
@@ -265,27 +275,35 @@ class _Perms:
         return self.ids[pos]
 
     def column(self, side: str, s: int) -> np.ndarray:
-        """The ids of x*s ("right") or of s*x ("left") for every x, made once.  Along the
-        tree path s = g1 g2 ... gd, right(s) = right(gd)[... right(g1)] and
-        left(s) = left(g1)[... left(gd)]."""
+        """The ids of x*s ("right") or of s*x ("left") for every x.  Along the tree path
+        s = g1 g2 ... gd, right(s) = right(gd)[... right(g1)] and left(s) = left(g1)[... left(gd)]."""
         key = (side, int(s))
-        if key not in self.columns:
-            if s == 0 or s in self.gens:
-                p = self.perms
-                col = self.ids_of(p[:, p[s]] if side == "right" else p[s][p])
-            else:
-                path = []  # the columns of gd, ..., g1
-                while s:
-                    path.append(self.column(side, self.gens[self.slot[s]]))
-                    s = self.parent[s]
-                if side == "right":
-                    path.reverse()
-                col = path[0]
-                for step in path[1:]:
-                    col = step[col]
+        if key in self.pinned:
+            return self.pinned[key]
+        if s == 0 or s in self.gens:
+            p = self.perms
+            col = self.ids_of(p[:, p[s]] if side == "right" else p[s][p])
             col.setflags(write=False)
+            self.pinned[key] = col
+            return col
+        with self.lock:
+            col = self.columns.pop(key, None)  # put back last: the most recently used
+        if col is None:
+            path = []  # the columns of gd, ..., g1
+            while s:
+                path.append(self.column(side, self.gens[self.slot[s]]))
+                s = self.parent[s]
+            if side == "right":
+                path.reverse()
+            col = path[0]
+            for step in path[1:]:
+                col = step[col]
+            col.setflags(write=False)
+        with self.lock:
             self.columns[key] = col
-        return self.columns[key]
+            while len(self.columns) > max(_MIN_COLUMNS, _CHECK_BLOCK // col.size):
+                del self.columns[next(iter(self.columns))]
+        return col
 
     def element_order(self, s: int) -> int:
         """The order of element s: the lcm of the cycle lengths of its permutation."""
@@ -833,12 +851,18 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
                                  start.gens + tuple(x for x in gens if x not in start))
 
 
+def _closure_block_rows(g: FiniteGroup, width: int) -> int:
+    """The rows of at most `width` gens that `_closures` closes at once: their int32 targets
+    (rows x |G| x width) take at most `_CHECK_BLOCK` bytes."""
+    return _block_rows(4 * g.order * width)
+
+
 def _closures(g: FiniteGroup, rows: Iterable[tuple[Subgroup, tuple]], width: int) -> Iterator[tuple]:
     """The (start, gens) rows whose start*<gens> no earlier row reached, in order, with its sorted ids.
-    Rows of at most `width` gens, padded with the identity 0, are closed in blocks whose int32 targets
-    (rows x |G| x width) take at most `_CHECK_BLOCK` bytes, each in one search of the flattened masks."""
-    rows, n, reached = iter(rows), g.order, set()
-    while block := list(itertools.islice(rows, _block_rows(4 * n * width))):
+    Rows of at most `width` gens, padded with the identity 0, are closed in blocks of
+    `_closure_block_rows`, each in one search of the flattened masks."""
+    rows, n, reached, size = iter(rows), g.order, set(), _closure_block_rows(g, width)
+    while block := list(itertools.islice(rows, size)):
         gens = np.array([row + (0,) * (width - len(row)) for _, row in block], dtype=np.intp)
         firsts = [i for i, (sub, _) in enumerate(block) if not i or sub is not block[i - 1][0]]
         seen = np.zeros((len(firsts), n), dtype=bool)

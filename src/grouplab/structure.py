@@ -7,7 +7,7 @@ tuple), witnesses by ascending id.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .groups import (
     _class_labels,
     _class_reps,
     _close,
+    _closure_block_rows,
     _closure_mask,
     _closures,
     _coset_reps,
@@ -27,6 +28,7 @@ from .groups import (
     _distinct_reps,
     _greedy_generators,
     _normal_closure,
+    _orbit_minima,
     _tree,
     commutator_subgroup,
     is_nilpotent,
@@ -79,18 +81,37 @@ def _conjugates(g: FiniteGroup, k: Subgroup) -> list[Subgroup]:
     return orbit
 
 
+def _class_minima(g: FiniteGroup):
+    """A function taking an array over the elements to, at every element, the least of the array
+    over that element's conjugacy class."""
+    labels = _class_labels(g)
+    by_class = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[by_class], prepend=-1))
+    return lambda values: np.minimum.reduceat(values[by_class], starts)[labels]
+
+
 def _subgroup_classes(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
     """Every subgroup, one conjugacy class per list with its representative first.
 
-    Cyclic extension (Neubüser) of one representative H per class: as
-    <H, x> = <H, xh> for h in H, x ranges over the minimal representatives of
-    the left cosets xH other than H, each closure grown from H.  That reaches a
-    member of every class, as <H^h, x> = <H, x^(h^-1)>^h.  A new subgroup brings
-    its whole class, and each conjugate is recorded against `subgroup_count`.
+    Cyclic extension (Neubüser) of one representative H per class by one x per
+    orbit of G under x -> hx and x -> xh for h in H, and x -> x^n for n in the
+    normaliser N_G(H), other than H itself: <H, hx> = <H, xh> = <H, x>, and
+    <H, x^n> = <H, x>^n lies in the class of <H, x>.  The x taken is the least of
+    its orbit, so an x left out closes, after that least, into a class already
+    found.  That reaches a member of every class, as <H^h, x> = <H, x^(h^-1)>^h.
+    y normalises H iff s y lies in y H for every s in H.gens, and |N_G(H)| times
+    the class size must be |G|.  For H normal (a class of one), N_G(H) = G and the
+    orbits are the preimages of the classes of G/H: the least coset
+    representative over each class of G (in an abelian group, the cosets xH).
+    The cosets are taken as they are when they fit in one `_closures` block: a
+    measured heuristic, as there the orbits cost more than the rows they save.
+    A new subgroup brings its whole class, and each conjugate is recorded
+    against `subgroup_count`.
     """
     caps.check("subgroup_order", g.order)
     found: dict[tuple[int, ...], Subgroup] = {}
     classes: list[list[Subgroup]] = []
+    class_minima = None  # made once, when a normal H needs it
 
     def add_class(sub: Subgroup) -> None:
         conjugates = _conjugates(g, sub)
@@ -98,12 +119,31 @@ def _subgroup_classes(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
             _record(found, c, "subgroup_count", caps)
         classes.append(conjugates)
 
+    def extensions(h: Subgroup, class_size: int, block: int) -> list[int]:
+        nonlocal class_minima
+        rep = _coset_reps(h)
+        cosets = _distinct_reps(rep)
+        if cosets.size <= block:
+            return cosets[1:].tolist()
+        if class_size == 1:
+            class_minima = class_minima or _class_minima(g)
+            return _distinct_reps(class_minima(rep))[1:].tolist()
+        lefts = [g.left(s) for s in h.gens]
+        normaliser = np.flatnonzero(np.logical_and.reduce([rep[left] == rep for left in lefts]))
+        if normaliser.size * class_size != g.order:
+            raise GroupLabError("a normaliser's order times its class size is not the group order")
+        conj = [g.left(g.inverse[n])[g.right(n)] for n in _greedy_generators(g, normaliser, h.ids)]
+        orbits = _orbit_minima([g.right(s) for s in h.gens] + lefts + conj, g.order)
+        return _distinct_reps(orbits)[1:].tolist()
+
     add_class(g.trivial_subgroup())
     done = 0
     while done < len(classes):  # by levels: a block is closed before it is walked, so reads no later class
-        level, done = [cls[0] for cls in classes[done:]], len(classes)
-        rows = ((h, h.gens + (x,)) for h in level for x in _distinct_reps(_coset_reps(h))[1:].tolist())
-        for (_, gens), ids in _closures(g, rows, 1 + max(len(h.gens) for h in level)):
+        level, done = [(cls[0], len(cls)) for cls in classes[done:]], len(classes)
+        width = 1 + max(len(h.gens) for h, _ in level)
+        block = _closure_block_rows(g, width)
+        rows = ((h, h.gens + (x,)) for h, size in level for x in extensions(h, size, block))
+        for (_, gens), ids in _closures(g, rows, width):
             if ids not in found:
                 add_class(Subgroup._from_sorted(g, ids, gens))
     return classes
@@ -136,14 +176,12 @@ def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> 
     worklist = [p for _, p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
     xs = np.array([x for x, _ in principals.values()], dtype=np.intp)
     ps = [p for _, p in principals.values()]
-    labels = _class_labels(g)
-    by_class = np.argsort(labels, kind="stable")
-    class_starts = np.flatnonzero(np.diff(labels[by_class], prepend=-1))
+    class_minima = _class_minima(g)
 
     def joins(n: Subgroup) -> list[Subgroup]:
         rep = _coset_reps(n)
         outside = np.flatnonzero(rep[xs])  # P <= N iff x in N, iff xN = N
-        key = np.minimum.reduceat(rep[by_class], class_starts)[labels[xs[outside]]]
+        key = class_minima(rep)[xs[outside]]
         return [ps[i] for i in np.sort(outside[np.unique(key, return_index=True)[1]]).tolist()]
 
     width = max((len(p.gens) for p in ps), default=1)
@@ -224,14 +262,44 @@ def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
 
 def _rank_by_search(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     """d(sub/base) by search: as <base, x> = <base, xb> for b in base, the
-    candidates are the minimal representatives of the cosets of `base` in `sub`
-    other than `base` itself, and each unordered k-subset of them is tried once.
+    candidates are one element t of each coset of `base` in `sub` other than
+    `base` itself.  They are taken along the breadth-first tree of those cosets
+    under right multiplication by `sub.gens`, which `sub` permutes as `base` is
+    normal in it, so a candidate t*s has the column right(s)[right(t)]: one
+    gather, made once per search and only once the search reaches it.  For each
+    k, from 1 if sub/base is abelian (the commutators of `sub.gens` lie in
+    `base`) and from 2 otherwise, each unordered k-subset is tried once, in the
+    order its last member is reached.
     """
-    reps = [x for x in _distinct_reps(_coset_reps(base)).tolist() if x in sub][1:]
-    for k in range(1, (len(sub) // len(base)).bit_length() + 1):
-        for combo in itertools.combinations(reps, k):
-            if np.count_nonzero(_closure_mask(g, combo, base.ids)) == len(sub):
+    start = np.zeros(g.order, dtype=bool)
+    start[list(base.ids)] = True
+
+    def generates(combo: Sequence[np.ndarray]) -> bool:
+        seen = start.copy()
+        _close(seen, np.array(combo))
+        return np.count_nonzero(seen) == len(sub)
+
+    rep = _coset_reps(base)
+    steps = [g.right(s) for s in sub.gens]
+    cols, reached = [np.arange(g.order, dtype=g.inverse.dtype)], {0}
+
+    def grow() -> Iterator[bool]:  # one more candidate column at a time; col[0] is the t of col
+        for col in cols:
+            for step in steps:
+                coset = int(rep[step[col[0]]])
+                if coset not in reached:
+                    reached.add(coset)
+                    cols.append(step[col])
+                    yield True
+
+    growing = grow()
+    abelian = all(g.commutator(a, b) in base for a, b in itertools.combinations(sub.gens, 2))
+    for k in range(1 if abelian else 2, (len(sub) // len(base)).bit_length() + 1):
+        j = 1
+        while j < len(cols) or next(growing, False):
+            if any(generates(combo + (cols[j],)) for combo in itertools.combinations(cols[1:j], k - 1)):
                 return k
+            j += 1
     raise GroupLabError("generator search exceeded the log2 bound")
 
 

@@ -20,7 +20,9 @@ from grouplab.groups import (
     _class_labels,
     _class_reps,
     _closure_mask,
+    _closures,
     _coset_reps,
+    _distinct_reps,
     _greedy_generators,
     _id_dtype,
     _local_ids,
@@ -298,6 +300,35 @@ def subgroup_classes_one_at_a_time(g: FiniteGroup, caps: Caps) -> list[list[Subg
             sub = subgroup_closure(g, h.gens + (x,), start=h)
             if sub.ids not in found:
                 add_class(sub)
+    return classes
+
+
+def subgroup_classes_by_coset_reps(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
+    """Every subgroup, one conjugacy class per list with its representative first.
+
+    Cyclic extension of one representative H per class by every least left-coset
+    representative x other than H itself, as <H, x> = <H, xh> for h in H; each
+    level of classes is extended in batched closure rows.  A new subgroup brings
+    its whole class, and each conjugate is recorded against `subgroup_count`.
+    """
+    caps.check("subgroup_order", g.order)
+    found: dict[tuple[int, ...], Subgroup] = {}
+    classes: list[list[Subgroup]] = []
+
+    def add_class(sub: Subgroup) -> None:
+        conjugates = _conjugates(g, sub)
+        for c in conjugates:
+            _record(found, c, "subgroup_count", caps)
+        classes.append(conjugates)
+
+    add_class(g.trivial_subgroup())
+    done = 0
+    while done < len(classes):
+        level, done = [cls[0] for cls in classes[done:]], len(classes)
+        rows = ((h, h.gens + (x,)) for h in level for x in _distinct_reps(_coset_reps(h))[1:].tolist())
+        for (_, gens), ids in _closures(g, rows, 1 + max(len(h.gens) for h in level)):
+            if ids not in found:
+                add_class(Subgroup._from_sorted(g, ids, gens))
     return classes
 
 
@@ -898,6 +929,17 @@ def relative_rank_by_all_powers(g: FiniteGroup, base: Subgroup, sub: Subgroup) -
     gens = np.unique(powers).tolist() + list(commutator_subgroup(sub, sub).gens)
     m_order = np.count_nonzero(_closure_mask(g, gens, base.ids))
     return split_prime_power(len(sub) // m_order, p)[0]
+
+
+def rank_by_least_coset_reps(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
+    """d(sub/base): the least k such that `base` and some k of the least representatives of the
+    cosets of `base` in `sub` generate `sub`, each k-subset closed on its own."""
+    reps = [x for x in np.unique(_coset_reps(base)).tolist() if x in sub][1:]
+    for k in range(len(reps) + 1):
+        for combo in itertools.combinations(reps, k):
+            if np.count_nonzero(_closure_mask(g, combo, base.ids)) == len(sub):
+                return k
+    raise GroupLabError("no generating set")
 
 
 def nilpotent_scan_by_repeated_products(ring) -> tuple[bool, int | None]:

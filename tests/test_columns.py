@@ -12,10 +12,13 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import grouplab.groups
 
 from conftest import _PERM_GROUPS, s6_tower_levels
 from grouplab.cli import _canonical_row
@@ -24,6 +27,7 @@ from grouplab.corpus import load_corpus
 from grouplab.errors import CapExceeded, GroupLabError, ValidationError
 from grouplab.groups import (
     FiniteGroup,
+    _MIN_COLUMNS,
     _Perms,
     _class_labels,
     _closure_mask,
@@ -124,6 +128,64 @@ def test_tree_columns_match_the_key_search(perm_group, monkeypatch):
         for (side, s), col in cols.items():
             assert np.array_equal(col, column_by_key_search(source, side, s)), (g.name, side, s)
             assert col.dtype == g.inverse.dtype and not col.flags.writeable
+
+
+def test_bounded_column_cache_matches_the_key_search(perm_group, monkeypatch):
+    """With room for a few composed columns, every column read after evictions equals the one a
+    key search finds, and none forms a key once the pinned columns exist: those of the identity
+    and the generators, which are never evicted.  The composed columns held never exceed the budget
+    in ids or `_MIN_COLUMNS`, whichever allows more, and the least recently used goes first."""
+    budget = 1 << 13  # ids: one column of S7, two of A5xA5, eleven of an S6 tower level
+    monkeypatch.setattr(grouplab.groups, "_CHECK_BLOCK", budget)
+    rng = np.random.default_rng(29)
+    groups = [perm_group(name) for name in ("S7", "A5xA5")] + s6_tower_levels(perm_group("S6"))[1:]
+    for g in groups:
+        source, room = g._source, max(_MIN_COLUMNS, budget // g.order)
+        for side in ("right", "left"):
+            for s in (0, *source.gens):
+                source.column(side, s)
+        pinned = dict(source.pinned)
+        assert len(pinned) == 2 * len({0, *source.gens}), g.name
+        sample = [0, *source.gens, *rng.choice(g.order, size=40, replace=False).tolist()]
+        expected = {(side, s): column_by_key_search(source, side, s)
+                    for s in sample for side in ("right", "left")}
+        reads = [list(expected)[i] for i in rng.integers(0, len(expected), size=4 * len(expected))]
+        with monkeypatch.context() as patched:
+            patched.setattr(_Perms, "ids_of", _no_key_search)
+            for side, s in reads:
+                col = source.column(side, s)
+                assert np.array_equal(col, expected[side, s]), (g.name, side, s)
+                assert len(source.columns) <= room, g.name
+                assert (side, s) not in pinned or col is pinned[side, s], (g.name, side, s)
+        assert source.pinned.keys() == pinned.keys(), g.name
+        assert all(source.pinned[key] is col for key, col in pinned.items()), g.name
+        assert len(source.columns) == room, g.name  # full
+    a5xa5 = groups[1]._source  # room for `_MIN_COLUMNS`: reading a, b..., a, c evicts the first b
+    composed = [s for s in range(1, groups[1].order) if s not in a5xa5.gens]
+    a, *b, c = (("right", s) for s in composed[:_MIN_COLUMNS + 1])
+    for side, s in (a, *b, a, c):
+        a5xa5.column(side, s)
+    assert list(a5xa5.columns) == [*b[1:], a, c]
+
+
+def test_shared_column_cache_across_threads(perm_group, monkeypatch):
+    """Threads reading the same group through a small column cache, evicting each other's
+    columns, all read the columns a key search finds: no eviction fails on a key another thread took."""
+    monkeypatch.setattr(grouplab.groups, "_CHECK_BLOCK", 1 << 13)
+    g = perm_group("A5xA5")
+    rng = np.random.default_rng(31)
+    sample = rng.choice(g.order, size=3 * _MIN_COLUMNS, replace=False).tolist()
+    expected = {s: column_by_key_search(g._source, "right", s) for s in sample}
+    reads = [rng.permutation(sample * 100).tolist() for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the cache's updates too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            wrong = pool.map(lambda order: [s for s in order if not np.array_equal(g.right(s), expected[s])], reads)
+            assert list(wrong) == [[]] * 4
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(g._source.columns) <= _MIN_COLUMNS
 
 
 def _table_path(g: FiniteGroup) -> FiniteGroup:

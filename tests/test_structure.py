@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import grouplab.groups
+import grouplab.structure
+import oracles
 
 from grouplab.config import DEFAULT_CAPS, Caps
 from grouplab.errors import CapExceeded, ValidationError
@@ -54,8 +56,10 @@ from oracles import (
     is_automorphism_all_pairs,
     minimal_generator_count_from_class_reps,
     prufer_rank_of_subgroup_groups,
+    rank_by_least_coset_reps,
     relative_rank_by_all_powers,
     spread_depth_bruteforce,
+    subgroup_classes_by_coset_reps,
     subgroup_classes_one_at_a_time,
     sylow_subgroup_restarting,
 )
@@ -114,6 +118,33 @@ def test_batched_enumerators_match_one_at_a_time_oracles(corpus, perm_group):
     for name, g in groups + [(name, perm_group(name)) for name in ("A5xA5", "S7")]:
         assert [(s.ids, s.gens) for s in enumerate_normal_subgroups(g)] == \
             [(s.ids, s.gens) for s in enumerate_normal_subgroups_one_at_a_time(g)], name
+
+
+def test_orbit_representatives_find_the_coset_extension_classes(corpus, perm_group, monkeypatch):
+    """One x per orbit of x -> hx, x -> xh and conjugation by N_G(H) finds the classes that every
+    least coset representative finds, in the same order and with the same gens.  With one-row
+    closure blocks every H but G takes its orbits (the cosets in an abelian group)."""
+    groups = list(corpus) + [("Z2^5", direct_power(corpus["Z2"], 5)), ("Z4^3", direct_power(corpus["Z4"], 3))]
+    groups += [(name, perm_group(name)) for name in ("D4xQ8", "S5", "S6")]
+    caps = Caps(subgroup_order=1000)
+    rows = []  # the (H, gens) rows closed
+    for module in (grouplab.structure, oracles):
+        monkeypatch.setattr(module, "_closures", lambda g, rows_, width, closures=module._closures:
+                            closures(g, (r for r in rows_ if not rows.append(r)), width))
+    found = {}
+    for name, g in groups:
+        rows.clear()
+        want = [[(s.ids, s.gens) for s in cls] for cls in subgroup_classes_by_coset_reps(g, caps)]
+        coset_rows = len(rows)
+        assert [[(s.ids, s.gens) for s in cls] for cls in _subgroup_classes(g, caps)] == want, name
+        rows.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(grouplab.groups, "_CHECK_BLOCK", 1)
+            classes = _subgroup_classes(g, caps)
+        assert [[(s.ids, s.gens) for s in cls] for cls in classes] == want, name
+        found[name] = (sum(map(len, classes)), len(classes), coset_rows, len(rows))
+    assert found["S5"] == (156, 19, 496, 85) and found["S6"] == (1455, 56, 5890, 587)
+    assert found["D4xQ8"][2:] == (1143, 778) and found["Z2^5"] == (374, 374, 2077, 2077)
 
 
 def test_batched_closure_rows_match_unique_oracle(corpus, perm_group, monkeypatch):
@@ -404,6 +435,22 @@ def test_relative_rank_matches_all_powers_oracle(corpus, perm_group):
                     assert _relative_rank(g, base, k) == relative_rank_by_all_powers(g, base, k), (g.name, k, base)
                     checked += 1
     assert checked == 1022  # of 2,014 (class representative, base) pairs
+
+
+def test_rank_search_matches_least_coset_reps(corpus, perm_group):
+    """The tree-ordered search over one element per coset, from k = 2 on a nonabelian quotient,
+    finds the rank that the least coset representatives give, for every quotient of a class
+    representative by the trivial group or its core whose order is not a prime power."""
+    groups = [corpus[name] for name in ("S3", "S4", "A4", "A5", "Z12")] + [perm_group("S5")]
+    groups += [direct_product(corpus["D4"], corpus["S3"]), direct_product(corpus["S3"], corpus["Z4"])]
+    checked = 0
+    for g in groups:
+        for k, *_ in _subgroup_classes(g, DEFAULT_CAPS):
+            for base in {b.ids: b for b in (core(g, k), g.trivial_subgroup())}.values():
+                if len(k) > len(base) and prime_power_base(len(k) // len(base)) is None:
+                    assert _rank_by_search(g, base, k) == rank_by_least_coset_reps(g, base, k), (g.name, k, base)
+                    checked += 1
+    assert checked == 54
 
 
 def test_burnside_rank_matches_search_on_p_quotients(corpus):
