@@ -9,6 +9,7 @@ repeated runs produce identical output regardless of platform.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 import math
@@ -502,9 +503,10 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A sorted set of element ids closed under the parent's operations."""
+    """A sorted tuple of element ids closed under the parent's operations, kept as that tuple alone:
+    membership bisects it, so no set is held per subgroup."""
 
-    __slots__ = ("group", "ids", "_members", "_gens")
+    __slots__ = ("group", "ids", "_gens")
 
     def __init__(self, group: FiniteGroup, ids: Iterable[int], *, validate: bool = True):
         if validate:
@@ -514,7 +516,6 @@ class Subgroup:
             raise ValidationError("a subgroup is nonempty")
         self.group = group
         self.ids = sorted_ids
-        self._members = frozenset(sorted_ids)
         self._gens: tuple[int, ...] | None = None
         if validate:
             self._validate()
@@ -526,7 +527,6 @@ class Subgroup:
         sub = cls.__new__(cls)
         sub.group = group
         sub.ids = ids
-        sub._members = frozenset(ids)
         sub._gens = gens
         return sub
 
@@ -557,7 +557,8 @@ class Subgroup:
         return len(self.ids)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._members
+        i = bisect.bisect_left(self.ids, x)
+        return i < len(self.ids) and self.ids[i] == x
 
     def __iter__(self):
         return iter(self.ids)
@@ -577,7 +578,9 @@ class Subgroup:
         return self.group.order // len(self.ids)
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        return self._members.issuperset(other._members)
+        mask = np.zeros(self.group.order, dtype=bool)
+        mask[list(self.ids)] = True
+        return other.ids[-1] < mask.size and bool(mask[list(other.ids)].all())
 
     def conjugate_by(self, g: int) -> "Subgroup":
         grp = self.group
@@ -735,7 +738,9 @@ def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
     if not (keys[1:] != keys[:-1]).all() or not np.array_equal(perms[0], np.arange(degree)):
         raise GroupLabError("the permutation index is not a bijection from the identity first")
     source.gens = tuple(source.ids_of(np.reshape(gen_arrays, (-1, degree))).tolist())
-    grp = _checked_on_generators(name, source, source.ids_of(np.argsort(perms, axis=1)))  # argsort inverts
+    inverse = np.empty_like(perms)  # row x at point perms[x, i] is i: one scatter in the points' dtype
+    inverse[np.arange(len(perms))[:, None], perms] = np.arange(degree, dtype=perms.dtype)
+    grp = _checked_on_generators(name, source, source.ids_of(inverse))
     grp.perm_generators = PermGenerators(
         degree=degree,
         perms=tuple(tuple(int(v) for v in p) for p in gen_arrays),
@@ -1036,15 +1041,18 @@ def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
 def _normal_closure(g: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[int]) -> Subgroup:
     """Smallest subgroup containing `seeds` that every conjugator normalises.
 
-    Each seed, and each conjugate c^s of a new generator c, not yet inside becomes a generator.
+    Each seed, and each conjugate c^s of a new generator c, not yet inside becomes a generator:
+    one mask grows under the columns of the generators so far, and one subgroup is made from it.
     """
-    sub = g.trivial_subgroup()
+    seen, gens, cols = np.arange(g.order) == 0, [], []
     pending = list(seeds)
     for c in pending:
-        if c not in sub:
-            sub = subgroup_closure(g, sub.gens + (c,), start=sub)
+        if not seen[c]:
+            gens.append(c)
+            cols.append(g.right(c))
+            _close(seen, np.array(cols))
             pending.extend(g.conjugate(c, s) for s in conjugators)
-    return sub
+    return Subgroup._from_sorted(g, tuple(np.flatnonzero(seen).tolist()), tuple(gens))
 
 
 def normal_closure(g: FiniteGroup, x: int) -> Subgroup:

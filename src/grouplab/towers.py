@@ -131,13 +131,15 @@ def coset_action_system(g: FiniteGroup, chain: Sequence[Subgroup],
     caps.check("order", total_points)
 
     # blocks[i][x, j]: the point that x moves coset j of space i to, numbered
-    # consecutively across the spaces
+    # consecutively across the spaces in the least dtype that holds them, that of
+    # the permutation rows of the levels
     blocks = []
     offset = 0
+    point = np.min_scalar_type(total_points - 1)
     for rep, space in zip(rep_of, spaces):
         reps = np.array(space.reps, dtype=np.int32)
-        point_of = np.empty(g.order, dtype=np.int32)
-        point_of[reps] = offset + np.arange(len(reps), dtype=np.int32)
+        point_of = np.empty(g.order, dtype=point)
+        point_of[reps] = offset + np.arange(len(reps))
         blocks.append(point_of[rep[np.stack([g.right(r) for r in reps], axis=1)]])
         offset += len(reps)
 

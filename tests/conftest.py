@@ -38,10 +38,14 @@ def perm_group():
     return build
 
 
-def s6_tower_levels(s6: FiniteGroup) -> list[FiniteGroup]:
-    """S6 acting on the cosets of the stabilisers of 0, 1, 2 in turn, as the benchmark's tower
-    file has it: degrees 1, 7, 37 and 157, the last two above the int64-key degree."""
+def s6_stabiliser_chain(s6: FiniteGroup) -> list[Subgroup]:
+    """The stabilisers in S6 of none, 0, {0, 1} and {0, 1, 2}, as the benchmark's tower file has them."""
     perms = [s6.permutation_of(x) for x in s6.elements()]
-    chain = [Subgroup(s6, [x for x, p in enumerate(perms) if all(p[a] == a for a in range(depth))])
-             for depth in range(4)]
-    return list(coset_action_system(s6, chain).system.levels)
+    return [Subgroup(s6, [x for x, p in enumerate(perms) if all(p[a] == a for a in range(depth))])
+            for depth in range(4)]
+
+
+def s6_tower_levels(s6: FiniteGroup) -> list[FiniteGroup]:
+    """S6 acting on the cosets of its stabiliser chain in turn: degrees 1, 7, 37 and 157, the
+    last two above the int64-key degree."""
+    return list(coset_action_system(s6, s6_stabiliser_chain(s6)).system.levels)

@@ -26,7 +26,6 @@ from grouplab.groups import (
     _greedy_generators,
     _id_dtype,
     _local_ids,
-    _normal_closure,
     build_group,
     center,
     commutator_subgroup,
@@ -186,6 +185,45 @@ def ring_tables_pairwise(ring) -> tuple[list[list[int]], list[list[int]]]:
     return add, mul
 
 
+def normal_closure_per_step(g: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[int]) -> Subgroup:
+    """Smallest subgroup containing `seeds` that every conjugator normalises, one `subgroup_closure`
+    per generator it adds: each seed, and each conjugate c^s of a new generator c, not yet inside."""
+    sub = g.trivial_subgroup()
+    pending = list(seeds)
+    for c in pending:
+        if c not in set(sub.ids):
+            sub = subgroup_closure(g, sub.gens + (c,), start=sub)
+            pending.extend(g.conjugate(c, s) for s in conjugators)
+    return sub
+
+
+def inverse_by_argsort(g: FiniteGroup) -> np.ndarray:
+    """The inverse array of a group built from permutations: the ids of the rows' argsorts."""
+    return g._source.ids_of(np.argsort(g._source.perms, axis=1))
+
+
+def coset_action_by_int32_points(g: FiniteGroup, chain: Sequence[Subgroup]
+                                 ) -> list[tuple[FiniteGroup, list[int]]]:
+    """Level n of the action of g on the first n coset spaces of `chain`, its points numbered in
+    int32 across the spaces, built from the images of the greedy generators of g, with the id there
+    of every element of g, found by its permutation."""
+    blocks, offset, out = [], 0, []
+    for sub in chain:
+        rep = coset_reps_by_gather(g, sub.ids)
+        reps = np.unique(rep).astype(np.int32)
+        point_of = np.empty(g.order, dtype=np.int32)
+        point_of[reps] = offset + np.arange(len(reps), dtype=np.int32)
+        blocks.append(point_of[rep[g.table[:, reps]]])
+        offset += len(reps)
+    for n in range(1, len(chain) + 1):
+        acting = np.hstack(blocks[:n])
+        level = build_group(generators=[acting[x].tolist() for x in _greedy_generators(g)],
+                            degree=acting.shape[1], name=f"{g.name}|X{n}")
+        index = {level.permutation_of(x): x for x in level.elements()}
+        out.append((level, [index[tuple(row)] for row in acting.tolist()]))
+    return out
+
+
 def _canonical(subs: dict[tuple[int, ...], Subgroup]) -> list[Subgroup]:
     return [subs[key] for key in sorted(subs, key=lambda ids: (len(ids), ids))]
 
@@ -218,7 +256,7 @@ def enumerate_subgroups_all_x(
         new_frontier = []
         for key in frontier:
             base_gens = gens_of[key]
-            members = found[key]._members
+            members = set(key)
             for x in range(1, g.order):
                 if x in members:
                     continue
@@ -262,7 +300,7 @@ def enumerate_normal_subgroups_all_principals(g: FiniteGroup, *, caps: Caps = DE
     found: dict[tuple[int, ...], Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
     gens = _greedy_generators(g)
-    closures = (_normal_closure(g, (x,), gens) for x in _class_reps(g)[1:])
+    closures = (normal_closure_per_step(g, (x,), gens) for x in _class_reps(g)[1:])
     principals = {p.ids: p for p in closures}
     worklist = [p for p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
     for n in worklist:
@@ -346,7 +384,7 @@ def enumerate_normal_subgroups_one_at_a_time(g: FiniteGroup, *, caps: Caps = DEF
     found: dict[tuple[int, ...], Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
     gens = _greedy_generators(g)
-    closures = ((x, _normal_closure(g, (x,), gens)) for x in _class_reps(g)[1:])
+    closures = ((x, normal_closure_per_step(g, (x,), gens)) for x in _class_reps(g)[1:])
     principals = {p.ids: (x, p) for x, p in closures}
     worklist = [p for _, p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
     labels = _class_labels(g)

@@ -43,6 +43,7 @@ from oracles import (
     column_by_key_search,
     commuting_pair_count_blockwise,
     coset_reps_by_gather,
+    inverse_by_argsort,
     perm_closure_by_dict,
     table_by_columns,
 )
@@ -75,6 +76,16 @@ def test_layered_closure_keeps_the_queue_order_ids_and_inverses(corpus, perm_gro
         degrees.append(pg.degree)
     assert {7, 37, 157, 300} <= set(degrees)  # int64 keys, byte keys, uint16 points
     assert wide._source.perms.dtype == np.uint16
+
+
+def test_scatter_inverse_matches_argsort(perm_group):
+    # D300 on 300 points: uint16 rows, scattered in uint16
+    d300 = build_group(generators=[[(x + 1) % 300 for x in range(300)], [(-x) % 300 for x in range(300)]],
+                       degree=300, name="D300")
+    for g in [*(perm_group(name) for name in _PERM_GROUPS), d300]:
+        assert g.inverse.dtype == grouplab.groups._id_dtype(g.order), g.name
+        assert np.array_equal(g.inverse, inverse_by_argsort(g)), g.name
+    assert d300.order == 600 and d300._source.perms.dtype == np.uint16
 
 
 def test_closure_tree_rebuilds_every_permutation(corpus, perm_group):

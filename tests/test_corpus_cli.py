@@ -162,10 +162,28 @@ def test_bundled_corpus_builds_a_member_on_first_read(built):
     assert built == ["A5"]
 
 
-def test_bundled_corpus_checks_the_order_cap_before_building(built):
+def test_bundled_corpus_checks_the_order_cap_on_a_members_first_read(built):
+    corpus = bundled_corpus(caps=Caps(order=24))  # A5 (60) is above the cap, and not read yet
+    assert built == [] and corpus.index()[-1] == ("A5", 60)
     with pytest.raises(CapExceeded, match=r"^cap 'order' exceeded: 25 > 24 \(permutation closure\)$"):
-        bundled_corpus(caps=Caps(order=24))  # S4 (24) passes, A5 (60) is the first above
-    assert built == []
+        corpus["A5"]
+    assert built == ["A5"]
+    assert corpus["S4"].order == 24 and built == ["A5", "S4"]
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["boolean-power", "--spec", "{spec}"], 59),  # reads no bundled group
+    (["ring-from-module", "--example", "swap-gf3"], 30),  # reads Z2 and S3
+], ids=["boolean-power", "ring-from-module"])
+def test_cli_order_cap_fails_only_the_members_a_job_reads(tmp_path, capsys, argv, cap):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"field": "GF9", "atoms": 3, "constraints": [{"points": [0], "subfield": "GF3"}]}))
+    argv = [a.replace("{spec}", str(spec)) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(argv + ["--cap-order", str(cap), "--out", str(tmp_path / "capped")]) == 0
+    assert capsys.readouterr().err == ""
+    items = [json.loads((tmp_path / name).read_text())["items"] for name in ("plain", "capped")]
+    assert items[0] and items[1] == items[0]
 
 
 def test_cli_spec_and_action_file_build_only_what_they_read(tmp_path, built):

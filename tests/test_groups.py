@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -353,6 +354,18 @@ def test_subgroup_validation(corpus):
     # Lagrange: every closure divides the order
     for x in s3.elements():
         assert s3.order % len(subgroup_closure(s3, [x])) == 0
+
+
+def test_membership_by_bisection_and_mask_matches_sets(corpus, perm_group):
+    for g in (corpus["S4"], perm_group("D4xQ8"), direct_power(corpus["Z2"], 5)):
+        subs = enumerate_subgroups(g)
+        sets = [set(sub.ids) for sub in subs]
+        for sub, members in zip(subs, sets):
+            for x in range(-1, g.order + 1):  # -1 and the order lie outside every subgroup
+                want = x in members
+                assert (x in sub) == (np.int64(x) in sub) == (np.int16(x) in sub) == want, (g.name, sub, x)
+        for (a, in_a), (b, in_b) in itertools.product(zip(subs, sets), repeat=2):
+            assert a.contains_subgroup(b) == (in_a >= in_b), (g.name, a, b)
 
 
 def test_hom_validation(corpus):

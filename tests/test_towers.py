@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import s6_stabiliser_chain
 from grouplab.config import Caps
-from grouplab.corpus import bundled_towers
+from grouplab.corpus import _alternating_subgroup, bundled_towers
 from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import GroupHom, cyclic_group, subgroup_closure
 from grouplab.towers import (
@@ -16,6 +17,7 @@ from grouplab.towers import (
     direct_power_system,
     quotient_trace,
 )
+from oracles import coset_action_by_int32_points
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,32 @@ def test_coset_action_z8(corpus):
              subgroup_closure(z8, [4]), z8.trivial_subgroup()]
     cas = coset_action_system(z8, chain)
     assert [lvl.order for lvl in cas.system.levels] == [1, 2, 4, 8]
+
+
+def test_coset_action_matches_the_int32_point_oracle(corpus, towers, perm_group):
+    """Points in the least dtype that holds them: the same levels, generators and maps as int32 points."""
+    s6, z8, s3 = perm_group("S6"), corpus["Z8"], corpus["S3"]
+    cases = [
+        ("s6-stabilisers", s6, s6_stabiliser_chain(s6)),
+        ("z8-chain", z8, [z8.whole_subgroup(), subgroup_closure(z8, [2]), subgroup_closure(z8, [4]),
+                          z8.trivial_subgroup()]),
+        ("s3-cosets", s3, [s3.whole_subgroup(), _alternating_subgroup(s3), s3.trivial_subgroup()]),
+    ]
+    for name, g, chain in cases:
+        cas, expected = coset_action_system(g, chain), coset_action_by_int32_points(g, chain)
+        for system in [cas.system] + ([towers[name]] if name in towers else []):
+            assert len(system.levels) == len(expected), name
+            for i, (level, mapping) in enumerate(expected):
+                got = system.levels[i]
+                assert got.perm_generators == level.perm_generators, (name, i)
+                assert [got.permutation_of(x) for x in got.elements()] == \
+                    [level.permutation_of(x) for x in level.elements()], (name, i)
+                if i:  # the permutation of x at level i restricts to its permutation at level i - 1
+                    proj = np.empty(level.order, dtype=np.int64)
+                    proj[mapping] = expected[i - 1][1]
+                    assert system.projections[i - 1].mapping.tolist() == proj.tolist(), (name, i)
+        assert [hom.mapping.tolist() for hom in cas.to_level] == [m for _, m in expected], name
+    assert [lvl.perm_generators.degree for lvl in towers["z8-chain"].levels] == [1, 3, 7, 15]
 
 
 def test_coset_action_rejects_non_descending(corpus):
