@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_CAPS, Caps
 from .errors import GroupLabError, NilpotentElementError, ValidationError
 from .groups import FiniteGroup, _block_rows, _distinct, _greedy_generators, _is_latin
-from .linalg import is_prime
+from .linalg import is_prime, prime_power_base
 
 __all__ = [
     "AlgebraFactor",
@@ -75,15 +75,13 @@ class FiniteCommutativeAlgebra:
             raise ValidationError("designated one is not a multiplicative identity")
         if add.min() < 0 or add.max() >= n or not _is_latin(add):
             raise ValidationError("addition rows are not permutations")
-        acc = np.zeros(n, dtype=np.int32)
-        for _ in range(self.char):
-            acc = add[acc, ids]
-        if acc.any():
-            raise ValidationError("characteristic does not annihilate the ring")
+        self._add, self._mul = add, mul
+        # the walk ends within n steps, since adding one permutes the ids; char 1 = 0 gives char x = 0
+        if len(prime_subfield_ids(self)) != self.char:
+            raise ValidationError("characteristic is not the additive order of one")
         self._axioms_on_generators(add, mul)
         add.setflags(write=False)
         mul.setflags(write=False)
-        self._add, self._mul = add, mul
 
     @staticmethod
     def _axioms_on_generators(add: np.ndarray, mul: np.ndarray) -> None:
@@ -297,7 +295,12 @@ def field_by_name(name: str) -> FiniteCommutativeAlgebra:
 
 
 def prime_subfield_ids(field: FiniteCommutativeAlgebra) -> frozenset[int]:
-    return frozenset(range(field.char))
+    """The ids of the prime subfield, or of a ring's prime subring: 0, 1, 1 + 1, ... up to the
+    additive order of the one."""
+    multiples = [0]
+    while (x := field.add(multiples[-1], field.one)) != 0:
+        multiples.append(x)
+    return frozenset(multiples)
 
 
 def find_nilpotent(square: np.ndarray) -> int | None:
@@ -331,22 +334,26 @@ class MRDecomposition(NamedTuple):
 def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -> MRDecomposition:
     """Split a nilpotent-free commutative ring into its field factors.
 
-    Finds the primitive idempotents, builds each factor e*R as a field, and
-    verifies that the componentwise projection is a ring isomorphism.
+    Finds the primitive idempotents by splitting 1: a part e that an idempotent f cuts (ef neither
+    0 nor e) becomes ef and e - ef, until no idempotent lies strictly below a part.  Builds each
+    factor e*R as a field, and verifies that the componentwise projection is a ring isomorphism.
     Raises NilpotentElementError with a witness if the ring has one.
     """
     n = ring.size
     caps.check("materialized_order", n)
-    witness = find_nilpotent(ring.squares())
+    squares = ring.squares()
+    witness = find_nilpotent(squares)
     if witness is not None:
         raise NilpotentElementError(witness, f"ring {ring.name}")
-    idem = np.array([e for e in ring.idempotents() if e != 0], dtype=np.intp)
-    below = np.zeros(idem.size, dtype=bool)  # e with f * e = f for an idempotent f != e
-    rows = _block_rows(max(idem.size, 1))
-    for r in range(0, idem.size, rows):
-        f = idem[r:r + rows, None]
-        below |= ((ring._grid("mul", f.ravel(), idem) == f) & (f != idem)).any(axis=0)
-    primitive = idem[~below]
+    idempotents = np.flatnonzero(squares == np.arange(n))
+    parts = [ring.one] if n > 1 else []  # the zero ring has no factors
+    prods = ring._grid("mul", parts, idempotents)
+    while (cut := (prods != 0) & (prods != np.array(parts)[:, None])).any():
+        i, j = np.unravel_index(cut.argmax(), cut.shape)
+        e, ef = parts.pop(i), int(prods[i, j])
+        parts += [ef, ring.add(e, ring.neg(ef))]
+        prods = np.vstack([np.delete(prods, i, axis=0), ring._grid("mul", parts[-2:], idempotents)])
+    primitive = np.array(sorted(parts), dtype=np.intp)
     products = ring._grid("mul", primitive, primitive)
     if products[~np.eye(primitive.size, dtype=bool)].any():
         raise GroupLabError("primitive idempotents are not orthogonal")
@@ -361,13 +368,15 @@ def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -
     for e in primitive.tolist():
         row = ring._grid("mul", [e], np.arange(n))[0]  # e*x for every x
         member_ids = _distinct(row, n)
+        char = prime_power_base(member_ids.size)
+        if char is None:
+            raise GroupLabError("a factor of a nilpotent-free ring is not a field")
         local = np.full(n, -1, dtype=np.int32)
         local[member_ids] = np.arange(member_ids.size)
         field = FiniteCommutativeAlgebra(
             local[ring._grid("add", member_ids, member_ids)],
             local[ring._grid("mul", member_ids, member_ids)],
-            char=ring.char if is_prime(ring.char) else _additive_order(ring, e),
-            one_id=int(local[e]), name=f"{ring.name}.e{e}",
+            char=char, one_id=int(local[e]), name=f"{ring.name}.e{e}",
         )
         if not field.is_field():
             raise GroupLabError("a factor of a nilpotent-free ring is not a field")
@@ -384,11 +393,3 @@ def mr_decompose(ring: FiniteCommutativeAlgebra, *, caps: Caps = DEFAULT_CAPS) -
     if sizes != n:
         raise GroupLabError("factor sizes do not multiply to the ring size")
     return MRDecomposition(factors=tuple(factors), component_ids=components)
-
-
-def _additive_order(ring: FiniteCommutativeAlgebra, x: int) -> int:
-    acc, k = x, 1
-    while acc != 0:
-        acc = ring.add(acc, x)
-        k += 1
-    return k

@@ -1175,3 +1175,33 @@ def bundled_corpus_eager(caps: Caps = DEFAULT_CAPS) -> Corpus:
             raise ValidationError(f"bundled group {name} has order {g.order}, expected {order}")
         groups[name] = g
     return Corpus(groups)
+
+
+def mr_decompose_pairwise(ring) -> tuple:
+    """(factors, component_ids) of a nilpotent-free ring, with `mr_decompose`'s local ids, by the
+    pairwise scan: e is primitive when no nonzero idempotent f != e has f e = f, which multiplies
+    every pair of nonzero idempotents, a bounded block of rows at a time.  A factor is (idempotent,
+    element_ids, char, one, add table, mul table); its char is the additive order of its one."""
+    from grouplab.groups import _block_rows
+
+    n = ring.size
+    idem = np.array([e for e in ring.idempotents() if e != 0], dtype=np.intp)
+    below = np.zeros(idem.size, dtype=bool)  # e with f * e = f for an idempotent f != e
+    rows = _block_rows(max(idem.size, 1))
+    for r in range(0, idem.size, rows):
+        f = idem[r:r + rows, None]
+        below |= ((ring._grid("mul", f.ravel(), idem) == f) & (f != idem)).any(axis=0)
+    factors, projections = [], []
+    for e in idem[~below].tolist():
+        row = ring._grid("mul", [e], np.arange(n))[0]
+        member_ids = np.array(sorted(set(row.tolist())))
+        local = np.full(n, -1, dtype=np.int32)
+        local[member_ids] = np.arange(member_ids.size)
+        char, acc = 1, e
+        while acc != 0:
+            acc, char = ring.add(acc, e), char + 1
+        factors.append((e, tuple(member_ids.tolist()), char, int(local[e]),
+                        local[ring._grid("add", member_ids, member_ids)].tolist(),
+                        local[ring._grid("mul", member_ids, member_ids)].tolist()))
+        projections.append(local[row])
+    return tuple(factors), tuple(map(tuple, np.array(projections).reshape(len(factors), n).T.tolist()))

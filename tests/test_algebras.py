@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +17,7 @@ from grouplab.algebras import (
 )
 from grouplab.errors import NilpotentElementError, ValidationError
 from grouplab.modring import nilpotent_free_check
-from oracles import algebra_axioms_exhaustive, algebra_tables_by_blocks, field_tables_by_polymul
+from oracles import algebra_axioms_exhaustive, algebra_tables_by_blocks, field_tables_by_polymul, mr_decompose_pairwise
 
 
 @pytest.mark.parametrize("q,p", [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)])
@@ -88,6 +90,48 @@ def test_mr_decompose_zmod6():
     assert sorted(f.field.size for f in decomp.factors) == [2, 3]
     # componentwise map is injective over the whole ring
     assert len(set(decomp.component_ids)) == 6
+
+
+def test_prime_subfield_is_the_multiples_of_one():
+    four = gf(4)
+    swap = np.array([0, 2, 1, 3])  # ids 1 and 2 exchanged, so the one is id 2 and 1 * 1 = 3
+    relabelled = FiniteCommutativeAlgebra(swap[four.add_table][np.ix_(swap, swap)],
+                                          swap[four.mul_table][np.ix_(swap, swap)], char=2, one_id=2)
+    assert relabelled.mul(1, 1) == 3
+    assert prime_subfield_ids(relabelled) == frozenset({0, 2})
+
+
+@pytest.mark.parametrize("char", [0, -3, 1, 4, 10**9])
+def test_table_char_must_be_the_additive_order_of_one(char):
+    two = gf(2)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="^characteristic is not the additive order of one$"):
+        FiniteCommutativeAlgebra(two.add_table, two.mul_table, char=char, one_id=1)
+    assert time.perf_counter() - start < 1
+    FiniteCommutativeAlgebra(two.add_table, two.mul_table, char=2, one_id=1)
+
+
+def _power(field: str, atoms: int):
+    from grouplab.boolean import build_boolean_ring
+    from grouplab.boolpower import filtered_power, filtered_power_spec
+
+    return filtered_power(filtered_power_spec(field_by_name(field), build_boolean_ring(atoms), []))
+
+
+@pytest.mark.parametrize("build, count", [(lambda: zmod(6), 2), (lambda: zmod(30), 3),
+                                          (lambda: _power("GF2", 9), 9), (lambda: _power("GF2", 11), 11),
+                                          (lambda: _power("GF3", 6), 6)],
+                         ids=["Z6", "Z30", "GF2^9", "GF2^11", "GF3^6"])
+def test_mr_decompose_matches_the_pairwise_scan(build, count):
+    ring = build()
+    found = _decomposition(ring)[0]
+    assert len(found[0]) == count
+    assert found == mr_decompose_pairwise(ring)
+
+
+def test_zero_ring_has_no_factors():
+    zero = FiniteCommutativeAlgebra([[0]], [[0]], char=1, one_id=0, name="0")
+    assert mr_decompose(zero) == ((), ((),)) == mr_decompose_pairwise(zero)
 
 
 def test_mr_decompose_product_of_fields():
@@ -185,6 +229,8 @@ def test_structure_algebras_decompose_as_their_tables_do(corpus):
         tables = FiniteCommutativeAlgebra(alg.add_table, alg.mul_table, char=alg.char, one_id=alg.one,
                                           name=alg.name)
         assert got == _decomposition(tables), alg.name
+        if got[0][0] != "nilpotent":
+            assert got[0] == mr_decompose_pairwise(alg) == mr_decompose_pairwise(tables), alg.name
         assert [alg.neg(x) for x in alg.elements()] == [tables.neg(x) for x in tables.elements()]
         assert alg.is_field() == tables.is_field()
         decomposed += got[0][0] != "nilpotent"
