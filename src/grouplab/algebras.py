@@ -71,7 +71,7 @@ class FiniteCommutativeAlgebra:
             raise ValidationError("element 0 must be the additive identity")
         if not np.array_equal(add, add.T) or not np.array_equal(mul, mul.T):
             raise ValidationError("algebra is not commutative")
-        if not np.array_equal(mul[one_id], ids):
+        if not (0 <= one_id < n and np.array_equal(mul[one_id], ids)):
             raise ValidationError("designated one is not a multiplicative identity")
         if add.min() < 0 or add.max() >= n or not _is_latin(add):
             raise ValidationError("addition rows are not permutations")

@@ -11,13 +11,11 @@ the modules its subcommand needs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 import warnings
 from contextlib import nullcontext
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -28,6 +26,8 @@ from .errors import GroupLabError, ValidationError, parsing, read_json
 from .groups import FiniteGroup, GroupHom, Subgroup
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .modring import GModuleAction
     from .towers import InverseSystem
 
@@ -77,6 +77,8 @@ def _emit(payload: dict, columns: Sequence[str], rows: list[dict], fmt: str, out
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

@@ -232,11 +232,16 @@ _MAX_DEGREE = 1 << 16  # largest degree whose points fit the uint16 rows of `_pe
 
 
 def _perm_keys(rows: np.ndarray) -> np.ndarray:
-    """Sort keys of permutations given as rows: their digits in mixed radix up to
-    `_KEY_DEGREE`, and their bytes above it (so the rows must share one dtype)."""
+    """Sort keys of permutations given as rows: their digits in radix degree up to
+    `_KEY_DEGREE`, summed by Horner's rule one column at a time (one int64 per row),
+    and their bytes above it (so the rows must share one dtype)."""
     degree = rows.shape[1]
     if degree <= _KEY_DEGREE:
-        return (rows * degree ** np.arange(degree, dtype=np.int64)).sum(axis=1)
+        keys = np.zeros(rows.shape[0], dtype=np.int64)
+        for column in rows.T[::-1]:
+            keys *= degree
+            keys += column
+        return keys
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * degree))).ravel()
 

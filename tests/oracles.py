@@ -202,6 +202,13 @@ def inverse_by_argsort(g: FiniteGroup) -> np.ndarray:
     return g._source.ids_of(np.argsort(g._source.perms, axis=1))
 
 
+def perm_keys_by_digit_sum(rows: np.ndarray) -> np.ndarray:
+    """The int64 sort keys of permutation rows of degree at most 15 in one expression: every digit
+    times its power of the degree, an n x degree int64 temporary, summed along the rows."""
+    degree = rows.shape[1]
+    return (rows * degree ** np.arange(degree, dtype=np.int64)).sum(axis=1)
+
+
 def coset_action_by_int32_points(g: FiniteGroup, chain: Sequence[Subgroup]
                                  ) -> list[tuple[FiniteGroup, list[int]]]:
     """Level n of the action of g on the first n coset spaces of `chain`, its points numbered in

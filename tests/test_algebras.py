@@ -111,6 +111,13 @@ def test_table_char_must_be_the_additive_order_of_one(char):
     FiniteCommutativeAlgebra(two.add_table, two.mul_table, char=2, one_id=1)
 
 
+@pytest.mark.parametrize("one_id", [-1, 2, 7])  # -1 would read the last row, GF(2)'s one
+def test_table_one_id_must_be_an_id(one_id):
+    two = gf(2)
+    with pytest.raises(ValidationError, match="^designated one is not a multiplicative identity$"):
+        FiniteCommutativeAlgebra(two.add_table, two.mul_table, char=2, one_id=one_id)
+
+
 def _power(field: str, atoms: int):
     from grouplab.boolean import build_boolean_ring
     from grouplab.boolpower import filtered_power, filtered_power_spec

@@ -33,6 +33,7 @@ from grouplab.groups import (
     _closure_mask,
     _coset_reps,
     _orbit_minima,
+    _perm_keys,
     build_group,
     commuting_pair_count,
     subgroup_closure,
@@ -45,6 +46,7 @@ from oracles import (
     coset_reps_by_gather,
     inverse_by_argsort,
     perm_closure_by_dict,
+    perm_keys_by_digit_sum,
     table_by_columns,
 )
 
@@ -226,6 +228,23 @@ def test_column_path_matches_table_path(corpus, perm_group):
             assert np.array_equal(g.right(s), t.table[:, s]) and np.array_equal(g.left(s), t.table[s])
         if g.order > 720:
             assert g._table is None, g.name  # every answer above came from columns
+
+
+def test_perm_keys_sum_one_column_at_a_time(perm_group):
+    """The Horner keys equal the digit-sum keys on every stretch group and on S8, and on S8's
+    40,320 rows hold about one int64 per row, where the digit sum peaks at 2.9 MB."""
+    s8 = build_group(generators=[[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]], degree=8,
+                     name="S8", caps=Caps(order=40320))
+    for g in [perm_group(name) for name in _PERM_GROUPS] + [s8]:
+        rows = g._source.perms
+        assert np.array_equal(_perm_keys(rows), perm_keys_by_digit_sum(rows)), g.name
+    tracemalloc.start()
+    try:
+        _perm_keys(s8._source.perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_large_neumann_rows_build_no_table(tmp_path):

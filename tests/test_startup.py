@@ -1,5 +1,6 @@
 """Start-up contract: `import grouplab` loads no submodule, each CLI subcommand loads only the
-layers it runs and never numpy.ma, and the lazy package exports are the eager ones.
+layers it runs and never numpy.ma, `fractions` (with `decimal`) only where a layer builds Fraction
+values and `csv` only for a csv report, and the lazy package exports are the eager ones.
 
 Records are `NamedTuple`s, which cost no per-class code generation at import; only the five
 records whose constructor validates are dataclasses."""
@@ -18,11 +19,12 @@ import grouplab
 SRC = str(Path(grouplab.__file__).resolve().parents[1])
 
 # What a child reports: the grouplab submodules it loaded (short names), whether numpy.ma is one,
-# and the dataclasses those submodules define.
+# the dataclasses those submodules define, and which of csv, decimal and fractions it loaded.
 _REPORT = ("mods = [m for name, m in sys.modules.items() if name.startswith('grouplab.')]\n"
            "print(json.dumps([sorted(m.__name__.split('.', 1)[1] for m in mods), 'numpy.ma' in sys.modules,"
            " sorted(k for m in mods for k, v in vars(m).items() if isinstance(v, type)"
-           " and '__dataclass_fields__' in vars(v) and v.__module__ == m.__name__)]))")
+           " and '__dataclass_fields__' in vars(v) and v.__module__ == m.__name__),"
+           " [m for m in ('csv', 'decimal', 'fractions') if m in sys.modules]]))")
 _IMPORT_ONLY = "import json, sys, grouplab\n" + _REPORT
 _RUN_CLI = ("import json, sys\n"
             "from grouplab.cli import main\n"
@@ -41,6 +43,12 @@ _LOADED = {  # subcommand on bundled inputs -> the grouplab modules it loads
     ("ring-from-module", "--example", "swap-gf3"): {"algebras", "cli", "config", "corpus",
                                                     "errors", "groups", "linalg", "modring"},
 }
+
+# Which of csv, decimal and fractions a job loads, none of which a bare interpreter has: the two
+# fraction modules only with the layers that build Fraction values, csv only for a csv report.
+_STDLIB = {argv: ["decimal", "fractions"] if modules & {"measure", "towers"} else []
+           for argv, modules in _LOADED.items()}
+_STDLIB[("ring-from-module", "--example", "swap-gf3", "--format", "csv")] = ["csv"]
 
 # The records whose constructor validates: the only dataclasses, all in boolean and boolpower.
 _VALIDATING = ["BPElement", "BooleanIdeal", "BooleanQuotient", "FilteredPowerSpec", "FiniteBooleanRing"]
@@ -83,7 +91,7 @@ def loaded(tmp_path_factory) -> dict[tuple[str, ...], list]:
     run side by side."""
     cwd = tmp_path_factory.mktemp("startup")
     children = {(): _child(_IMPORT_ONLY, cwd=cwd)}
-    for i, argv in enumerate(_LOADED):
+    for i, argv in enumerate(_STDLIB):
         children[argv] = _child(_RUN_CLI, *argv, "--out", str(cwd / f"{i}.json"), cwd=cwd)
     out = {}
     for argv, proc in children.items():
@@ -94,20 +102,25 @@ def loaded(tmp_path_factory) -> dict[tuple[str, ...], list]:
 
 
 def test_import_loads_no_submodule(loaded):
-    assert loaded[()] == [[], False, []]
+    assert loaded[()] == [[], False, [], []]
 
 
 @pytest.mark.parametrize("argv", list(_LOADED), ids=lambda argv: argv[0])
 def test_subcommand_loads_only_its_layers(loaded, argv):
-    modules, has_ma, _ = loaded[argv]
+    modules, has_ma, *_ = loaded[argv]
     assert set(modules) == _LOADED[argv]
     assert not has_ma
 
 
 @pytest.mark.parametrize("argv", list(_LOADED), ids=lambda argv: argv[0])
 def test_subcommand_creates_only_the_validating_dataclasses(loaded, argv):
-    *_, dataclasses = loaded[argv]
+    dataclasses = loaded[argv][2]
     assert dataclasses == (_VALIDATING if argv[0] == "boolean-power" else [])
+
+
+@pytest.mark.parametrize("argv", list(_STDLIB), ids=" ".join)
+def test_subcommand_loads_fractions_and_csv_only_to_print_them(loaded, argv):
+    assert loaded[argv][3] == _STDLIB[argv]
 
 
 def _record_classes() -> dict[str, type]:
