@@ -93,10 +93,9 @@ def _emit(payload: dict, columns: Sequence[str], rows: list[dict], fmt: str, out
 
 def _select_groups(corpus: Corpus, names: list[str] | None
                    ) -> tuple[list[tuple[str, FiniteGroup]], list[dict]]:
-    """Resolve names against the corpus; unknown names become per-item errors."""
-    if not names:
-        return corpus.items(), []
-    return _per_item([(name, name) for name in names], lambda name, _: [(name, corpus[name])])
+    """The members named (all when none are), each read in its own item: an unknown name, or a
+    member over a cap, becomes a per-item error."""
+    return _per_item([(n, n) for n in names or corpus.names()], lambda name, _: [(name, corpus[name])])
 
 
 def _canonical_row(name: str, g: FiniteGroup, caps: Caps, *, full: bool) -> dict:

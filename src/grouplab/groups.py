@@ -13,7 +13,6 @@ import bisect
 import copy
 import itertools
 import math
-import threading
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -126,7 +125,6 @@ def _orbit_minima(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
 
 _CHECK_BLOCK = 1 << 16  # cells of one block of rows in the whole-table passes
 _ID16_LIMIT = 1 << 15   # largest order whose element ids are stored as int16
-_MIN_COLUMNS = 8        # composed columns a permutation group keeps at any order
 
 
 def _id_dtype(order: int) -> type:
@@ -248,67 +246,75 @@ def _perm_keys(rows: np.ndarray) -> np.ndarray:
 
 class _Perms:
     """The permutations behind a group built from generators: row i of `perms` is
-    element i, and `ids[searchsorted(keys, key)]` the id of a permutation.  Element
-    j > 0 was first reached as `parent[j]` times generator `gens[slot[j]]`, so the
-    column of any element but the identity and the generators is composed from the
-    generators' columns along that breadth-first tree, with no key formed.  The
-    key-searched columns are kept in `pinned` for the group's lifetime; the composed
-    ones in `columns`, least recently used first, at most `_CHECK_BLOCK` ids in all
-    or `_MIN_COLUMNS` columns if more, so a per-element loop holds a bounded number
-    of them.  `lock` guards that order, so threads may share the group.  The columns
-    and the table, once built, are kept here, where a renamed copy of the group
-    shares them."""
+    element i, and `ids[searchsorted(keys, key)]` the id of a permutation.  Level i of
+    the stabiliser `chain` holds, for each image b of point i under the elements fixing
+    points 0..i-1, the least of them taking i to b (or n): its transversal element.
+    The columns of the identity, the generators and the transversal elements are
+    key-searched on first use and kept in `pinned` for the group's lifetime; any other
+    column is composed from those of its factors, with no key formed, and not kept.
+    A pinned column is never evicted, and a racing thread's equal copy is dropped, so
+    threads may share the group.  The table, once built, is kept here, where a renamed
+    copy of the group shares it."""
 
-    __slots__ = ("perms", "parent", "slot", "keys", "ids", "gens", "pinned", "columns", "lock", "table")
+    __slots__ = ("perms", "keys", "ids", "gens", "pinned", "chain", "table")
 
-    def __init__(self, perms: np.ndarray, parent: np.ndarray, slot: np.ndarray) -> None:
+    def __init__(self, perms: np.ndarray) -> None:
         keys = _perm_keys(perms)
-        self.perms, self.parent, self.slot = perms, parent, slot
-        self.ids = np.argsort(keys).astype(_id_dtype(perms.shape[0]))
+        self.perms, (n, degree) = perms, perms.shape
+        self.ids = np.argsort(keys).astype(_id_dtype(n))
         self.keys = keys[self.ids]
         self.gens: tuple[int, ...] = ()  # the ids of the generators the rows were closed from
         self.pinned: dict[tuple[str, int], np.ndarray] = {}
-        self.columns: dict[tuple[str, int], np.ndarray] = {}  # insertion order: least recently used first
-        self.lock = threading.Lock()
         self.table: np.ndarray | None = None
+        self.chain: list[list[int]] = []  # read off the rows (Sims, 1970)
+        members = np.arange(n)  # the ids that fix the points before the next level's, ascending
+        while members.size > 1:
+            images = perms[members, len(self.chain)]
+            level = np.full(degree, n)
+            np.minimum.at(level, images, members)
+            members = members[images == len(self.chain)]
+            self.chain.append(level.tolist())
 
     def ids_of(self, rows: np.ndarray) -> np.ndarray:
         """The element id of every permutation row, each of which must lie in the group."""
         keys = _perm_keys(np.asarray(rows, dtype=self.perms.dtype))
-        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        if not np.array_equal(self.keys[pos], keys):
+        order = keys.argsort()  # searched in sorted order, the index is walked once, not at random
+        pos = np.minimum(np.searchsorted(self.keys, keys[order]), self.keys.size - 1)
+        if not np.array_equal(self.keys[pos], keys[order]):
             raise GroupLabError("a permutation outside the group")
-        return self.ids[pos]
+        ids = np.empty(order.size, dtype=self.ids.dtype)
+        ids[order] = self.ids[pos]
+        return ids
+
+    def factors(self, s: int) -> list[int]:
+        """The transversal elements u0, u1, ..., uk but the identity with s = u0 u1 ... uk, found by
+        sifting: at level i, u takes point i where what is left of s does, and is stripped off its
+        left.  What is left is held as its inverse r, as u^-1 t has the inverse r u."""
+        r, factors = self.perms[s].argsort().tolist(), []
+        for i, level in enumerate(self.chain):
+            u = level[r.index(i)]
+            if u:
+                factors.append(u)
+                r = [r[x] for x in self.perms[u].tolist()]
+        return factors
 
     def column(self, side: str, s: int) -> np.ndarray:
-        """The ids of x*s ("right") or of s*x ("left") for every x.  Along the tree path
-        s = g1 g2 ... gd, right(s) = right(gd)[... right(g1)] and left(s) = left(g1)[... left(gd)]."""
+        """The ids of x*s ("right") or of s*x ("left") for every x.  With s = u0 u1 ... uk,
+        right(s) = right(uk)[... right(u0)] and left(s) = left(u0)[... left(uk)]."""
         key = (side, int(s))
         if key in self.pinned:
             return self.pinned[key]
-        if s == 0 or s in self.gens:
+        factors = [s] if s == 0 or s in self.gens else self.factors(s)
+        if len(factors) == 1:
             p = self.perms
             col = self.ids_of(p[:, p[s]] if side == "right" else p[s][p])
             col.setflags(write=False)
-            self.pinned[key] = col
-            return col
-        with self.lock:
-            col = self.columns.pop(key, None)  # put back last: the most recently used
-        if col is None:
-            path = []  # the columns of gd, ..., g1
-            while s:
-                path.append(self.column(side, self.gens[self.slot[s]]))
-                s = self.parent[s]
-            if side == "right":
-                path.reverse()
-            col = path[0]
-            for step in path[1:]:
-                col = step[col]
-            col.setflags(write=False)
-        with self.lock:
-            self.columns[key] = col
-            while len(self.columns) > max(_MIN_COLUMNS, _CHECK_BLOCK // col.size):
-                del self.columns[next(iter(self.columns))]
+            return self.pinned.setdefault(key, col)
+        cols = [self.column(side, u) for u in (factors if side == "right" else factors[::-1])]
+        col = cols[0]
+        for step in cols[1:]:
+            col = step.take(col)  # take: faster than a fancy index on int16 ids
+        col.setflags(write=False)
         return col
 
     def element_order(self, s: int) -> int:
@@ -700,8 +706,7 @@ class Series(NamedTuple):
 
 
 def _perm_closure(gen_arrays: list[np.ndarray], degree: int, caps: Caps) -> _Perms:
-    """The group the permutations generate, one row per element, in breadth-first discovery order,
-    with the tree it was found along: the parent and generator slot of every element.
+    """The group the permutations generate, one row per element, in breadth-first discovery order.
 
     Composition convention: (p * q)(x) = p(q(x)), so right-multiplying the
     permutation array p by generator q is p[q].  Layer by layer, the products
@@ -712,7 +717,6 @@ def _perm_closure(gen_arrays: list[np.ndarray], degree: int, caps: Caps) -> _Per
     gens = np.array(gen_arrays, dtype=np.intp).reshape(len(gen_arrays), degree)
     layer = np.arange(degree, dtype=np.uint8 if degree <= 256 else np.uint16)[None, :]
     found, keys = [layer], _perm_keys(layer)  # keys of every element so far, sorted
-    tree, start = [np.zeros(1, dtype=np.int64)], 0  # start: the id of the first element of `layer`
     while layer.size and gens.size:
         prods = layer[:, gens].reshape(-1, degree)  # [x * s for x in layer for s in gens]
         prod_keys = _perm_keys(prods)
@@ -721,14 +725,10 @@ def _perm_closure(gen_arrays: list[np.ndarray], degree: int, caps: Caps) -> _Per
         fresh = fresh[np.sort(np.unique(prod_keys[fresh], return_index=True)[1])]
         # the element-by-element search stopped at the first element past the cap
         caps.check("order", min(keys.size + fresh.size, caps.order + 1), "permutation closure")
-        tree.append(start * len(gens) + fresh)  # (parent id) * |gens| + generator slot
-        start += layer.shape[0]
         layer = prods[fresh]
         found.append(layer)
         keys = np.sort(np.concatenate([keys, prod_keys[fresh]]))
-    perms = np.concatenate(found)
-    parent, slot = np.divmod(np.concatenate(tree), max(len(gens), 1))
-    return _Perms(perms, parent.astype(_id_dtype(len(perms))), slot.astype(np.min_scalar_type(len(gens))))
+    return _Perms(np.concatenate(found))
 
 
 def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
@@ -871,7 +871,7 @@ def _closures(g: FiniteGroup, rows: Iterable[tuple[Subgroup, tuple]], width: int
     """The (start, gens) rows whose start*<gens> no earlier row reached, in order, with its sorted ids.
     Rows of at most `width` gens, padded with the identity 0, are closed in blocks of
     `_closure_block_rows`, each in one search of the flattened masks."""
-    rows, n, reached, size = iter(rows), g.order, set(), _closure_block_rows(g, width)
+    rows, n, reached, size, kept = iter(rows), g.order, set(), _closure_block_rows(g, width), {}
     while block := list(itertools.islice(rows, size)):
         gens = np.array([row + (0,) * (width - len(row)) for _, row in block], dtype=np.intp)
         firsts = [i for i, (sub, _) in enumerate(block) if not i or sub is not block[i - 1][0]]
@@ -879,8 +879,9 @@ def _closures(g: FiniteGroup, rows: Iterable[tuple[Subgroup, tuple]], width: int
         for j, i in enumerate(firsts):
             seen[j, block[i][0].ids] = True
         seen = np.repeat(seen, np.diff(firsts + [len(block)]), axis=0)  # each start's mask on its rows
-        used, slot = np.unique(gens, return_inverse=True)  # each column read once
-        cols = np.array([g.right(s) for s in used.tolist()])
+        used, slot = np.unique(gens, return_inverse=True)  # each column read once, kept for one block more:
+        kept = {s: kept[s] if s in kept else g.right(s) for s in used.tolist()}  # a start's gens recur
+        cols = np.array(list(kept.values()))
         offsets = np.arange(0, seen.size, n, dtype=np.int32)[:, None]  # row r's cells start at r*n
         _close(seen.reshape(-1), (cols[slot.reshape(gens.shape).T] + offsets).reshape(width, -1))
         for row, mask, key in zip(block, seen, map(bytes, np.packbits(seen, axis=1))):

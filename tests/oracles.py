@@ -1098,6 +1098,43 @@ def column_by_key_search(source, side: str, s: int) -> np.ndarray:
     return source.ids_of(p[:, p[s]] if side == "right" else p[s][p])
 
 
+def columns_by_tree(g: FiniteGroup, ss: Iterable[int]) -> dict[tuple[str, int], np.ndarray]:
+    """Both columns of each element of `ss` in a group built from permutations, composed along the
+    breadth-first tree of its one-product-at-a-time closure from the generators' key-searched
+    columns: with s = g1 g2 ... gd on the tree path, right(s) = right(gd)[... right(g1)] and
+    left(s) = left(g1)[... left(gd)]."""
+    pg, source = g.perm_generators, g._source
+    gen_arrays = [np.array(p, dtype=np.int32) for p in pg.perms]
+    _, _, parents, genidx = perm_closure_by_dict(gen_arrays, pg.degree, Caps(order=10**6))
+    out = {}
+    for side in ("right", "left"):
+        steps = [column_by_key_search(source, side, x) for x in pg.element_ids]
+        for s in ss:
+            col, path, x = np.arange(g.order), [], s
+            while x:
+                path.append(steps[genidx[x]])
+                x = parents[x]
+            for step in (path[::-1] if side == "right" else path):
+                col = step.take(col)
+            out[side, s] = col
+    return out
+
+
+def chain_by_rows(perms: np.ndarray) -> list[dict[int, int]]:
+    """The stabiliser chain of the group whose elements are the rows, one row at a time: level i maps
+    each image b of point i under the rows fixing points 0..i-1 to the least such row taking i to b,
+    for every i until the identity alone fixes the points before it."""
+    rows = [tuple(int(v) for v in row) for row in perms]
+    members, levels = list(range(len(rows))), []
+    while len(members) > 1:
+        i, level = len(levels), {}
+        for x in members:
+            level.setdefault(rows[x][i], x)
+        levels.append(level)
+        members = [x for x in members if rows[x][i] == i]
+    return levels
+
+
 def algebra_tables_by_blocks(structure: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The int32 add and mul tables of the algebra over Z/m with e_i e_j = sum_k structure[i, j, k] e_k,
     on the little-endian ids of its coordinates, both filled together a block of rows at a time."""

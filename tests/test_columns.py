@@ -14,6 +14,7 @@ import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from grouplab.corpus import load_corpus
 from grouplab.errors import CapExceeded, GroupLabError, ValidationError
 from grouplab.groups import (
     FiniteGroup,
-    _MIN_COLUMNS,
     _Perms,
     _class_labels,
     _closure_mask,
@@ -39,9 +39,11 @@ from grouplab.groups import (
     subgroup_closure,
 )
 from oracles import (
+    chain_by_rows,
     class_labels_per_element,
     closure_mask_by_unique,
     column_by_key_search,
+    columns_by_tree,
     commuting_pair_count_blockwise,
     coset_reps_by_gather,
     inverse_by_argsort,
@@ -51,6 +53,16 @@ from oracles import (
 )
 
 _S7_TABLE_BYTES = 5040 * 5040 * 2  # one int16 Cayley table of S7: 50.8 MB
+_LARGE = {  # name -> (degree, generators): a transposition and an 8-cycle; (0 1 2) and (1 2 3 4 5 6 7)
+    "S8": (8, [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]),
+    "A8": (8, [[1, 2, 0, 3, 4, 5, 6, 7], [0, 2, 3, 4, 5, 6, 7, 1]]),
+}
+
+
+def large_group(name: str) -> FiniteGroup:
+    """S8 (order 40,320) or A8 (order 20,160), freshly built."""
+    degree, gens = _LARGE[name]
+    return build_group(generators=gens, degree=degree, name=name, caps=Caps(order=40320))
 
 
 def _generator_groups(corpus, perm_group):
@@ -90,18 +102,21 @@ def test_scatter_inverse_matches_argsort(perm_group):
     assert d300.order == 600 and d300._source.perms.dtype == np.uint16
 
 
-def test_closure_tree_rebuilds_every_permutation(corpus, perm_group):
-    """Element j > 0 is perms[parent[j]] times the generator in slot[j]: the queue's parent and
-    generator, so that every parent comes before its children."""
-    for g in _generator_groups(corpus, perm_group):
-        source, gens = g._source, np.array(g.perm_generators.perms, dtype=np.intp)
-        _, _, parents, genidx = perm_closure_by_dict(_gen_arrays(g), g.perm_generators.degree,
-                                                     Caps(order=10**5))
-        assert source.parent[1:].tolist() == parents[1:] and source.slot[1:].tolist() == genidx[1:]
-        if g.order > 1:
-            perms = source.perms
-            rebuilt = np.take_along_axis(perms[source.parent[1:]], gens[source.slot[1:]], axis=1)
-            assert np.array_equal(rebuilt, perms[1:]), g.name
+def test_chain_is_read_off_the_rows(corpus, perm_group):
+    """Level i holds the least element fixing points 0..i-1 for each image of point i, and the
+    factors of every element (every 7th above order 720) are one element a level, identity ones
+    left out, whose product is the element."""
+    for g in [*_generator_groups(corpus, perm_group), large_group("A8")]:
+        source, perms = g._source, g._source.perms
+        levels = chain_by_rows(perms)
+        assert [{b: u for b, u in enumerate(level) if u < g.order} for level in source.chain] == levels, g.name
+        for s in range(g.order) if g.order <= 720 else range(0, g.order, 7):
+            factors, row = source.factors(s), np.arange(perms.shape[1])
+            for u in factors:
+                row = row[perms[u]]  # (p * u)(x) = p(u(x))
+            assert np.array_equal(row, perms[s]), (g.name, s)
+            at = [next(i for i, level in enumerate(levels) if u in level.values()) for u in factors]
+            assert at == sorted(set(at)) and 0 not in factors, (g.name, s)
 
 
 def _replaced(g: FiniteGroup, rng: np.random.Generator, steps: int = 4) -> FiniteGroup:
@@ -119,86 +134,91 @@ def _no_key_search(self, rows):
     raise GroupLabError("a key search")
 
 
-def test_tree_columns_match_the_key_search(perm_group, monkeypatch):
-    """Every column but those of the identity and the generators is composed along the closure's
-    tree, with no key formed, and equals the one a key search finds: for the named groups, for
-    the same groups from product-replaced generators, and for the S6 tower levels, two of them
-    of degree above `_KEY_DEGREE` (byte keys).  Every element up to order 720, every 7th above."""
+def _transversals(g: FiniteGroup) -> set[int]:
+    """The transversal elements of every level of the chain, the identity included."""
+    return {u for level in g._source.chain for u in level if u < g.order}
+
+
+def _pin_transversals(g: FiniteGroup) -> dict:
+    """Read the columns of the identity, the generators and every transversal element, both sides;
+    the pinned columns after."""
+    source = g._source
+    for s in {0, *source.gens, *_transversals(g)}:
+        for side in ("right", "left"):
+            source.column(side, s)
+    return dict(source.pinned)
+
+
+def chain_columns_agree(g: FiniteGroup, every: Iterable[int], monkeypatch) -> None:
+    """Once the transversal columns are pinned, the columns of the elements `every`, both sides,
+    form no key and pin nothing more, are read-only in the id dtype, and equal both the ones
+    composed along the closure's breadth-first tree and the ones a key search finds."""
+    source, pinned = g._source, _pin_transversals(g)
+    with monkeypatch.context() as patched:
+        patched.setattr(_Perms, "ids_of", _no_key_search)
+        cols = {(side, s): source.column(side, s) for s in every for side in ("right", "left")}
+    assert source.pinned.keys() == pinned.keys(), g.name
+    for (side, s), want in columns_by_tree(g, every).items():
+        col = cols[side, s]
+        assert np.array_equal(col, want), (g.name, side, s)
+        assert np.array_equal(col, column_by_key_search(source, side, s)), (g.name, side, s)
+        assert col.dtype == g.inverse.dtype and not col.flags.writeable, (g.name, side, s)
+
+
+def test_chain_columns_match_the_tree_and_the_key_search(perm_group, monkeypatch):
+    """For the named groups, the same groups from product-replaced generators (other trees, other
+    generator ids), the S6 tower levels (two of degree above `_KEY_DEGREE`, with byte keys), and a
+    sample of S8 and A8: every element up to order 720, every 7th above."""
     rng = np.random.default_rng(23)
     named = [perm_group(name) for name in _PERM_GROUPS]
     replaced = [_replaced(g, rng) for g in named]
     assert [h.order for h in replaced] == [g.order for g in named]
     for g in [*named, *replaced, *s6_tower_levels(perm_group("S6"))]:
-        source = g._source
-        for side in ("right", "left"):
-            for s in (0, *source.gens):
-                source.column(side, s)
-        with monkeypatch.context() as patched:
-            patched.setattr(_Perms, "ids_of", _no_key_search)
-            every = range(g.order) if g.order <= 720 else range(0, g.order, 7)
-            cols = {(side, s): source.column(side, s) for s in every for side in ("right", "left")}
-        assert len(source.columns) <= len(cols) + 2 * (len(source.gens) + 1)
-        for (side, s), col in cols.items():
-            assert np.array_equal(col, column_by_key_search(source, side, s)), (g.name, side, s)
-            assert col.dtype == g.inverse.dtype and not col.flags.writeable
+        chain_columns_agree(g, range(g.order) if g.order <= 720 else range(0, g.order, 7), monkeypatch)
+    for name in _LARGE:  # every 7th of these is a CI step: 2 minutes of key searches
+        g = large_group(name)
+        chain_columns_agree(g, range(0, g.order, 7 * 97), monkeypatch)
 
 
-def test_bounded_column_cache_matches_the_key_search(perm_group, monkeypatch):
-    """With room for a few composed columns, every column read after evictions equals the one a
-    key search finds, and none forms a key once the pinned columns exist: those of the identity
-    and the generators, which are never evicted.  The composed columns held never exceed the budget
-    in ids or `_MIN_COLUMNS`, whichever allows more, and the least recently used goes first."""
-    budget = 1 << 13  # ids: one column of S7, two of A5xA5, eleven of an S6 tower level
-    monkeypatch.setattr(grouplab.groups, "_CHECK_BLOCK", budget)
+def test_pinned_columns_are_the_transversals_once(perm_group):
+    """Only the columns of the identity, the generators and the transversal elements are kept,
+    each the same object on every read; a composed column is made anew on each read, equal."""
     rng = np.random.default_rng(29)
-    groups = [perm_group(name) for name in ("S7", "A5xA5")] + s6_tower_levels(perm_group("S6"))[1:]
-    for g in groups:
-        source, room = g._source, max(_MIN_COLUMNS, budget // g.order)
-        for side in ("right", "left"):
-            for s in (0, *source.gens):
-                source.column(side, s)
-        pinned = dict(source.pinned)
-        assert len(pinned) == 2 * len({0, *source.gens}), g.name
-        sample = [0, *source.gens, *rng.choice(g.order, size=40, replace=False).tolist()]
-        expected = {(side, s): column_by_key_search(source, side, s)
-                    for s in sample for side in ("right", "left")}
-        reads = [list(expected)[i] for i in rng.integers(0, len(expected), size=4 * len(expected))]
-        with monkeypatch.context() as patched:
-            patched.setattr(_Perms, "ids_of", _no_key_search)
-            for side, s in reads:
+    for g in [perm_group("S7"), perm_group("A5xA5"), large_group("S8")]:
+        source, pinned = g._source, _pin_transversals(g)
+        assert pinned.keys() == {(side, s) for s in {0, *source.gens, *_transversals(g)}
+                                 for side in ("right", "left")}, g.name
+        for s in rng.choice(g.order, size=40, replace=False).tolist():
+            for side in ("right", "left"):
                 col = source.column(side, s)
-                assert np.array_equal(col, expected[side, s]), (g.name, side, s)
-                assert len(source.columns) <= room, g.name
-                assert (side, s) not in pinned or col is pinned[side, s], (g.name, side, s)
+                again = source.column(side, s)
+                assert np.array_equal(col, again), (g.name, side, s)
+                assert (col is again) == ((side, s) in pinned), (g.name, side, s)
         assert source.pinned.keys() == pinned.keys(), g.name
         assert all(source.pinned[key] is col for key, col in pinned.items()), g.name
-        assert len(source.columns) == room, g.name  # full
-    a5xa5 = groups[1]._source  # room for `_MIN_COLUMNS`: reading a, b..., a, c evicts the first b
-    composed = [s for s in range(1, groups[1].order) if s not in a5xa5.gens]
-    a, *b, c = (("right", s) for s in composed[:_MIN_COLUMNS + 1])
-    for side, s in (a, *b, a, c):
-        a5xa5.column(side, s)
-    assert list(a5xa5.columns) == [*b[1:], a, c]
+    assert len(_transversals(large_group("S8")) - {0}) == 7 + 6 + 5 + 4 + 3 + 2 + 1
 
 
-def test_shared_column_cache_across_threads(perm_group, monkeypatch):
-    """Threads reading the same group through a small column cache, evicting each other's
-    columns, all read the columns a key search finds: no eviction fails on a key another thread took."""
-    monkeypatch.setattr(grouplab.groups, "_CHECK_BLOCK", 1 << 13)
-    g = perm_group("A5xA5")
+def test_threads_read_the_columns_of_one_thread(monkeypatch):
+    """Four threads reading columns of one fresh A5xA5 and one fresh S8, each pinning what it
+    reads first, get the columns one thread reads from another copy of the group."""
     rng = np.random.default_rng(31)
-    sample = rng.choice(g.order, size=3 * _MIN_COLUMNS, replace=False).tolist()
-    expected = {s: column_by_key_search(g._source, "right", s) for s in sample}
-    reads = [rng.permutation(sample * 100).tolist() for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the cache's updates too
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            wrong = pool.map(lambda order: [s for s in order if not np.array_equal(g.right(s), expected[s])], reads)
-            assert list(wrong) == [[]] * 4
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(g._source.columns) <= _MIN_COLUMNS
+    for build in (lambda: build_group(generators=_PERM_GROUPS["A5xA5"][1], degree=10, name="A5xA5"),
+                  lambda: large_group("S8")):
+        one, shared = build(), build()
+        sample = rng.choice(one.order, size=24, replace=False).tolist()
+        expected = {(side, s): one._source.column(side, s) for s in sample for side in ("right", "left")}
+        keys = list(expected) * 4
+        reads = [[keys[i] for i in rng.permutation(len(keys))] for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the pinning too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                wrong = pool.map(lambda order: [key for key in order if not np.array_equal(
+                    shared._source.column(*key), expected[key])], reads, timeout=120)
+                assert list(wrong) == [[]] * 4, one.name
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _table_path(g: FiniteGroup) -> FiniteGroup:

@@ -113,14 +113,30 @@ _BUNDLED_FORMS = [  # one bundled form of each subcommand
 ]
 
 
+_PER_MEMBER = ("analyze-group", "neumann", "verify-inequalities")  # read each member in its own item
+
+
 @pytest.mark.parametrize("cap", [3, 5])
 @pytest.mark.parametrize("argv", _BUNDLED_FORMS, ids=lambda argv: argv[0])
 def test_cli_small_order_cap_names_the_order_cap(tmp_path, capsys, argv, cap):
-    # the first bundled member above the cap, in builder order, is Z(cap + 1)
     code = main(argv + ["--cap-order", str(cap), "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: cap 'order' exceeded: {cap + 1} > {cap} (permutation closure)\n"
-    assert not (tmp_path / "x").exists()
+    text = f"cap 'order' exceeded: {cap + 1} > {cap} (permutation closure)"
+    if argv[0] not in _PER_MEMBER:
+        # the whole job fails on the first bundled member above the cap, in builder order, Z(cap + 1)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {text}\n"
+        assert not (tmp_path / "x").exists()
+        return
+    # each member above the cap fails its own item, and the others are reported
+    assert code == 2 and capsys.readouterr().err == ""
+    payload, corpus = json.loads((tmp_path / "x").read_text()), bundled_corpus()
+    above = [name for name, order in corpus.index() if order > cap]
+    assert payload["errors"] == [{"item": name, "error": text} for name in above]
+    if argv[0] != "verify-inequalities":
+        assert [row["name"] for row in payload["items"]] == [name for name, order in corpus.index()
+                                                             if order <= cap]
+    else:
+        assert sorted({row["order"] for row in payload["items"]}) == [o for o in (2, 3, 4, 5) if o <= cap]
 
 
 @pytest.fixture
