@@ -177,13 +177,6 @@ def _atom_values(mat: MaterializedBooleanPower, ids: int | np.ndarray) -> np.nda
     return _coords(ids, mat.power.base.order, mat.power.ring.atom_count)[..., ::-1]
 
 
-def _ideal_member_ids(mat: MaterializedBooleanPower, ideal: BooleanIdeal) -> list[int]:
-    """Ids of elements supported inside the ideal, ascending."""
-    outside = [i for i in range(mat.power.ring.atom_count) if not ideal.span >> i & 1]
-    values = _atom_values(mat, np.arange(mat.group.order))
-    return np.flatnonzero((values[:, outside] == 0).all(axis=1)).tolist()
-
-
 def ideal_normal_subgroup(base: FiniteGroup, ring: FiniteBooleanRing, ideal: BooleanIdeal,
                           *, materialized: MaterializedBooleanPower | None = None,
                           caps: Caps = DEFAULT_CAPS) -> Subgroup:
@@ -191,7 +184,9 @@ def ideal_normal_subgroup(base: FiniteGroup, ring: FiniteBooleanRing, ideal: Boo
     if ideal.ring != ring:
         raise ValidationError("ideal belongs to a different ring")
     mat = materialized or materialize_bp_group(base, ring, caps=caps)
-    return Subgroup(mat.group, _ideal_member_ids(mat, ideal), validate=False)
+    outside = [i for i in range(ring.atom_count) if not ideal.span >> i & 1]
+    values = _atom_values(mat, np.arange(mat.group.order))
+    return Subgroup._of(mat.group, (values[:, outside] == 0).all(axis=1))
 
 
 class IdealCorrespondenceReport(NamedTuple):
@@ -209,26 +204,25 @@ def verify_ideal_correspondence(base: FiniteGroup, ring: FiniteBooleanRing,
                                 caps: Caps = DEFAULT_CAPS) -> IdealCorrespondenceReport:
     """Compare all normal subgroups of the materialized power with the ideal family."""
     mat = materialized or materialize_bp_group(base, ring, caps=caps)
-    ideal_sets = set()
+    ideal_keys = set()
     for span in range(1 << ring.atom_count):
         ideal = BooleanIdeal(ring, span)
         sub = ideal_normal_subgroup(base, ring, ideal, materialized=mat, caps=caps)
-        ideal_sets.add(sub.ids)
+        ideal_keys.add(sub._key)
         if not sub.is_normal():
             raise GroupLabError("an ideal-form subgroup failed to be normal")
-    normals = enumerate_normal_subgroups(mat.group, caps=caps)
-    normal_sets = {sub.ids for sub in normals}
-    missing = sorted(normal_sets - ideal_sets, key=lambda ids: (len(ids), ids))
-    if not ideal_sets <= normal_sets:
+    normals = enumerate_normal_subgroups(mat.group, caps=caps)  # in the canonical order
+    missing = [sub for sub in normals if sub._key not in ideal_keys]
+    if not ideal_keys <= {sub._key for sub in normals}:
         raise GroupLabError("an ideal-form subgroup is missing from the normal lattice")
     return IdealCorrespondenceReport(
         base_name=base.name,
         atoms=ring.atom_count,
         expected_match=is_simple_nonabelian(base, caps=caps),
         matches=not missing,
-        normal_count=len(normal_sets),
-        ideal_count=len(ideal_sets),
-        counterexample=missing[0] if missing else None,
+        normal_count=len(normals),
+        ideal_count=len(ideal_keys),
+        counterexample=missing[0].ids if missing else None,
     )
 
 

@@ -152,23 +152,23 @@ def _cmd_per_group(args, corpus: Corpus, caps: Caps):
 
 
 def _cmd_rho(args, corpus: Corpus, caps: Caps):
+    """One item per order, whose members are built and measured in it: a member that fails, a cap
+    hit included, fails its order alone, so no partial minimum or maximum is reported."""
     from .measure import rho_table
 
-    orders = None
-    if args.max_order is not None:
-        orders = list(range(1, args.max_order + 1))
-    table = rho_table(corpus.items(), args.kind, orders=orders,
-                      family_mode=args.mode, caps=caps)
-    items = [
-        {
-            "kind": table.kind,
-            "order": order,
-            "value": value if value is not None else "inf",
-            "family_mode": table.family_mode,
-        }
-        for order, value in table.entries
-    ]
-    return items, [], RHO_COLUMNS_V1
+    members: dict[int, list[str]] = {}
+    for name, order in corpus.index():
+        members.setdefault(order, []).append(name)
+    orders = sorted(members) if args.max_order is None else range(1, args.max_order + 1)
+
+    def rows(_, order: int) -> list[dict]:
+        named = [(name, corpus[name]) for name in members.get(order, ())]
+        (_, value), = rho_table(named, args.kind, orders=[order], caps=caps).entries
+        return [{"kind": args.kind, "order": order, "value": "inf" if value is None else value,
+                 "family_mode": args.mode}]
+
+    items, errors = _per_item([(f"order {order}", order) for order in orders], rows)
+    return items, errors, RHO_COLUMNS_V1
 
 
 def _cmd_boolean_power(args, corpus: Corpus, caps: Caps):
@@ -294,12 +294,11 @@ def _bundled_actions(corpus: Corpus, caps: Caps) -> dict[str, tuple[GModuleActio
 
     z2 = corpus["Z2"]
     swap = {1: [[0, 1], [1, 0]]}
-    out = {
+    return {
         "swap-gf3": (action_from_matrices(z2, 3, 2, swap, caps=caps), (1, 0)),
         "regular-gf2": (action_from_matrices(z2, 2, 2, swap, caps=caps), (1, 0)),
         "s3-std-gf5": (sum_zero_action(corpus["S3"], 5, caps=caps), (1, 0)),
     }
-    return out
 
 
 def _action_from_file(path: str, corpus: Corpus, caps: Caps) -> tuple[GModuleAction, tuple[int, ...]]:
@@ -450,13 +449,8 @@ _HARD_CAP = 100_000  # upper bound for any CLI cap override
 
 def _job_echo(args) -> dict:
     """The options that shape the result, excluding the output path."""
-    skip = {"subcommand", "out"}
-    echo = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        echo[key.replace("_", "-")] = value
-    return echo
+    return {key.replace("_", "-"): value for key, value in sorted(vars(args).items())
+            if key not in ("subcommand", "out") and value is not None}
 
 
 def _load_corpus(path: str, caps: Caps) -> Corpus:
@@ -498,11 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "errors": errors,
     }
     _emit(payload, columns, items, args.format, args.out)
-    if errors and items:
-        return 2
-    if errors and not items:
-        return 1
-    return 0
+    return (2 if items else 1) if errors else 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ repeated runs produce identical output regardless of platform.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import itertools
 import math
@@ -134,6 +133,24 @@ def _id_dtype(order: int) -> type:
     memory, and int16 halves it.  Signed, so that a -1 sentinel keeps its meaning.
     """
     return np.int16 if order <= _ID16_LIMIT else np.int32
+
+
+# each id dtype, big-endian: the bytes of ids of one width then compare as the ids do
+_KEY_DTYPES = {np.dtype(t): np.dtype(t).newbyteorder(">") for t in (np.int16, np.int32)}
+
+
+def _key_dtype(g: FiniteGroup) -> np.dtype:
+    """The dtype of the ids in the key of a subgroup of g: its id dtype, big-endian."""
+    return _KEY_DTYPES[g.inverse.dtype]
+
+
+def _pack(g: FiniteGroup, members) -> bytes:
+    """The key of the subgroup of g whose members are `members`, a boolean mask over g or ids
+    ascending: its ids as bytes, big-endian in the id dtype of g."""
+    members = np.asarray(members)
+    if members.dtype == bool:
+        members = members.nonzero()[0]
+    return members.astype(_key_dtype(g)).tobytes()
 
 
 def _block_rows(width: int) -> int:
@@ -330,6 +347,7 @@ class _Product:
     once built, is kept here, where a renamed copy of the group shares it."""
 
     __slots__ = ("a", "b", "gens", "table")
+    chain = ()  # no stabiliser chain: no column is pinned
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup) -> None:
         self.a, self.b = a, b
@@ -453,7 +471,7 @@ class FiniteGroup:
 
     def conjugate(self, g: int, h: int) -> int:
         """g^h = h^-1 g h."""
-        return int(self.left(self.inverse[h])[self.right(h)[g]])
+        return int(_conjugation(self, h, g))
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
@@ -487,10 +505,10 @@ class FiniteGroup:
         return Subgroup(self, ids, validate=validate)
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup._from_sorted(self, (0,), ())
+        return Subgroup._of(self, (0,), ())
 
     def whole_subgroup(self) -> "Subgroup":
-        return Subgroup(self, range(self.order), validate=False)
+        return Subgroup._of(self, np.ones(self.order, dtype=bool))
 
     def permutation_of(self, x: int) -> tuple[int, ...]:
         """Permutation realizing element x, for groups built from generators."""
@@ -514,89 +532,89 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A sorted tuple of element ids closed under the parent's operations, kept as that tuple alone:
-    membership bisects it, so no set is held per subgroup."""
+    """A subgroup closed under the parent's operations, kept as one bytes record, `_key`: its sorted
+    ids, big-endian in the parent's id dtype.  Keys of one size compare as the id tuples do, so the
+    key is the dedupe key and, after the size, the canonical order; kernels read the ids through the
+    read-only view `_ids`, and `ids` makes the exported tuple on read.  Its generators are packed
+    the same way, and `gens` makes their tuple on read."""
 
-    __slots__ = ("group", "ids", "_gens")
+    __slots__ = ("group", "_key", "_gens")
 
     def __init__(self, group: FiniteGroup, ids: Iterable[int], *, validate: bool = True):
         if validate:
             ids = integers(list(ids), "subgroup ids must be a list of integers", 1)
-        sorted_ids = tuple(sorted({int(x) for x in ids}))
-        if not sorted_ids:
+        ids = sorted({int(x) for x in ids})
+        if not ids:
             raise ValidationError("a subgroup is nonempty")
-        self.group = group
-        self.ids = sorted_ids
-        self._gens: tuple[int, ...] | None = None
-        if validate:
-            self._validate()
-
-    @classmethod
-    def _from_sorted(cls, group: FiniteGroup, ids: tuple[int, ...],
-                     gens: tuple[int, ...] | None) -> "Subgroup":
-        """A subgroup from ids already sorted, unique and closed, taken as they are."""
-        sub = cls.__new__(cls)
-        sub.group = group
-        sub.ids = ids
-        sub._gens = gens
-        return sub
-
-    def _validate(self) -> None:
-        g = self.group
-        if self.ids[0] != 0:
+        if validate and ids[0] != 0:
             raise ValidationError("subgroup must contain the identity")
-        if self.ids[-1] >= g.order:
+        if validate and ids[-1] >= group.order:
             raise ValidationError("subgroup id out of range")
-        arr = np.array(self.ids, dtype=np.int32)
-        if not np.array_equal(_distinct(g.inverse[arr], g.order), arr):
+        self.group, self._key, self._gens = group, _pack(group, ids), None
+        if not validate:
+            return
+        arr = self._ids
+        if not np.array_equal(_distinct(group.inverse[arr], group.order), arr):
             raise ValidationError("subgroup not closed under inversion")
         # the ids hold the closure of their greedy generators, so they are closed iff they are it
-        self._gens = tuple(_greedy_generators(g, arr))
-        if np.count_nonzero(_closure_mask(g, self._gens)) != len(arr):
+        if np.count_nonzero(_closure_mask(group, self.gens)) != len(arr):
             raise ValidationError("subgroup not closed under multiplication")
-        if g.order % len(self.ids) != 0:
+        if group.order % len(arr) != 0:
             raise GroupLabError("Lagrange violation, table is inconsistent")
+
+    @classmethod
+    def _of(cls, group: FiniteGroup, members, gens: Sequence[int] | None = None) -> "Subgroup":
+        """The subgroup whose members are `members`, taken as closed: a boolean mask over the group,
+        ids ascending, or their `_pack` key."""
+        sub = cls.__new__(cls)
+        sub.group, sub._gens = group, None if gens is None else _pack(group, gens)
+        sub._key = members if isinstance(members, bytes) else _pack(group, members)
+        return sub
+
+    @property
+    def _ids(self) -> np.ndarray:
+        """The sorted ids, a read-only view of the key."""
+        return np.frombuffer(self._key, dtype=_key_dtype(self.group))
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(self._ids.tolist())
 
     @property
     def gens(self) -> tuple[int, ...]:
         """The generators `subgroup_closure` closed it from, else greedy ones by ascending id."""
         if self._gens is None:
-            self._gens = tuple(_greedy_generators(self.group, self.ids))
-        return self._gens
+            self._gens = _pack(self.group, _greedy_generators(self.group, self._ids))
+        return tuple(np.frombuffer(self._gens, dtype=_key_dtype(self.group)).tolist())
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._key) // _key_dtype(self.group).itemsize
 
     def __contains__(self, x: int) -> bool:
-        i = bisect.bisect_left(self.ids, x)
-        return i < len(self.ids) and self.ids[i] == x
+        ids = self._ids
+        i = int(ids.searchsorted(x))
+        return i < ids.size and ids[i] == x
 
     def __iter__(self):
-        return iter(self.ids)
+        return iter(self._ids.tolist())
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and other.group is self.group
-            and other.ids == self.ids
-        )
+        return isinstance(other, Subgroup) and other.group is self.group and other._key == self._key
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.ids))
+        return hash((id(self.group), self._key))
 
     @property
     def index(self) -> int:
-        return self.group.order // len(self.ids)
+        return self.group.order // len(self)
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         mask = np.zeros(self.group.order, dtype=bool)
-        mask[list(self.ids)] = True
-        return other.ids[-1] < mask.size and bool(mask[list(other.ids)].all())
+        mask[self._ids] = True
+        return other._ids[-1] < mask.size and bool(mask[other._ids].all())
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        grp = self.group
-        conj = grp.right(g)[grp.left(grp.inverse[g])[np.array(self.ids, dtype=np.intp)]]
-        return Subgroup(self.group, conj.tolist(), validate=False)
+        return Subgroup._of(self.group, np.sort(_conjugation(self.group, g, self._ids)))
 
     def is_normal(self) -> bool:
         # Normal iff a union of conjugacy classes, that is, its own core.
@@ -607,7 +625,7 @@ class Subgroup:
 
         Its table is built from the rows of its generators, not from the parent's table.
         """
-        g, arr = self.group, np.array(self.ids, dtype=np.int32)
+        g, arr = self.group, self._ids
         rows = [_local_ids(self, g.left(s)[arr]) for s in self.gens]  # in the subgroup's id dtype
         table = _table_from_rows(rows, len(arr), _id_dtype(len(arr)))
         grp = FiniteGroup(table, name=name or f"{g.name}-sub{len(arr)}", validate="basic")
@@ -615,17 +633,17 @@ class Subgroup:
         return grp, embed
 
     def __repr__(self) -> str:
-        return f"Subgroup(order={len(self.ids)} of {self.group.name})"
+        return f"Subgroup(order={len(self)} of {self.group.name})"
 
 
 def _local_ids(sub: Subgroup, ids) -> np.ndarray:
-    """Ids of elements of `sub` in `sub.as_group()`: their positions in the sorted `sub.ids`,
+    """Ids of elements of `sub` in `sub.as_group()`: their positions in its sorted ids,
     of that group's id dtype.
 
     Elements outside `sub` get -1.
     """
     local = np.full(sub.group.order, -1, dtype=_id_dtype(len(sub)))
-    local[np.array(sub.ids, dtype=np.int32)] = np.arange(len(sub))
+    local[sub._ids] = np.arange(len(sub))
     return local[np.asarray(ids)]
 
 
@@ -668,10 +686,10 @@ class GroupHom:
         return _distinct(self.mapping, self.target.order)
 
     def image(self) -> Subgroup:
-        return Subgroup(self.target, self.image_ids().tolist(), validate=False)
+        return Subgroup._of(self.target, self.image_ids())
 
     def kernel(self) -> Subgroup:
-        return Subgroup(self.source, np.flatnonzero(self.mapping == 0).tolist(), validate=False)
+        return Subgroup._of(self.source, self.mapping == 0)
 
     def is_surjective(self) -> bool:
         return self.image_ids().size == self.target.order
@@ -688,8 +706,7 @@ class GroupHom:
     def map_subgroup(self, sub: Subgroup) -> Subgroup:
         if sub.group is not self.source:
             raise ValidationError("subgroup belongs to a different group")
-        ids = _distinct(self.mapping[np.array(sub.ids, dtype=np.int32)], self.target.order)
-        return Subgroup(self.target, ids.tolist(), validate=False)
+        return Subgroup._of(self.target, _distinct(self.mapping[sub._ids], self.target.order))
 
     def __repr__(self) -> str:
         return f"GroupHom({self.source.name} -> {self.target.name})"
@@ -757,15 +774,17 @@ def _group_from_perms(gen_arrays: list[np.ndarray], degree: int, *, name: str,
 def _checked_on_generators(name: str, source: _Perms | _Product, inverse: np.ndarray) -> FiniteGroup:
     """The group read through the column source `source`, with the inverse array `inverse`, once
     the column of every generator in `source.gens` permutes the ids.  Its table is built now when
-    it fits one check block."""
+    it costs less than the columns read from it: when it fits one check block, or when the chain's
+    transversal elements, whose columns are pinned both sides, number at least half the order."""
     grp = FiniteGroup.__new__(FiniteGroup)
     grp.name, grp._source, grp.inverse = name, source, inverse
     inverse.setflags(write=False)
     for s in source.gens:
         if not (np.bincount(grp.right(s), minlength=grp.order) == 1).all():
             raise GroupLabError("a generator does not permute the elements")
-    if grp.order ** 2 <= _CHECK_BLOCK:
-        grp.table  # a table of one check block costs less than the columns read from it
+    transversals = sum(len(level) - level.count(grp.order) - 1 for level in source.chain)
+    if grp.order ** 2 <= _CHECK_BLOCK or 2 * transversals >= grp.order:
+        grp.table
     return grp
 
 
@@ -856,9 +875,8 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int], *,
     """
     start = start if start is not None else g.trivial_subgroup()
     gens = list(gens)
-    mask = _closure_mask(g, gens, start.ids)
-    return Subgroup._from_sorted(g, tuple(np.flatnonzero(mask).tolist()),
-                                 start.gens + tuple(x for x in gens if x not in start))
+    return Subgroup._of(g, _closure_mask(g, gens, start._ids),
+                        start.gens + tuple(x for x in gens if x not in start))
 
 
 def _closure_block_rows(g: FiniteGroup, width: int) -> int:
@@ -868,7 +886,7 @@ def _closure_block_rows(g: FiniteGroup, width: int) -> int:
 
 
 def _closures(g: FiniteGroup, rows: Iterable[tuple[Subgroup, tuple]], width: int) -> Iterator[tuple]:
-    """The (start, gens) rows whose start*<gens> no earlier row reached, in order, with its sorted ids.
+    """The (start, gens) rows whose start*<gens> no earlier row reached, in order, with its `_pack` key.
     Rows of at most `width` gens, padded with the identity 0, are closed in blocks of
     `_closure_block_rows`, each in one search of the flattened masks."""
     rows, n, reached, size, kept = iter(rows), g.order, set(), _closure_block_rows(g, width), {}
@@ -877,17 +895,24 @@ def _closures(g: FiniteGroup, rows: Iterable[tuple[Subgroup, tuple]], width: int
         firsts = [i for i, (sub, _) in enumerate(block) if not i or sub is not block[i - 1][0]]
         seen = np.zeros((len(firsts), n), dtype=bool)
         for j, i in enumerate(firsts):
-            seen[j, block[i][0].ids] = True
+            seen[j, block[i][0]._ids] = True
         seen = np.repeat(seen, np.diff(firsts + [len(block)]), axis=0)  # each start's mask on its rows
         used, slot = np.unique(gens, return_inverse=True)  # each column read once, kept for one block more:
         kept = {s: kept[s] if s in kept else g.right(s) for s in used.tolist()}  # a start's gens recur
         cols = np.array(list(kept.values()))
         offsets = np.arange(0, seen.size, n, dtype=np.int32)[:, None]  # row r's cells start at r*n
         _close(seen.reshape(-1), (cols[slot.reshape(gens.shape).T] + offsets).reshape(width, -1))
-        for row, mask, key in zip(block, seen, map(bytes, np.packbits(seen, axis=1))):
-            if key not in reached:
+        for row, mask in zip(block, seen):
+            if (key := _pack(g, mask)) not in reached:
                 reached.add(key)
-                yield row, tuple(np.flatnonzero(mask).tolist())
+                yield row, key
+
+
+def _conjugation(g: FiniteGroup, s: int, ids=None):
+    """x -> s^-1 x s at the ids `ids`, an id or an array, or at every element when none are given.
+    Gathered by `take`: a fancy index on int16 ids is about 3x slower."""
+    right, left = g.right(s), g.left(g.inverse[s])
+    return left.take(right if ids is None else right.take(ids))
 
 
 def _class_labels(g: FiniteGroup) -> np.ndarray:
@@ -897,7 +922,7 @@ def _class_labels(g: FiniteGroup) -> np.ndarray:
     by their smallest member, so class 0 is the identity's.
     """
     if g._labels is None:
-        conj = [g.left(g.inverse[s])[g.right(s)] for s in _greedy_generators(g)]  # x -> s^-1 x s
+        conj = [_conjugation(g, s) for s in _greedy_generators(g)]
         minima = _orbit_minima(conj, g.order)
         labels = (np.cumsum(minima == np.arange(g.order), dtype=np.int32) - 1)[minima]
         labels.setflags(write=False)
@@ -940,14 +965,13 @@ def centralizer(g: FiniteGroup, ids: Iterable[int]) -> Subgroup:
     mask = np.ones(g.order, dtype=bool)
     for s in ids:
         mask &= g.right(s) == g.left(s)
-    return Subgroup(g, np.flatnonzero(mask).tolist(), validate=False)
+    return Subgroup._of(g, mask)
 
 
 def center(g: FiniteGroup) -> Subgroup:
     """The elements in one-element conjugacy classes."""
     labels = _class_labels(g)
-    central = np.bincount(labels)[labels] == 1
-    return Subgroup._from_sorted(g, tuple(np.flatnonzero(central).tolist()), None)
+    return Subgroup._of(g, np.bincount(labels)[labels] == 1)
 
 
 def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -1000,7 +1024,7 @@ def _coset_reps(h: Subgroup) -> np.ndarray:
     """
     g = h.group
     if g._table is not None and g.order * len(h) <= _CHECK_BLOCK:
-        return g.table[:, list(h.ids)].min(axis=1)
+        return g.table[:, h._ids].min(axis=1)
     return _orbit_minima([g.right(s) for s in h.gens], g.order)
 
 
@@ -1040,8 +1064,8 @@ def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
     # the classes all of whose members lie in h
     labels = _class_labels(g)
     sizes = np.bincount(labels)
-    inside = np.bincount(labels[np.array(h.ids)], minlength=sizes.size) == sizes
-    return Subgroup._from_sorted(g, tuple(np.flatnonzero(inside[labels]).tolist()), None)
+    inside = np.bincount(labels[h._ids], minlength=sizes.size) == sizes
+    return Subgroup._of(g, inside[labels])
 
 
 def _normal_closure(g: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[int]) -> Subgroup:
@@ -1058,7 +1082,7 @@ def _normal_closure(g: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[
             cols.append(g.right(c))
             _close(seen, np.array(cols))
             pending.extend(g.conjugate(c, s) for s in conjugators)
-    return Subgroup._from_sorted(g, tuple(np.flatnonzero(seen).tolist()), tuple(gens))
+    return Subgroup._of(g, seen, tuple(gens))
 
 
 def normal_closure(g: FiniteGroup, x: int) -> Subgroup:

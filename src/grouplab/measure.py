@@ -117,7 +117,7 @@ def neumann_search(g: FiniteGroup, *, name: str | None = None,
         k_sub = commutator_subgroup(n_sub, n_sub)
         if k_sub == n_sub and len(n_sub) != 1:
             continue
-        key = (len(k_sub) * index * index, len(k_sub), -len(n_sub), k_sub.ids, n_sub.ids)
+        key = (len(k_sub) * index * index, len(k_sub), -len(n_sub), k_sub._key, n_sub._key)
         if best is None or key < best[0]:
             best = (key, k_sub, n_sub)
     (value, *_), k_sub, n_sub = best  # N = 1 is always visited, unless a pair was found before it
@@ -172,24 +172,13 @@ def rho_table(corpus: Corpus, kind: str, *, orders: Sequence[int] | None = None,
         raise ValidationError("kind must be 'com' or 'r'")
     wanted = set(orders) if orders is not None else None
     per_order: dict[int, int] = {}
+    agg = min if kind == "com" else max
     for member_name, g in corpus:
-        if wanted is not None and g.order not in wanted:
-            continue
-        if kind == "com":
-            val = commuting_pairs(g, name=member_name, caps=caps).pairs
-            agg = min
-        else:
-            val = group_rank_bound(g, caps=caps)
-            agg = max
-        if g.order in per_order:
-            per_order[g.order] = agg(per_order[g.order], val)
-        else:
-            per_order[g.order] = val
-    if orders is None:
-        order_list = sorted(per_order)
-    else:
-        order_list = list(orders)
-    entries = tuple((o, per_order.get(o)) for o in order_list)
+        if wanted is None or g.order in wanted:
+            val = (commuting_pairs(g, name=member_name, caps=caps).pairs if kind == "com"
+                   else group_rank_bound(g, caps=caps))
+            per_order[g.order] = agg(per_order.get(g.order, val), val)
+    entries = tuple((o, per_order.get(o)) for o in (sorted(per_order) if orders is None else orders))
     return RhoTables(kind=kind, family_mode=family_mode, entries=entries)
 
 

@@ -1,7 +1,7 @@
 """Subgroup enumeration and the searches built on top of it.
 
 All results come back in a canonical order: subgroups by (size, element
-tuple), witnesses by ascending id.
+tuple), which is (size, key), witnesses by ascending id.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ from .groups import (
     _closure_block_rows,
     _closure_mask,
     _closures,
+    _conjugation,
     _coset_reps,
     _distinct,
     _distinct_reps,
     _greedy_generators,
     _normal_closure,
     _orbit_minima,
+    _pack,
     _tree,
     commutator_subgroup,
     is_nilpotent,
@@ -52,15 +54,16 @@ __all__ = [
 
 
 def _canonical(subs: Iterable[Subgroup]) -> list[Subgroup]:
-    return sorted(subs, key=lambda sub: (len(sub), sub.ids))
+    return sorted(subs, key=lambda sub: (len(sub), sub._key))
 
 
-def _record(found: dict[tuple[int, ...], Subgroup], sub: Subgroup, cap: str, caps: Caps) -> bool:
-    """Add `sub` to `found` unless it is there already, within the count `cap`; True when it is new."""
-    if sub.ids in found:
+def _record(found: dict[bytes, Subgroup], sub: Subgroup, cap: str, caps: Caps) -> bool:
+    """Add `sub` to `found`, by its key, unless it is there already, within the count `cap`; True
+    when it is new."""
+    if sub._key in found:
         return False
     caps.check(cap, len(found) + 1)
-    found[sub.ids] = sub
+    found[sub._key] = sub
     return True
 
 
@@ -69,15 +72,15 @@ def _conjugates(g: FiniteGroup, k: Subgroup) -> list[Subgroup]:
     generators s of G, in queue order, each with the conjugated `gens` of the one it was reached from."""
     if g.is_abelian:
         return [k]
-    maps = [(g.left(g.inverse[s]), g.right(s)) for s in _greedy_generators(g)]
-    orbit, seen = [k], {k.ids}
-    for h in orbit:
-        ids, gens = np.array(h.ids, dtype=np.intp), np.array(h.gens, dtype=np.intp)
-        for left, right in maps:
-            conj = tuple(np.sort(left[right[ids]]).tolist())
-            if conj not in seen:
-                seen.add(conj)
-                orbit.append(Subgroup._from_sorted(g, conj, tuple(left[right[gens]].tolist())))
+    maps = np.array([_conjugation(g, s) for s in _greedy_generators(g)])
+    orbit, seen = [k], {k._key}
+    for h in orbit:  # row i of keys and gens: the conjugate by generator i
+        keys, size = _pack(g, np.sort(maps.take(h._ids, axis=1), axis=1)), len(h._key)
+        gens = maps.take(h.gens, axis=1)
+        for i in range(len(maps)):
+            if (key := keys[i * size:(i + 1) * size]) not in seen:
+                seen.add(key)
+                orbit.append(Subgroup._of(g, key, gens[i]))
     return orbit
 
 
@@ -109,7 +112,7 @@ def _subgroup_classes(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
     against `subgroup_count`.
     """
     caps.check("subgroup_order", g.order)
-    found: dict[tuple[int, ...], Subgroup] = {}
+    found: dict[bytes, Subgroup] = {}
     classes: list[list[Subgroup]] = []
     class_minima = None  # made once, when a normal H needs it
 
@@ -132,7 +135,7 @@ def _subgroup_classes(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
         normaliser = np.flatnonzero(np.logical_and.reduce([rep[left] == rep for left in lefts]))
         if normaliser.size * class_size != g.order:
             raise GroupLabError("a normaliser's order times its class size is not the group order")
-        conj = [g.left(g.inverse[n])[g.right(n)] for n in _greedy_generators(g, normaliser, h.ids)]
+        conj = [_conjugation(g, n) for n in _greedy_generators(g, normaliser, h._ids)]
         orbits = _orbit_minima([g.right(s) for s in h.gens] + lefts + conj, g.order)
         return _distinct_reps(orbits)[1:].tolist()
 
@@ -143,9 +146,9 @@ def _subgroup_classes(g: FiniteGroup, caps: Caps) -> list[list[Subgroup]]:
         width = 1 + max(len(h.gens) for h, _ in level)
         block = _closure_block_rows(g, width)
         rows = ((h, h.gens + (x,)) for h, size in level for x in extensions(h, size, block))
-        for (_, gens), ids in _closures(g, rows, width):
-            if ids not in found:
-                add_class(Subgroup._from_sorted(g, ids, gens))
+        for (_, gens), key in _closures(g, rows, width):
+            if key not in found:
+                add_class(Subgroup._of(g, key, gens))
     return classes
 
 
@@ -168,11 +171,11 @@ def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> 
     key.  N*P grows from N under P.gens.
     """
     caps.check("order", g.order)
-    found: dict[tuple[int, ...], Subgroup] = {}
+    found: dict[bytes, Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
     gens = _greedy_generators(g)
     closures = ((x, _normal_closure(g, (x,), gens)) for x in _class_reps(g)[1:])
-    principals = {p.ids: (x, p) for x, p in closures}
+    principals = {p._key: (x, p) for x, p in closures}
     worklist = [p for _, p in principals.values() if _record(found, p, "normal_subgroup_count", caps)]
     xs = np.array([x for x, _ in principals.values()], dtype=np.intp)
     ps = [p for _, p in principals.values()]
@@ -189,9 +192,9 @@ def enumerate_normal_subgroups(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> 
     while done < len(worklist):  # by levels: a block is closed before it is walked, so reads no later N
         level, done = worklist[done:], len(worklist)
         rows = ((n, p.gens) for n in level for p in joins(n))
-        for (n, gens), ids in _closures(g, rows, width):
-            if ids not in found:
-                join = Subgroup._from_sorted(g, ids, n.gens + tuple(x for x in gens if x not in n))
+        for (n, gens), key in _closures(g, rows, width):
+            if key not in found:
+                join = Subgroup._of(g, key, n.gens + tuple(x for x in gens if x not in n))
                 _record(found, join, "normal_subgroup_count", caps)
                 worklist.append(join)
     return _canonical(found.values())
@@ -256,7 +259,7 @@ def _relative_rank(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
         for _ in range(p - 1):
             y = int(col[y])
         powers.append(y)
-    m_order = np.count_nonzero(_closure_mask(g, powers + list(commutator_subgroup(sub, sub).gens), base.ids))
+    m_order = np.count_nonzero(_closure_mask(g, powers + list(commutator_subgroup(sub, sub).gens), base._ids))
     return split_prime_power(len(sub) // m_order, p)[0]
 
 
@@ -272,7 +275,7 @@ def _rank_by_search(g: FiniteGroup, base: Subgroup, sub: Subgroup) -> int:
     order its last member is reached.
     """
     start = np.zeros(g.order, dtype=bool)
-    start[list(base.ids)] = True
+    start[base._ids] = True
 
     def generates(combo: Sequence[np.ndarray]) -> bool:
         seen = start.copy()
@@ -409,7 +412,7 @@ def automorphism_group(g: FiniteGroup, *, caps: Caps = DEFAULT_CAPS) -> Automorp
     flags = []
     for sub in normals:
         inside = np.zeros(n, dtype=bool)
-        inside[list(sub.ids)] = True
-        flags.append(bool(inside[stack[:, list(sub.ids)]].all()))
+        inside[sub._ids] = True
+        flags.append(bool(inside[stack[:, sub._ids]].all()))
     return AutomorphismReport(automorphisms=homs, normal_subgroups=normals,
                               characteristic=tuple(flags))

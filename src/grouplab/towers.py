@@ -211,7 +211,7 @@ def quotient_trace(system: InverseSystem, n1: Subgroup, n2: Subgroup,
         a_i = hom.map_subgroup(n2)
         b_i = hom.map_subgroup(n1)
         a_grp, _ = a_i.as_group()
-        q, proj = quotient(a_grp, Subgroup(a_grp, _local_ids(a_i, b_i.ids)))
+        q, proj = quotient(a_grp, Subgroup._of(a_grp, _local_ids(a_i, b_i._ids)))
         q_levels.append(q)
         coset_maps.append(proj.mapping)
         images.append(a_i)
@@ -219,7 +219,7 @@ def quotient_trace(system: InverseSystem, n1: Subgroup, n2: Subgroup,
     q_projections = []
     for i in range(len(system.levels) - 1):
         mapping = np.empty(q_levels[i + 1].order, dtype=np.int32)
-        below = system.projections[i].mapping[np.array(images[i + 1].ids, dtype=np.int32)]
+        below = system.projections[i].mapping[images[i + 1]._ids]
         mapping[coset_maps[i + 1]] = coset_maps[i][_local_ids(images[i], below)]
         q_projections.append(GroupHom(q_levels[i + 1], q_levels[i], mapping, validate=True))
     return QuotientTrace(levels=tuple(q_levels), projections=tuple(q_projections))

@@ -43,6 +43,15 @@ MUTANTS = (
     Mutant("close-first-generator-only", "groups.py",
            "seen[targets[:, frontier]] = True", "seen[targets[:1, frontier]] = True",
            ("test_groups.py",)),
+    Mutant("key-little-endian", "groups.py",  # subgroup keys whose bytes do not sort as the ids
+           'np.dtype(t).newbyteorder(">")', 'np.dtype(t).newbyteorder("<")',
+           ("test_structure.py",)),
+    Mutant("canonical-key-without-size", "structure.py",  # (size, key) order taken from the key alone
+           "key=lambda sub: (len(sub), sub._key)", "key=lambda sub: sub._key",
+           ("test_structure.py",)),
+    Mutant("conjugation-by-the-inverse", "groups.py",  # x -> s x s^-1
+           "right, left = g.right(s), g.left(g.inverse[s])", "right, left = g.right(g.inverse[s]), g.left(s)",
+           ("test_groups.py",)),
     Mutant("caps-check-at-the-cap", "config.py",
            "if actual > getattr(self, cap):", "if actual >= getattr(self, cap):",
            ("test_corpus_cli.py",)),

@@ -6,6 +6,7 @@ nested loops and exhaustive enumeration only.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Iterable, Sequence
 
@@ -78,6 +79,46 @@ def closure_of(g: FiniteGroup, gens: tuple[int, ...]) -> frozenset[int]:
                         new.append(z)
         frontier = new
     return frozenset(seen)
+
+
+class IdTupleSubgroup:
+    """A subgroup held as the sorted tuple of Python ints `Subgroup` kept before its ids were
+    packed: `in` bisects the tuple, containment is set inclusion, equality and hash are the tuple's,
+    and the canonical order is (size, ids).  Its members are the closure of `gens` by table
+    lookups, and `greedy_gens` are the least ids each outside the closure of those before it."""
+
+    def __init__(self, table: np.ndarray, gens: Sequence[int]):
+        self.ids = tuple(sorted(self._closure(table, gens)))
+        self.greedy_gens: list[int] = []
+        covered = {0}
+        for x in self.ids:
+            if x not in covered:
+                self.greedy_gens.append(x)
+                covered = self._closure(table, self.greedy_gens)
+
+    @staticmethod
+    def _closure(table: np.ndarray, gens: Sequence[int]) -> set[int]:
+        seen, frontier = {0}, [0]
+        while frontier:
+            new = []
+            for x in frontier:
+                for s in gens:
+                    z = int(table[x, s])
+                    if z not in seen:
+                        seen.add(z)
+                        new.append(z)
+            frontier = new
+        return seen
+
+    def __contains__(self, x) -> bool:
+        i = bisect.bisect_left(self.ids, x)
+        return i < len(self.ids) and self.ids[i] == x
+
+    def contains_subgroup(self, other: "IdTupleSubgroup") -> bool:
+        return set(other.ids) <= set(self.ids)
+
+    def canonical_key(self) -> tuple:
+        return len(self.ids), self.ids
 
 
 def all_subgroups_bruteforce(g: FiniteGroup, max_gens: int = 3) -> set[frozenset[int]]:
@@ -231,8 +272,8 @@ def coset_action_by_int32_points(g: FiniteGroup, chain: Sequence[Subgroup]
     return out
 
 
-def _canonical(subs: dict[tuple[int, ...], Subgroup]) -> list[Subgroup]:
-    return [subs[key] for key in sorted(subs, key=lambda ids: (len(ids), ids))]
+def _canonical(subs: dict) -> list[Subgroup]:
+    return sorted(subs.values(), key=lambda sub: (len(sub), sub.ids))
 
 
 def enumerate_subgroups_all_x(
@@ -285,7 +326,7 @@ def enumerate_subgroups_per_subgroup(
     """
     caps.check("subgroup_order", g.order)
     caps = caps.with_overrides(subgroup_count=max_count)
-    found: dict[tuple[int, ...], Subgroup] = {}
+    found: dict[bytes, Subgroup] = {}
     worklist = [g.trivial_subgroup()]
     _record(found, worklist[0], "subgroup_count", caps)
     for h in worklist:
@@ -304,7 +345,7 @@ def enumerate_normal_subgroups_all_principals(g: FiniteGroup, *, caps: Caps = DE
     each principal P not inside N reaches them all.  N*P grows from N under P.gens.
     """
     caps.check("order", g.order)
-    found: dict[tuple[int, ...], Subgroup] = {}
+    found: dict[bytes, Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
     gens = _greedy_generators(g)
     closures = (normal_closure_per_step(g, (x,), gens) for x in _class_reps(g)[1:])
@@ -329,7 +370,7 @@ def subgroup_classes_one_at_a_time(g: FiniteGroup, caps: Caps) -> list[list[Subg
     its whole class, and each conjugate is recorded against `subgroup_count`.
     """
     caps.check("subgroup_order", g.order)
-    found: dict[tuple[int, ...], Subgroup] = {}
+    found: dict[bytes, Subgroup] = {}
     classes: list[list[Subgroup]] = []
 
     def add_class(sub: Subgroup) -> None:
@@ -343,7 +384,7 @@ def subgroup_classes_one_at_a_time(g: FiniteGroup, caps: Caps) -> list[list[Subg
         h = cls[0]
         for x in np.unique(_coset_reps(h))[1:].tolist():
             sub = subgroup_closure(g, h.gens + (x,), start=h)
-            if sub.ids not in found:
+            if sub._key not in found:
                 add_class(sub)
     return classes
 
@@ -357,7 +398,7 @@ def subgroup_classes_by_coset_reps(g: FiniteGroup, caps: Caps) -> list[list[Subg
     its whole class, and each conjugate is recorded against `subgroup_count`.
     """
     caps.check("subgroup_order", g.order)
-    found: dict[tuple[int, ...], Subgroup] = {}
+    found: dict[bytes, Subgroup] = {}
     classes: list[list[Subgroup]] = []
 
     def add_class(sub: Subgroup) -> None:
@@ -371,9 +412,9 @@ def subgroup_classes_by_coset_reps(g: FiniteGroup, caps: Caps) -> list[list[Subg
     while done < len(classes):
         level, done = [cls[0] for cls in classes[done:]], len(classes)
         rows = ((h, h.gens + (x,)) for h in level for x in _distinct_reps(_coset_reps(h))[1:].tolist())
-        for (_, gens), ids in _closures(g, rows, 1 + max(len(h.gens) for h in level)):
-            if ids not in found:
-                add_class(Subgroup._from_sorted(g, ids, gens))
+        for (_, gens), key in _closures(g, rows, 1 + max(len(h.gens) for h in level)):
+            if key not in found:
+                add_class(Subgroup._of(g, key, gens))
     return classes
 
 
@@ -388,7 +429,7 @@ def enumerate_normal_subgroups_one_at_a_time(g: FiniteGroup, *, caps: Caps = DEF
     key.  N*P grows from N under P.gens.
     """
     caps.check("order", g.order)
-    found: dict[tuple[int, ...], Subgroup] = {}
+    found: dict[bytes, Subgroup] = {}
     _record(found, g.trivial_subgroup(), "normal_subgroup_count", caps)
     gens = _greedy_generators(g)
     closures = ((x, normal_closure_per_step(g, (x,), gens)) for x in _class_reps(g)[1:])
@@ -819,7 +860,7 @@ def conjugates_by_gather(g: FiniteGroup, k: Subgroup) -> list[Subgroup]:
     row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     hs = np.sort(np.unique(row_bytes, return_index=True)[1])[1:]  # h = 0 gives k
     gens = t[t[inv[hs][:, None], list(k.gens)], hs[:, None]].tolist()
-    return [k] + [Subgroup._from_sorted(g, tuple(rows[h].tolist()), tuple(c))
+    return [k] + [Subgroup._of(g, rows[h], tuple(c))
                   for h, c in zip(hs.tolist(), gens)]
 
 

@@ -288,6 +288,23 @@ def test_large_neumann_rows_build_no_table(tmp_path):
     assert peak < _S7_TABLE_BYTES
 
 
+def test_a_chain_of_one_long_orbit_reads_its_columns_from_its_table(perm_group):
+    """Z1000 given as one 1000-cycle: its chain is one level whose orbit is the whole group, so its
+    transversal columns, both sides, would be two tables.  It builds its one table when it is
+    built, reads every column from it and pins nothing beyond the generators' columns."""
+    n = 1000
+    g = build_group(generators=[[(x + 1) % n for x in range(n)]], degree=n, name="Z1000", caps=Caps(order=n))
+    assert g._table is not None
+    xs = np.arange(n)
+    for s in range(n):  # element s is the shift by s
+        assert np.array_equal(g.right(s), (xs + s) % n) and np.array_equal(g.left(s), (xs + s) % n), s
+    assert commuting_pair_count(g) == n * n
+    assert g._source.pinned.keys() <= {(side, s) for s in (0, *g._source.gens) for side in ("right", "left")}
+    for name in _PERM_GROUPS:  # short orbits: few transversals, so a table only within one check block
+        h = perm_group(name)
+        assert (h._table is not None) == (h.order ** 2 <= 1 << 16), name
+
+
 def test_renamed_table_free_group_keeps_its_columns(perm_group):
     g = perm_group("S6")
     copy = g._renamed("T")

@@ -121,6 +121,13 @@ _PER_MEMBER = ("analyze-group", "neumann", "verify-inequalities")  # read each m
 def test_cli_small_order_cap_names_the_order_cap(tmp_path, capsys, argv, cap):
     code = main(argv + ["--cap-order", str(cap), "--out", str(tmp_path / "x")])
     text = f"cap 'order' exceeded: {cap + 1} > {cap} (permutation closure)"
+    if argv[0] == "rho":
+        # each order fails on its first member above the cap, and the orders within it are reported
+        assert code == 2 and capsys.readouterr().err == ""
+        payload, orders = json.loads((tmp_path / "x").read_text()), sorted({o for _, o in bundled_corpus().index()})
+        assert payload["errors"] == [{"item": f"order {o}", "error": text} for o in orders if o > cap]
+        assert [row["order"] for row in payload["items"]] == [o for o in orders if o <= cap]
+        return
     if argv[0] not in _PER_MEMBER:
         # the whole job fails on the first bundled member above the cap, in builder order, Z(cap + 1)
         assert code == 1
@@ -287,6 +294,21 @@ def test_cli_rho_r_golden(tmp_path, corpus):
     items = json.loads(text)["items"]
     got = {row["order"]: row["value"] for row in items}
     assert got == {order: golden.get(order, "inf") for order in range(1, 25)}
+
+
+def test_cli_rho_fails_one_order_at_a_time(tmp_path, corpus, perm_group, built):
+    """S6 is over the default `subgroup_order` cap, so `rho --kind r` fails order 720 alone and
+    reports order 6, with no partial value.  Bundled members above --max-order are never built."""
+    save_corpus(Corpus({"S3": corpus["S3"], "S6": perm_group("S6")}), tmp_path / "corpus")
+    code, text = _run(tmp_path, ["rho", "--kind", "r", "--corpus", str(tmp_path / "corpus")])
+    payload = json.loads(text)
+    assert code == 2
+    assert [(row["order"], row["value"]) for row in payload["items"]] == [(6, 1)]
+    assert payload["errors"] == [{"item": "order 720", "error": "cap 'subgroup_order' exceeded: 720 > 512"}]
+    built.clear()
+    code, text = _run(tmp_path, ["rho", "--kind", "r", "--max-order", "6"])
+    assert code == 0 and len(json.loads(text)["items"]) == 6
+    assert built == [name for name, order in corpus.index() if order <= 6]
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "100001", "2000000"])

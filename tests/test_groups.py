@@ -8,6 +8,7 @@ from grouplab.errors import CapExceeded, ValidationError
 from grouplab.groups import (
     FiniteGroup,
     Subgroup,
+    _conjugation,
     build_group,
     center,
     centralizer,
@@ -282,6 +283,19 @@ def test_core_examples(corpus):
     for g_el in s3.elements():
         inter &= set(h.conjugate_by(g_el).ids)
     assert inter == set(core(s3, h).ids)
+
+
+def test_conjugation_is_by_the_inverse_on_the_left(corpus, perm_group):
+    """x^h = h^-1 x h in every path that conjugates: `conjugate`, the map `_conjugation` and
+    `conjugate_by`, against products taken one at a time."""
+    for g in (corpus["S4"], corpus["Q8"], perm_group("S5"), perm_group("D4xQ8")):
+        subs = enumerate_subgroups(g)[1::7]
+        for h in g.elements():
+            want = [g.mul(g.inv(h), g.mul(x, h)) for x in g.elements()]
+            assert [g.conjugate(x, h) for x in g.elements()] == want, (g.name, h)
+            assert _conjugation(g, h).tolist() == want, (g.name, h)
+            for sub in subs:
+                assert sub.conjugate_by(h).ids == tuple(sorted(want[x] for x in sub)), (g.name, h, sub)
 
 
 def test_core_is_largest_normal_inside(corpus):

@@ -29,6 +29,7 @@ from grouplab.groups import (
 )
 from grouplab.linalg import prime_power_base, split_prime_power
 from grouplab.structure import (
+    _canonical,
     _conjugates,
     _rank_by_search,
     _subgroup_classes,
@@ -44,6 +45,7 @@ from grouplab.structure import (
 )
 
 from oracles import (
+    IdTupleSubgroup,
     all_subgroups_bruteforce,
     class_closure,
     closure_mask_by_unique,
@@ -163,7 +165,7 @@ def test_batched_closure_rows_match_unique_oracle(corpus, perm_group, monkeypatc
             if ids not in reached:
                 reached.add(ids)
                 wanted.append(((start, gens), ids))
-        assert list(_closures(g, rows, 3)) == wanted, g.name
+        assert [(row, Subgroup._of(g, key).ids) for row, key in _closures(g, rows, 3)] == wanted, g.name
         assert len(wanted) < len(rows), g.name
 
 
@@ -249,6 +251,36 @@ def test_subgroup_classes_hold_no_set_per_subgroup(perm_group):
         tracemalloc.stop()
     assert sum(map(len, classes)) == 1455
     assert peak < 1_400_000, peak
+
+
+@pytest.mark.parametrize("name", ["S4", "D4xQ8", "Z2^5", "S6"])
+def test_packed_subgroups_answer_as_their_id_tuples(corpus, perm_group, name):
+    """Every subgroup, held as packed ids, against the id tuple it was held as before: `ids`,
+    `gens`, `in`, `contains_subgroup`, equality, hash and the canonical order."""
+    g = corpus["S4"] if name == "S4" else direct_power(corpus["Z2"], 5) if name == "Z2^5" else perm_group(name)
+    subs = enumerate_subgroups(g, caps=Caps(subgroup_order=720))
+    table = g.table  # read after the enumeration, which reads columns only
+    tuples = [IdTupleSubgroup(table, s.gens) for s in subs]
+    assert [s.ids for s in subs] == [t.ids for t in tuples], name
+    assert sorted(tuples, key=IdTupleSubgroup.canonical_key) == tuples, name
+    assert _canonical(subs[::-1]) == subs, name
+    assert all(type(x) is int for s in subs for x in s.ids + s.gens + tuple(s)), name
+    assert all(t.ids == IdTupleSubgroup(table, t.ids).ids for t in tuples[:50]), name
+    fresh = [Subgroup(g, t.ids) for t in tuples]  # no recorded gens: greedy ones
+    assert [f.gens for f in fresh] == [tuple(t.greedy_gens) for t in tuples], name
+    assert fresh == subs and [hash(f) for f in fresh] == [hash(s) for s in subs], name
+    assert len(set(subs) | set(fresh)) == len({t.ids for t in tuples}) == len(subs), name
+    assert all(len(s) == len(t.ids) and s.index == g.order // len(t.ids) for s, t in zip(subs, tuples)), name
+    rng = np.random.default_rng(37)
+    points = [-1, 0, g.order - 1, g.order, 1 << 15, 1 << 40, np.int64(1), np.int16(2)]
+    for s, t in zip(subs, tuples):
+        probe = points + rng.integers(0, g.order, 8).tolist()
+        assert [x in s for x in probe] == [x in t for x in probe], (name, s)
+    pairs = itertools.product(range(len(subs)), repeat=2)
+    if len(subs) ** 2 > 40_000:
+        pairs = zip(rng.integers(0, len(subs), 40_000).tolist(), rng.integers(0, len(subs), 40_000).tolist())
+    for i, j in pairs:
+        assert subs[i].contains_subgroup(subs[j]) == tuples[i].contains_subgroup(tuples[j]), (name, i, j)
 
 
 def test_commutator_subgroup_matches_all_pairs_oracle(corpus):
